@@ -43,6 +43,5 @@ print(f"worst delay slack at x_hat: {base.max_constraint(x_hat):.4f} "
 
 print("\ngap along the run (tracked-objective estimate):")
 for k in (0, 9, 99, 999, 9_999):
-    r = trajectory[k]
-    print(f"  t={r.t:>6}: F~{r.objective_estimate:8.3f}  "
-          f"constraint~{r.constraint_estimates[0]:8.4f}")
+    print(f"  t={trajectory['t'][k]:>6}: F~{trajectory['obj'][k]:8.3f}  "
+          f"constraint~{trajectory['viol'][k, 0]:8.4f}")

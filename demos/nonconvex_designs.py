@@ -28,8 +28,8 @@ for build in (paper_ex3, paper_ex4):
     print(f"F at start  : {ev_init['f']:.4f}")
     print(f"F at output : {ev_hat['f']:.4f}   (improved: {ev_hat['f'] < ev_init['f']})")
 
-    tail = trajectory[-len(trajectory) // 10:]
-    movement = np.mean([np.sqrt(r.step_sq_norm) / r.alpha for r in tail])
+    tail = slice(-(trajectory["t"].size // 10), None)
+    movement = np.mean(np.sqrt(trajectory["step_sq"][tail]) / trajectory["alpha"][tail])
     print(f"late-run movement per unit step: {movement:.3g}")
 
     local = sample_average_baseline(problem, n_samples=1_000, seed=9)

@@ -10,29 +10,25 @@ harness with a small CLI.
 from .distributions import (
     ConstantVec,
     ExponentialMean,
-    RngStream,
     TruncatedChiSquared,
     TruncatedExponential,
-    draw,
     make_rng,
     monte_carlo_mean,
 )
 from .penalty import PenaltyParams, penalty_gradient, penalty_value
 from .problem import CompositionalProblem
-from .schedule import CONSTANT, DIMINISHING, StepSchedule, step_sizes
+from .schedule import CONSTANT, DIMINISHING, StepSchedule
 from .sets import (
     Box,
     BoxWithLinearInequalities,
     BoxWithSumCap,
     FeasibleSetError,
     ProductSet,
-    project,
 )
 from .solver import (
     NonFiniteGradientError,
     SolverConfig,
     SolverState,
-    TrajectoryRecord,
     cscgd_step,
     init_state,
     run,
@@ -55,23 +51,18 @@ __all__ = [
     "NonFiniteGradientError",
     "PenaltyParams",
     "ProductSet",
-    "RngStream",
     "SolverConfig",
     "SolverState",
     "StepSchedule",
-    "TrajectoryRecord",
     "TruncatedChiSquared",
     "TruncatedExponential",
     "cscgd_step",
-    "draw",
     "init_state",
     "make_rng",
     "monte_carlo_mean",
     "penalty_gradient",
     "penalty_value",
-    "project",
     "run",
     "step_bound_diagnostic",
-    "step_sizes",
     "zero_violation_gamma",
 ]

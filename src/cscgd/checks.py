@@ -14,7 +14,7 @@ import numpy as np
 from .distributions import make_rng, monte_carlo_mean
 from .oracles import finite_difference_check
 from .penalty import PenaltyParams, penalty_value
-from .solver import SolverConfig, tracking_weights
+from .solver import SolverConfig, cscgd_step, init_state, tracking_weights
 
 
 @dataclass
@@ -199,18 +199,13 @@ def tracking_consistency(
     """
     kwargs = {"a": 0.75, "b": 0.5, "c": 0.75, "regime": "diminishing"}
     kwargs.update(schedule_kwargs or {})
-    config = SolverConfig(horizon=horizon, seed=seed, freeze_x=True, **kwargs)
+    config = SolverConfig(horizon=horizon, seed=seed, **kwargs)
     rng_run = make_rng(seed, 0)
-    from .solver import cscgd_step, init_state  # local: avoid cycle at import
-
     schedule = config.schedule()
     state = init_state(problem, config, rng_run)
     x_frozen = state.x.copy()
-    for _ in range(horizon):
-        state, _ = cscgd_step(
-            problem, state, schedule, config.penalty_params(), rng_run,
-            alpha_override=0.0, delta_override=0.0,
-        )
+    for beta in schedule.step_arrays()[1]:
+        cscgd_step(problem, state, 0.0, beta, 0.0, config.penalty_params(), rng_run)
     assert np.array_equal(state.x, x_frozen)
     weights, w0 = tracking_weights(schedule)
     var_scale = float(np.sum(weights**2))

@@ -8,8 +8,6 @@ parameter values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import special
 
@@ -18,15 +16,6 @@ def make_rng(seed: int, stream_id: int = 0) -> np.random.Generator:
     """Independent, reproducible generator for one (seed, stream_id) pair."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream_id),))
     return np.random.default_rng(ss)
-
-
-@dataclass(frozen=True)
-class RngStream:
-    seed: int
-    stream_id: int = 0
-
-    def generator(self) -> np.random.Generator:
-        return make_rng(self.seed, self.stream_id)
 
 
 def _param_array(value, name: str) -> np.ndarray:
@@ -168,11 +157,6 @@ class TruncatedChiSquared:
 
     def support(self, i: int = 0):
         return float(self.lower[i]), np.inf
-
-
-def draw(dist, rng, n: int | None = None):
-    """One i.i.d. draw (or a batch of n) from ``dist``."""
-    return dist.draw(rng, n)
 
 
 def monte_carlo_mean(fn, dist, n_samples: int, rng, vectorized: bool = False):

@@ -131,14 +131,13 @@ def trajectory_header(num_constraints: int) -> str:
     return ",".join(cols)
 
 
-def write_trajectory_csv(path: str, trajectory: list, num_constraints: int):
+def write_trajectory_csv(path: str, trajectory: dict, num_constraints: int):
+    """One row per logged iteration of a :func:`run` trajectory."""
+    cols = [trajectory[name].tolist() for name in ("t", "alpha", "beta", "delta", "obj")]
+    cols += [trajectory["viol"][:, j].tolist() for j in range(num_constraints)]
+    cols.append(trajectory["step_sq"].tolist())
     lines = [trajectory_header(num_constraints)]
-    for r in trajectory:
-        vals = [str(r.t), repr(r.alpha), repr(r.beta), repr(r.delta),
-                repr(r.objective_estimate)]
-        vals += [repr(float(v)) for v in r.constraint_estimates]
-        vals.append(repr(r.step_sq_norm))
-        lines.append(",".join(vals))
+    lines += [",".join(map(repr, row)) for row in zip(*cols)]
     payload = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(payload)
@@ -268,6 +267,7 @@ def write_oracle_cache(config: ExperimentConfig) -> str:
     os.makedirs(config.out_dir, exist_ok=True)
     path = oracle_cache_path(config.out_dir, config.preset)
     payload = compute_oracle(config)
+    payload["instance_overrides"] = config.instance_overrides or {}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
     return path
@@ -281,7 +281,17 @@ def load_oracle_cache(config: ExperimentConfig) -> dict:
             f"preset {config.preset!r} first, or disable the gap report"
         )
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        payload = json.load(fh)
+    # The file is keyed by preset name only; a baseline computed for other
+    # instance overrides is a different F*.
+    cached = json.dumps(payload.get("instance_overrides", {}), sort_keys=True)
+    wanted = json.dumps(config.instance_overrides or {}, sort_keys=True)
+    if cached != wanted:
+        raise ValueError(
+            f"oracle baseline at {path} was computed for instance_overrides "
+            f"{cached}, this config has {wanted}; run the 'oracle' command again"
+        )
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -323,16 +333,7 @@ def _run_one_seed(payload: dict):
         config_hash=config.config_hash(),
         trajectory_path=path,
     )
-    arrays = {
-        "t": np.array([r.t for r in trajectory], dtype=float),
-        "obj": np.array([r.objective_estimate for r in trajectory]),
-        "viol": np.array(
-            [np.max(r.constraint_estimates) if r.constraint_estimates.size else 0.0
-             for r in trajectory]
-        ),
-        "step_sq": np.array([r.step_sq_norm for r in trajectory]),
-    }
-    return summary, arrays
+    return summary, curve_arrays(trajectory)
 
 
 def run_experiment(config: ExperimentConfig):
@@ -376,6 +377,17 @@ def write_summary_csv(path: str, summaries: list):
 # ---------------------------------------------------------------------------
 # Aggregation and plot data
 # ---------------------------------------------------------------------------
+
+def curve_arrays(trajectory: dict) -> dict:
+    """Per-seed series that :func:`aggregate_curves` averages over seeds."""
+    viol = trajectory["viol"]
+    return {
+        "t": trajectory["t"].astype(float),
+        "obj": trajectory["obj"],
+        "viol": viol.max(axis=1) if viol.shape[1] else np.zeros(viol.shape[0]),
+        "step_sq": trajectory["step_sq"],
+    }
+
 
 def aggregate_curves(arrays_list: list, f_star: float | None = None) -> dict:
     ts = arrays_list[0]["t"]
@@ -431,18 +443,8 @@ def write_plot_csv(path: str, curves: dict, max_points: int = 200):
 
 def emit_plot_data(trajectory_set: list, f_star: float | None = None,
                    path: str | None = None, max_points: int = 200) -> dict:
-    """Aggregate a set of per-seed trajectories into plot-ready series."""
-    arrays = []
-    for traj in trajectory_set:
-        arrays.append({
-            "t": np.array([r.t for r in traj], dtype=float),
-            "obj": np.array([r.objective_estimate for r in traj]),
-            "viol": np.array(
-                [np.max(r.constraint_estimates) if r.constraint_estimates.size
-                 else 0.0 for r in traj]
-            ),
-            "step_sq": np.array([r.step_sq_norm for r in traj]),
-        })
+    """Aggregate per-seed :func:`run` trajectories into plot-ready series."""
+    arrays = [curve_arrays(traj) for traj in trajectory_set]
     curves = aggregate_curves(arrays, f_star=f_star)
     if path is not None:
         write_plot_csv(path, curves, max_points)

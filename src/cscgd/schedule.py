@@ -58,7 +58,3 @@ class StepSchedule:
         else:
             base = np.full(T, float(self.horizon))
         return base ** -self.a, base ** -self.b, base ** -self.c
-
-
-def step_sizes(schedule: StepSchedule, t: int) -> tuple[float, float, float]:
-    return schedule.step_sizes(t)

@@ -17,7 +17,7 @@ MEMBERSHIP_SLACK = 1e-12
 
 
 class FeasibleSetError(ValueError):
-    """Raised when a feasible set is mis-configured (empty or inconsistent)."""
+    """Raised when a feasible set is mis-configured or its projection fails to converge."""
 
 
 def _as_vector(x, name: str) -> np.ndarray:
@@ -201,8 +201,11 @@ class BoxWithLinearInequalities:
                 drift += float(np.sum((new_inc - increments[i]) ** 2))
                 increments[i] = new_inc
             if drift <= (self.tol * scale) ** 2:
-                break
-        return x
+                return x
+        raise FeasibleSetError(
+            f"Dykstra projection did not converge in {self.max_sweeps} sweeps "
+            f"(final squared drift {drift:.3e}, tolerance {(self.tol * scale) ** 2:.3e})"
+        )
 
     def contains(self, v: np.ndarray, slack: float = 1e-9) -> bool:
         v = np.asarray(v, dtype=float)
@@ -260,8 +263,3 @@ class ProductSet:
 
     def squared_diameter(self) -> float:
         return float(sum(b.squared_diameter() for b in self.blocks))
-
-
-def project(feasible_set, v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of ``v`` onto ``feasible_set``."""
-    return feasible_set.project(v)

@@ -43,9 +43,7 @@ class SolverConfig:
     gamma: float = 0.0
     c_ell: float = 1.0
     seed: int = 0
-    stream_id: int = 0
     x0: np.ndarray | None = None
-    freeze_x: bool = False  # forces alpha = delta = 0 (pure tracking)
     log_points: int | None = None
 
     def schedule(self) -> StepSchedule:
@@ -70,18 +68,6 @@ class SolverState:
             self.tail_sum = np.zeros_like(self.x)
 
 
-@dataclass
-class TrajectoryRecord:
-    t: int
-    alpha: float
-    beta: float
-    delta: float
-    x: np.ndarray
-    objective_estimate: float
-    constraint_estimates: np.ndarray
-    step_sq_norm: float
-
-
 def init_state(problem: CompositionalProblem, config: SolverConfig, rng) -> SolverState:
     """x1 = projected box midpoint (or configured point); y1, z1 from one extra sample."""
     if config.x0 is not None:
@@ -98,33 +84,34 @@ def init_state(problem: CompositionalProblem, config: SolverConfig, rng) -> Solv
     return SolverState(x=x1, y=y1, z=z1, t=1, tail_start=tail_start)
 
 
+_NO_CONSTRAINTS = np.zeros(0)
+
+
 def cscgd_step(
     problem: CompositionalProblem,
     state: SolverState,
-    schedule: StepSchedule,
+    alpha: float,
+    beta: float,
+    delta: float,
     penalty_params: PenaltyParams,
     rng,
-    alpha_override: float | None = None,
-    delta_override: float | None = None,
-) -> tuple[SolverState, TrajectoryRecord]:
+) -> np.ndarray:
     """One sample, one tracking update, one projected quasi-gradient step.
 
-    Trackers are updated before they feed the gradient assembly.  The
-    overrides exist for pure-tracking runs (alpha = delta = 0).
+    Updates ``state`` in place: the trackers y and z (step ``beta``), the
+    tail sum and count, the iterate x (steps ``alpha`` and ``delta``) and
+    the iteration counter.  Trackers are updated before they feed the
+    gradient assembly.  ``alpha = delta = 0`` gives pure tracking at a
+    frozen x.  Returns the constraint estimates q(z) at the updated
+    tracker (empty for an unconstrained problem).
     """
     t = state.t
-    alpha, beta, delta = schedule.step_sizes(t)
-    if alpha_override is not None:
-        alpha = alpha_override
-    if delta_override is not None:
-        delta = delta_override
-
+    x = state.x
     if t >= state.tail_start:
-        state.tail_sum += state.x
+        state.tail_sum += x
         state.tail_count += 1
 
     zeta = problem.sample(rng)
-    x = state.x
     gval = np.asarray(problem.inner_g(x, zeta), dtype=float)
     state.y *= 1.0 - beta
     state.y += beta * gval
@@ -142,10 +129,14 @@ def cscgd_step(
     jac_g = np.asarray(problem.inner_g_jacobian(x, zeta), dtype=float)
     direction = alpha * (jac_g @ fgrad)
 
-    qval = np.zeros(problem.num_constraints)
+    qval = _NO_CONSTRAINTS
     if constrained:
         qval = np.asarray(problem.outer_q(state.z), dtype=float)
-        lgrad = penalty_gradient(qval, penalty_params)
+        try:
+            lgrad = penalty_gradient(qval, penalty_params)
+        except ValueError:  # non-finite q(z); checking here first would cost every step
+            culprit = _locate_nonfinite(problem, state, x, zeta)
+            raise NonFiniteGradientError(culprit, t) from None
         if delta != 0.0 and np.any(lgrad != 0.0):
             jac_q = np.asarray(problem.outer_q_jacobian(state.z), dtype=float)
             if problem.inner_h_jacobian is problem.inner_g_jacobian:
@@ -157,20 +148,9 @@ def cscgd_step(
     if not np.all(np.isfinite(direction)):
         raise NonFiniteGradientError(_locate_nonfinite(problem, state, x, zeta), t)
 
-    x_new = problem.feasible_set.project(x - direction)
-    record = TrajectoryRecord(
-        t=t,
-        alpha=alpha,
-        beta=beta,
-        delta=delta,
-        x=x_new.copy(),
-        objective_estimate=float(problem.outer_f(state.y)),
-        constraint_estimates=qval.copy(),
-        step_sq_norm=float(np.sum((x_new - x) ** 2)),
-    )
-    state.x = x_new
+    state.x = problem.feasible_set.project(x - direction)
     state.t = t + 1
-    return state, record
+    return qval
 
 
 def _locate_nonfinite(problem, state, x, zeta) -> str:
@@ -196,7 +176,7 @@ def _locate_nonfinite(problem, state, x, zeta) -> str:
 
 
 def logged_iterations(horizon: int, log_points: int | None = None) -> np.ndarray:
-    """Iterations at which records are materialized.
+    """Iterations at which the trajectory is recorded.
 
     Every iteration up to FULL_LOG_MAX_HORIZON, otherwise log-spaced points
     that always include t = 1 and t = horizon.
@@ -211,112 +191,47 @@ def logged_iterations(horizon: int, log_points: int | None = None) -> np.ndarray
     return pts[(pts >= 1) & (pts <= horizon)]
 
 
-def run(
-    problem: CompositionalProblem,
-    config: SolverConfig,
-    rng=None,
-) -> tuple[np.ndarray, list[TrajectoryRecord]]:
+def run(problem: CompositionalProblem, config: SolverConfig) -> tuple[np.ndarray, dict]:
     """Execute the full horizon and return (tail-averaged point, trajectory).
 
-    The loop is a fused copy of :func:`cscgd_step` (verified equivalent in
-    the tests) so that long horizons stay cheap: records are materialized
-    only at the logged iterations.
+    Each iteration is one :func:`cscgd_step` driven by stream 0 of
+    ``config.seed``.  The trajectory is a dict of column arrays, one row per
+    logged iteration (see :func:`logged_iterations`): ``t``, ``alpha``,
+    ``beta``, ``delta``, ``obj`` (f at the tracker y), ``viol`` (L x J
+    constraint estimates q(z)), ``step_sq`` (squared step norm) and ``x``
+    (L x n iterates after the step).
     """
     T = int(config.horizon)
     if T < 2:
         raise ValueError("horizon must be at least 2")
-    if rng is None:
-        rng = make_rng(config.seed, config.stream_id)
-    schedule = config.schedule()
+    rng = make_rng(config.seed)
     penalty_params = config.penalty_params()
     state = init_state(problem, config, rng)
+    alphas, betas, deltas = config.schedule().step_arrays()
 
-    alphas, betas, deltas = schedule.step_arrays()
-    if config.freeze_x:
-        alphas = np.zeros(T)
-        deltas = np.zeros(T)
     log_ts = logged_iterations(T, config.log_points)
-    log_set = set(int(t) for t in log_ts)
+    rows = log_ts.size
+    obj = np.empty(rows)
+    viol = np.empty((rows, problem.num_constraints))
+    step_sq = np.empty(rows)
+    xs = np.empty((rows, problem.dim_x))
+    log_list = log_ts.tolist() + [0]  # trailing sentinel matches no t
+    i = 0
+    for t, (alpha, beta, delta) in enumerate(zip(alphas, betas, deltas), start=1):
+        x = state.x
+        qval = cscgd_step(problem, state, alpha, beta, delta, penalty_params, rng)
+        if t == log_list[i]:
+            obj[i] = float(problem.outer_f(state.y))
+            viol[i] = qval
+            step_sq[i] = np.sum((state.x - x) ** 2)
+            xs[i] = state.x
+            i += 1
 
-    sample = problem.sample
-    inner_g = problem.inner_g
-    jac_g_fn = problem.inner_g_jacobian
-    f_grad = problem.outer_f_gradient
-    f_val = problem.outer_f
-    project = problem.feasible_set.project
-    constrained = problem.constrained
-    h_is_g = problem.inner_h is problem.inner_g
-    jh_is_jg = problem.inner_h_jacobian is problem.inner_g_jacobian
-    inner_h = problem.inner_h
-    jac_h_fn = problem.inner_h_jacobian
-    q_fn = problem.outer_q
-    jac_q_fn = problem.outer_q_jacobian
-
-    x = state.x
-    y = state.y
-    z = state.z
-    tail_start = state.tail_start
-    tail_sum = state.tail_sum
-    tail_count = 0
-    trajectory: list[TrajectoryRecord] = []
-    empty_q = np.zeros(0)
-
-    for t in range(1, T + 1):
-        alpha = alphas[t - 1]
-        beta = betas[t - 1]
-        delta = deltas[t - 1]
-
-        if t >= tail_start:
-            tail_sum += x
-            tail_count += 1
-
-        zeta = sample(rng)
-        gval = np.asarray(inner_g(x, zeta), dtype=float)
-        y *= 1.0 - beta
-        y += beta * gval
-
-        if constrained:
-            hval = gval if h_is_g else np.asarray(inner_h(x, zeta), dtype=float)
-            z *= 1.0 - beta
-            z += beta * hval
-
-        jac_g = np.asarray(jac_g_fn(x, zeta), dtype=float)
-        direction = alpha * (jac_g @ np.asarray(f_grad(y), dtype=float))
-
-        qval = empty_q
-        if constrained:
-            qval = np.asarray(q_fn(z), dtype=float)
-            lgrad = penalty_gradient(qval, penalty_params)
-            if delta != 0.0 and np.any(lgrad != 0.0):
-                jac_q = np.asarray(jac_q_fn(z), dtype=float)
-                jac_h = jac_g if jh_is_jg else np.asarray(jac_h_fn(x, zeta), dtype=float)
-                direction += delta * (jac_h @ (jac_q @ lgrad))
-
-        if not np.all(np.isfinite(direction)):
-            state.x, state.y, state.z, state.t = x, y, z, t
-            raise NonFiniteGradientError(_locate_nonfinite(problem, state, x, zeta), t)
-
-        x_new = project(x - direction)
-        if t in log_set:
-            trajectory.append(
-                TrajectoryRecord(
-                    t=t,
-                    alpha=float(alpha),
-                    beta=float(beta),
-                    delta=float(delta),
-                    x=x_new.copy(),
-                    objective_estimate=float(f_val(y)),
-                    constraint_estimates=qval.copy(),
-                    step_sq_norm=float(np.sum((x_new - x) ** 2)),
-                )
-            )
-        x = x_new
-
-    x_hat = tail_sum / tail_count
-    state.x, state.y, state.z = x, y, z
-    state.t = T + 1
-    state.tail_count = tail_count
-    return x_hat, trajectory
+    trajectory = {
+        "t": log_ts, "alpha": alphas[log_ts - 1], "beta": betas[log_ts - 1],
+        "delta": deltas[log_ts - 1], "obj": obj, "viol": viol, "step_sq": step_sq, "x": xs,
+    }
+    return state.tail_sum / state.tail_count, trajectory
 
 
 def tracking_weights(schedule: StepSchedule) -> tuple[np.ndarray, float]:
@@ -353,40 +268,25 @@ class StepBoundReport:
         return int(np.sum(self.flagged))
 
 
-def _trajectory_columns(traj) -> dict:
-    """Column view of a trajectory given as records or as a column dict."""
-    if isinstance(traj, dict):
-        return traj
-    return {
-        "t": np.array([r.t for r in traj]),
-        "alpha": np.array([r.alpha for r in traj]),
-        "delta": np.array([r.delta for r in traj]),
-        "step_sq": np.array([r.step_sq_norm for r in traj]),
-    }
-
-
 def step_bound_diagnostic(trajectories, constants: dict) -> StepBoundReport:
     """Check E||x_{t+1} - x_t||^2 <= 2 a_t^2 C_f C_g + 2 d_t^2 J C_ell^2 C_q C_h.
 
-    ``trajectories`` is a list of per-seed trajectories (record lists or
-    column dicts) sharing the same logged iterations.  A point is flagged
-    when the seed-averaged squared step exceeds the bound by more than
-    three standard errors.
+    ``trajectories`` is a list of per-seed trajectory column dicts (as
+    returned by :func:`run` or read back from the CSVs) sharing the same
+    logged iterations.  A point is flagged when the seed-averaged squared
+    step exceeds the bound by more than three standard errors.
     """
-    if not len(trajectories):
+    if not len(trajectories) or not np.asarray(trajectories[0]["t"]).size:
         raise ValueError("need at least one non-empty trajectory")
-    cols = [_trajectory_columns(traj) for traj in trajectories]
-    if not cols[0]["t"].size:
-        raise ValueError("need at least one non-empty trajectory")
-    n_seeds = len(cols)
-    ts = np.asarray(cols[0]["t"])
+    n_seeds = len(trajectories)
+    ts = np.asarray(trajectories[0]["t"])
     steps = np.empty((n_seeds, ts.size))
-    for i, c in enumerate(cols):
+    for i, c in enumerate(trajectories):
         if np.asarray(c["t"]).size != ts.size:
             raise ValueError("trajectories have mismatched logging grids")
         steps[i] = c["step_sq"]
-    alphas = np.asarray(cols[0]["alpha"])
-    deltas = np.asarray(cols[0]["delta"])
+    alphas = np.asarray(trajectories[0]["alpha"])
+    deltas = np.asarray(trajectories[0]["delta"])
     c_f, c_g = constants["C_f"], constants["C_g"]
     c_q, c_h = constants.get("C_q", 0.0), constants.get("C_h", 0.0)
     c_ell, j = constants.get("C_ell", 0.0), constants.get("J", 0)

@@ -333,8 +333,8 @@ def test_criterion_9_nonconvex_stationarity():
                            horizon=10_000, seed=0)
         x_hat, traj = run(problem, cfg)
         x_init = problem.feasible_set.project(problem.feasible_set.midpoint())
-        tail = traj[-(len(traj) // 10):]
-        movement = float(np.mean([math.sqrt(r.step_sq_norm) / r.alpha for r in tail]))
+        tail = slice(-(traj["t"].size // 10), None)
+        movement = float(np.mean(np.sqrt(traj["step_sq"][tail]) / traj["alpha"][tail]))
         floor = math.sqrt(2.0 * report["C_f"] * report["C_g"])
         from cscgd.harness import evaluate_point
 

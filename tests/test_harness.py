@@ -63,9 +63,9 @@ class TestTrajectoryCsv:
         write_trajectory_csv(path, traj, problem.num_constraints)
         data = read_trajectory_csv(path)
         assert list(data) == ["t", "alpha", "beta", "delta", "obj", "viol_1", "step_sq"]
-        assert np.array_equal(data["t"], [r.t for r in traj])
-        assert np.array_equal(data["obj"], [r.objective_estimate for r in traj])
-        assert np.array_equal(data["step_sq"], [r.step_sq_norm for r in traj])
+        assert np.array_equal(data["t"], traj["t"])
+        assert np.array_equal(data["obj"], traj["obj"])
+        assert np.array_equal(data["step_sq"], traj["step_sq"])
         raw = path.read_bytes()
         assert b"\r" not in raw
 
@@ -125,6 +125,19 @@ class TestRunExperiment:
         write_oracle_cache(cfg)
         summaries, _ = run_experiment(cfg)
         assert all(s.gap is not None for s in summaries)
+
+    def test_oracle_cache_refuses_other_overrides(self, tmp_path):
+        cfg = ExperimentConfig(preset="constrained-quadratic-toy", horizon=100,
+                               seeds=(0,), out_dir=str(tmp_path / "toy"))
+        write_oracle_cache(cfg)
+        other = ExperimentConfig.from_dict(
+            {**cfg.to_dict(), "instance_overrides": {"threshold": 0.5}})
+        with pytest.raises(ValueError, match=r'\{\}.*\{"threshold": 0\.5\}'):
+            load_oracle_cache(other)
+        write_oracle_cache(other)
+        assert load_oracle_cache(other)["instance_overrides"] == {"threshold": 0.5}
+        with pytest.raises(ValueError, match="instance_overrides"):
+            load_oracle_cache(cfg)
 
     def test_toy_target_oracle(self, tmp_path):
         cfg = ExperimentConfig(preset="quadratic-toy", horizon=100, seeds=(0,),

@@ -3,29 +3,29 @@ import math
 import numpy as np
 import pytest
 
-from cscgd import CONSTANT, DIMINISHING, StepSchedule, step_sizes
+from cscgd import CONSTANT, DIMINISHING, StepSchedule
 
 
 def test_diminishing_first_iteration_is_unit():
     s = StepSchedule(a=0.9, b=0.5, c=0.7, regime=DIMINISHING, horizon=10)
-    assert step_sizes(s, 1) == (1.0, 1.0, 1.0)
+    assert s.step_sizes(1) == (1.0, 1.0, 1.0)
 
 
 def test_constant_published_row():
     # (a, b, c) = (0.9167, 0.5, 0.75) at T = 1e4; expected values by direct
     # exponent evaluation, frozen here.
     s = StepSchedule(a=0.9167, b=0.5, c=0.75, regime=CONSTANT, horizon=10_000)
-    alpha, beta, delta = step_sizes(s, 1)
+    alpha, beta, delta = s.step_sizes(1)
     assert alpha == pytest.approx(math.exp(-0.9167 * math.log(10_000)), rel=1e-12)
     assert alpha == pytest.approx(2.1537734e-04, rel=1e-6)
     assert beta == pytest.approx(0.01, rel=1e-12)
     assert delta == pytest.approx(1e-3, rel=1e-12)
-    assert step_sizes(s, 9_999) == (alpha, beta, delta)
+    assert s.step_sizes(9_999) == (alpha, beta, delta)
 
 
 def test_diminishing_power_of_two():
     s = StepSchedule(a=0.75, b=0.5, c=0.75, regime=DIMINISHING, horizon=100)
-    alpha, _, delta = step_sizes(s, 16)
+    alpha, _, delta = s.step_sizes(16)
     assert alpha == pytest.approx(0.125, abs=1e-15)
     assert delta == pytest.approx(0.125, abs=1e-15)
 

@@ -74,6 +74,14 @@ def test_product_blockwise():
     assert s.contains(s.midpoint())
 
 
+def test_linear_inequalities_non_convergence_raises():
+    kw = dict(lower=[0.0, 0.0], upper=[2.0, 2.0], a_mat=[[1.0, -1.0]], b_vec=[0.0])
+    v = np.array([2.0, 0.0])  # needs many sweeps to settle at (1, 1)
+    assert np.allclose(BoxWithLinearInequalities(**kw).project(v), [1.0, 1.0])
+    with pytest.raises(FeasibleSetError, match="did not converge in 1 sweeps"):
+        BoxWithLinearInequalities(**kw, max_sweeps=1).project(v)
+
+
 def test_linear_inequalities_projection_small_qp(rng):
     # box [0,2]^2 with x0 - x1 <= 0; check against a refined grid search
     s = BoxWithLinearInequalities(

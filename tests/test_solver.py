@@ -17,7 +17,12 @@ from cscgd import (
     zero_violation_gamma,
 )
 from cscgd.solver import logged_iterations, tracking_weights
-from cscgd.problems import constrained_quadratic_problem, quadratic_problem, toy_constants
+from cscgd.problems import (
+    constrained_quadratic_problem,
+    get_preset,
+    quadratic_problem,
+    toy_constants,
+)
 
 
 def scalar_reference(horizon, a, b, c, regime, x0=1.0, lo=-1.0, hi=1.0):
@@ -44,7 +49,7 @@ def test_toy_run_matches_scalar_reference():
                            seed=0, x0=np.array([1.0]))
         x_hat, traj = run(problem, cfg)
         xs_ref, x_hat_ref = scalar_reference(400, 0.75, 0.5, 0.75, regime)
-        xs = np.array([r.x[0] for r in traj])
+        xs = traj["x"][:, 0]
         assert np.allclose(xs, xs_ref, atol=1e-14)
         assert x_hat[0] == pytest.approx(x_hat_ref, abs=1e-14)
 
@@ -54,7 +59,7 @@ def test_toy_constant_regime_monotone_to_zero():
     cfg = SolverConfig(a=0.75, b=0.5, c=0.75, regime="constant", horizon=10_000,
                        seed=0, x0=np.array([1.0]))
     x_hat, traj = run(problem, cfg)
-    xs = np.array([r.x[0] for r in traj])
+    xs = traj["x"][:, 0]
     assert np.all(np.diff(xs) <= 1e-15)
     assert np.all(xs >= -1e-15)
     assert abs(x_hat[0]) < 1e-2
@@ -66,20 +71,20 @@ def test_run_equals_repeated_steps_bitwise():
                        gamma=0.05, c_ell=1.0, seed=11)
     x_hat, traj = run(problem, cfg)
 
-    rng = make_rng(cfg.seed, cfg.stream_id)
+    # solver stream 0, scalar step sizes: must agree with run's array path
+    rng = make_rng(cfg.seed, 0)
     state = init_state(problem, cfg, rng)
     schedule = cfg.schedule()
-    records = []
-    for _ in range(cfg.horizon):
-        state, rec = cscgd_step(problem, state, schedule, cfg.penalty_params(), rng)
-        records.append(rec)
-    assert len(records) == len(traj)
-    for r1, r2 in zip(traj, records):
-        assert r1.t == r2.t
-        assert r1.x[0] == r2.x[0]
-        assert r1.objective_estimate == r2.objective_estimate
-        assert r1.step_sq_norm == r2.step_sq_norm
-        assert np.array_equal(r1.constraint_estimates, r2.constraint_estimates)
+    assert traj["t"].size == cfg.horizon
+    for i, t in enumerate(range(1, cfg.horizon + 1)):
+        x_prev = state.x
+        qval = cscgd_step(problem, state, *schedule.step_sizes(t),
+                          cfg.penalty_params(), rng)
+        assert traj["t"][i] == t
+        assert traj["x"][i, 0] == state.x[0]
+        assert traj["obj"][i] == problem.outer_f(state.y)
+        assert traj["step_sq"][i] == np.sum((state.x - x_prev) ** 2)
+        assert np.array_equal(traj["viol"][i], qval)
     assert x_hat[0] == pytest.approx(state.tail_sum[0] / state.tail_count, abs=0.0)
 
 
@@ -90,8 +95,8 @@ def test_unconstrained_step_is_plain_tracked_gradient():
     state = init_state(problem, cfg, rng)
     sched = cfg.schedule()
     y0 = state.y[0]
-    state, rec = cscgd_step(problem, state, sched, cfg.penalty_params(), rng)
-    alpha, beta, _ = sched.step_sizes(1)
+    alpha, beta, delta = sched.step_sizes(1)
+    cscgd_step(problem, state, alpha, beta, delta, cfg.penalty_params(), rng)
     y1 = (1 - beta) * y0 + beta * 0.7
     assert state.y[0] == pytest.approx(y1, abs=1e-15)
     assert state.x[0] == pytest.approx(0.7 - alpha * y1, abs=1e-15)
@@ -104,8 +109,8 @@ def test_zero_steps_keep_x_but_update_trackers():
     rng = make_rng(3, 0)
     state = init_state(problem, cfg, rng)
     y_before = state.y.copy()
-    state, _ = cscgd_step(problem, state, cfg.schedule(), cfg.penalty_params(), rng,
-                          alpha_override=0.0, delta_override=0.0)
+    _, beta, _ = cfg.schedule().step_sizes(1)
+    cscgd_step(problem, state, 0.0, beta, 0.0, cfg.penalty_params(), rng)
     assert state.x[0] == 0.9
     # beta_1 = 1 for the diminishing regime: tracker now equals g(x, zeta)
     assert state.y[0] == 0.9
@@ -130,13 +135,12 @@ def test_pure_tracking_matches_monte_carlo():
         name="tracking-toy",
     )
     T = 4000
-    cfg = SolverConfig(a=0.75, b=0.5, c=0.75, horizon=T, seed=21, freeze_x=True)
+    cfg = SolverConfig(a=0.75, b=0.5, c=0.75, horizon=T, seed=21)
     rng = make_rng(21, 0)
     state = init_state(problem, cfg, rng)
     sched = cfg.schedule()
-    for _ in range(T):
-        state, _ = cscgd_step(problem, state, sched, cfg.penalty_params(), rng,
-                              alpha_override=0.0, delta_override=0.0)
+    for beta in sched.step_arrays()[1]:
+        cscgd_step(problem, state, 0.0, beta, 0.0, cfg.penalty_params(), rng)
     weights, w0 = tracking_weights(sched)
     assert w0 == 0.0  # beta_1 = 1 wipes the initialization
     # Var(y_T) = sum w_t^2 Var(0.5 zeta); 10^6-sample independent estimate
@@ -159,8 +163,20 @@ def test_every_iterate_stays_feasible():
     cfg = SolverConfig(a=0.9167, b=0.5, c=0.75, regime="constant", horizon=500,
                        gamma=0.2, c_ell=1.0, seed=5)
     _, traj = run(problem, cfg)
-    for r in traj:
-        assert problem.feasible_set.contains(r.x, slack=1e-12)
+    for x in traj["x"]:
+        assert problem.feasible_set.contains(x, slack=1e-12)
+
+    # paper-ex2-k5: a ProductSet of budgeted boxes whose budget binds
+    inst = get_preset("paper-ex2-k5")
+    problem = inst.build()
+    cfg = SolverConfig(a=0.9167, b=0.5, c=0.75, regime="constant", horizon=300,
+                       c_ell=inst.default_c_ell(), seed=0)
+    _, traj = run(problem, cfg)
+    for x in traj["x"]:
+        assert problem.feasible_set.contains(x, slack=1e-12)
+    blocks = problem.feasible_set.blocks
+    parts = np.split(traj["x"], np.cumsum([b.dim for b in blocks])[:-1], axis=1)
+    assert any(np.any(part.sum(axis=1) >= b.cap - 1e-9) for b, part in zip(blocks, parts))
 
 
 def test_non_finite_gradient_names_culprit():
@@ -188,6 +204,33 @@ def test_non_finite_gradient_names_culprit():
         run(problem, cfg)
     assert exc.value.source == "outer_f_gradient"
     assert exc.value.t > 1
+
+
+def test_non_finite_outer_q_is_named():
+    calls = {"n": 0}
+
+    def bad_q(z):
+        calls["n"] += 1
+        return np.array([np.nan]) if calls["n"] > 20 else z - 1.0
+
+    problem = CompositionalProblem(
+        dim_x=1, dim_g=1, dim_h=1, num_constraints=1,
+        sample=lambda rng: np.zeros(1),
+        inner_g=lambda x, z: x,
+        inner_g_jacobian=lambda x, z: np.ones((1, 1)),
+        outer_f=lambda y: 0.5 * float(y @ y),
+        outer_f_gradient=lambda y: y,
+        inner_h=lambda x, z: x,
+        inner_h_jacobian=lambda x, z: np.ones((1, 1)),
+        outer_q=bad_q,
+        outer_q_jacobian=lambda z: np.ones((1, 1)),
+        feasible_set=Box(lower=[-1.0], upper=[1.0]),
+    )
+    cfg = SolverConfig(a=0.75, b=0.5, c=0.75, horizon=100, seed=0)
+    with pytest.raises(NonFiniteGradientError) as exc:
+        run(problem, cfg)
+    assert exc.value.source == "outer_q"
+    assert exc.value.t == 21
 
 
 def test_logged_iterations_policy():
@@ -219,8 +262,18 @@ def test_step_bound_holds_with_exact_constants():
 
 def test_step_bound_zero_steps_trivially_hold():
     problem = quadratic_problem()
-    cfg = SolverConfig(a=0.75, b=0.5, c=0.75, horizon=100, seed=0, freeze_x=True)
-    _, traj = run(problem, cfg)
+    cfg = SolverConfig(a=0.75, b=0.5, c=0.75, horizon=100, seed=0)
+    # pure tracking (alpha = delta = 0): every step is exactly zero
+    rng = make_rng(cfg.seed, 0)
+    state = init_state(problem, cfg, rng)
+    _, betas, _ = cfg.schedule().step_arrays()
+    steps = []
+    for beta in betas:
+        x_prev = state.x
+        cscgd_step(problem, state, 0.0, beta, 0.0, cfg.penalty_params(), rng)
+        steps.append(np.sum((state.x - x_prev) ** 2))
+    traj = {"t": np.arange(1, cfg.horizon + 1), "alpha": np.zeros(cfg.horizon),
+            "delta": np.zeros(cfg.horizon), "step_sq": np.array(steps)}
     report = step_bound_diagnostic([traj], toy_constants(problem))
     assert report.violation_count == 0
     assert np.all(report.mean_step_sq == 0.0)
@@ -259,10 +312,10 @@ def test_records_carry_exact_schedule_values():
                        c_ell=1.0, seed=2)
     _, traj = run(problem, cfg)
     sched = cfg.schedule()
-    for r in traj:
-        alpha, beta, delta = sched.step_sizes(r.t)
-        assert (r.alpha, r.beta, r.delta) == (alpha, beta, delta)
-        assert r.alpha > 0 and r.beta > 0 and r.delta > 0
+    for i, t in enumerate(traj["t"]):
+        row = (traj["alpha"][i], traj["beta"][i], traj["delta"][i])
+        assert row == sched.step_sizes(int(t))
+        assert min(row) > 0
 
 
 def test_full_logging_flag_for_long_horizons():
@@ -270,7 +323,8 @@ def test_full_logging_flag_for_long_horizons():
     cfg = SolverConfig(a=0.75, b=0.5, c=0.75, regime="constant", horizon=20_000,
                        seed=0, log_points=20_000)
     _, traj = run(problem, cfg)
-    assert len(traj) == 20_000
+    assert traj["t"].size == 20_000
+    assert traj["x"].shape == (20_000, 1)
 
 
 def test_init_state_projects_configured_point():

@@ -119,8 +119,8 @@ def test_every_iterate_feasible_on_preset():
     cfg = SolverConfig(a=0.9167, b=0.5, c=0.75, regime="constant",
                        horizon=400, c_ell=inst.default_c_ell(), seed=9)
     _, traj = run(problem, cfg)
-    for r in traj:
-        assert problem.feasible_set.contains(r.x, slack=1e-12)
+    for x in traj["x"]:
+        assert problem.feasible_set.contains(x, slack=1e-12)
 
 
 def test_preset_warns_about_worst_case_utilization():
