@@ -32,10 +32,10 @@ class ConstantVec:
         self.values = _param_array(values, "values")
         self.dim = self.values.size
 
-    def draw(self, rng, n: int | None = None):
-        if n is None:
+    def draw(self, rng, size: int | None = None):
+        if size is None:
             return self.values.copy()
-        return np.tile(self.values, (n, 1))
+        return np.tile(self.values, (size, 1))
 
     def mean(self) -> np.ndarray:
         return self.values.copy()
@@ -50,8 +50,8 @@ class ExponentialMean:
             raise ValueError("mean must be positive")
         self.dim = self.mean_param.size
 
-    def draw(self, rng, n: int | None = None):
-        shape = (self.dim,) if n is None else (n, self.dim)
+    def draw(self, rng, size: int | None = None):
+        shape = (self.dim,) if size is None else (size, self.dim)
         u = rng.random(shape)
         return -self.mean_param * np.log1p(-u)
 
@@ -91,8 +91,8 @@ class TruncatedExponential:
         self._cdf_lo = -np.expm1(-self.lower / self.mean_param)
         self._cdf_hi = -np.expm1(-self.upper / self.mean_param)
 
-    def draw(self, rng, n: int | None = None):
-        shape = (self.dim,) if n is None else (n, self.dim)
+    def draw(self, rng, size: int | None = None):
+        shape = (self.dim,) if size is None else (size, self.dim)
         u = rng.random(shape)
         u = self._cdf_lo + u * (self._cdf_hi - self._cdf_lo)
         return -self.mean_param * np.log1p(-u)
@@ -135,8 +135,8 @@ class TruncatedChiSquared:
         self._k = self.dof / 2.0
         self._cdf_lo = special.gammainc(self._k, self.lower / 2.0)
 
-    def draw(self, rng, n: int | None = None):
-        shape = (self.dim,) if n is None else (n, self.dim)
+    def draw(self, rng, size: int | None = None):
+        shape = (self.dim,) if size is None else (size, self.dim)
         u = rng.random(shape)
         u = self._cdf_lo + u * (1.0 - self._cdf_lo)
         return 2.0 * special.gammaincinv(self._k, u)

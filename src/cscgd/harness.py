@@ -4,7 +4,7 @@ A run is fully determined by (config, seed): the trajectory CSV bytes, the
 summary rows and the plot data reproduce exactly.  Seeds execute in a
 process pool when requested; each owns its RNG streams (stream 0 drives the
 solver, stream 1 the fresh evaluation batch) so scheduling cannot leak into
-the results.
+the results.  The shape check of a built problem draws from stream 2.
 """
 
 from __future__ import annotations
@@ -82,7 +82,12 @@ class ExperimentConfig:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
+        # Identifies the experiment: where it writes and how many workers
+        # run it stay out of the digest (but not out of config.json).
+        d = self.to_dict()
+        del d["out_dir"], d["workers"]
+        payload = json.dumps(d, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
     def solver_config(self, seed: int, c_ell: float) -> SolverConfig:
         x0 = None if self.x0 is None else np.asarray(self.x0, dtype=float)
@@ -100,20 +105,26 @@ TOY_TARGETS = {
 
 
 def resolve_problem(config: ExperimentConfig):
-    """(problem, c_ell) for the configured preset or toy target."""
+    """(problem, c_ell) for the configured preset or toy target.
+
+    The problem's shapes and batch contract are checked on their own
+    stream (2), so the solver (0) and evaluation (1) streams are untouched.
+    """
     overrides = config.instance_overrides or {}
     if config.preset in TOY_TARGETS:
         problem = TOY_TARGETS[config.preset](**overrides)
         c_ell = float(config.c_ell) if config.c_ell is not None else 1.0
-        return problem, c_ell
-    instance = get_preset(config.preset, overrides or None)
-    if config.c_ell is not None:
-        c_ell = float(config.c_ell)
-    elif hasattr(instance, "default_c_ell"):
-        c_ell = float(instance.default_c_ell())
     else:
-        c_ell = 1.0
-    return instance.build(), c_ell
+        instance = get_preset(config.preset, overrides or None)
+        if config.c_ell is not None:
+            c_ell = float(config.c_ell)
+        elif hasattr(instance, "default_c_ell"):
+            c_ell = float(instance.default_c_ell())
+        else:
+            c_ell = 1.0
+        problem = instance.build()
+    problem.check_shapes(make_rng(0, 2))
+    return problem, c_ell
 
 
 def resolve_instance(config: ExperimentConfig):
@@ -158,7 +169,10 @@ def evaluate_point(problem, x, n_samples: int, seed: int, n_batches: int = 10):
     """Plug-in estimates of F(x) and Q(x) from a fresh sample batch.
 
     Standard errors come from re-evaluating the outer functions on batch
-    sub-means, which respects the non-linear plug-in structure.
+    sub-means, which respects the non-linear plug-in structure.  Each
+    sub-batch is drawn and mapped as one block; its rows are summed in
+    sample order, so the estimates equal a one-sample-at-a-time loop bit
+    for bit.
     """
     rng = make_rng(seed, 1)
     x = np.asarray(x, dtype=float)
@@ -168,15 +182,10 @@ def evaluate_point(problem, x, n_samples: int, seed: int, n_batches: int = 10):
     g_total = None
     h_total = None
     for _ in range(n_batches):
-        g_sum = None
-        h_sum = None
-        for _ in range(per_batch):
-            zeta = problem.sample(rng)
-            gv = np.asarray(problem.inner_g(x, zeta), dtype=float)
-            g_sum = gv.copy() if g_sum is None else g_sum + gv
-            if problem.constrained and not h_is_g:
-                hv = np.asarray(problem.inner_h(x, zeta), dtype=float)
-                h_sum = hv.copy() if h_sum is None else h_sum + hv
+        zeta = problem.sample(rng, per_batch)
+        g_sum = _row_sum(problem.inner_g(x, zeta))
+        if problem.constrained and not h_is_g:
+            h_sum = _row_sum(problem.inner_h(x, zeta))
         g_mean = g_sum / per_batch
         f_vals.append(float(problem.outer_f(g_mean)))
         g_total = g_mean if g_total is None else g_total + g_mean
@@ -199,6 +208,12 @@ def evaluate_point(problem, x, n_samples: int, seed: int, n_batches: int = 10):
         out["q"] = np.zeros(0)
         out["q_std_err"] = np.zeros(0)
     return out
+
+
+def _row_sum(rows) -> np.ndarray:
+    # cumsum adds strictly in row order; .sum(axis=0) switches to pairwise
+    # summation on a single column and would move the last bits.
+    return np.cumsum(np.asarray(rows, dtype=float), axis=0)[-1]
 
 
 @dataclass

@@ -4,6 +4,12 @@ All maps are supplied as plain callables with closed-form Jacobians; the
 solver never differentiates anything numerically.  Unconstrained problems
 use num_constraints = 0 together with dim_h = 0, in which case the
 constraint path of the solver is inert.
+
+The sampler and the inner maps also take a leading sample axis:
+``sample(rng, k)`` draws a (k, dim_zeta) block that consumes the stream
+exactly as k single draws do, and ``inner_g(x, block)`` /
+``inner_h(x, block)`` return (k, dim_g) / (k, dim_h) whose row i is bitwise
+equal to the single call on ``block[i]``.  The point x is never batched.
 """
 
 from __future__ import annotations
@@ -20,13 +26,13 @@ class CompositionalProblem:
     dim_g: int
     dim_h: int
     num_constraints: int
-    sample: Callable  # rng -> one realization of zeta
-    inner_g: Callable  # (x, zeta) -> vector[dim_g]
+    sample: Callable  # (rng, size=None) -> one zeta, or a (size, dim_zeta) block
+    inner_g: Callable  # (x, zeta) -> vector[dim_g]; zeta block -> (k, dim_g)
     inner_g_jacobian: Callable  # (x, zeta) -> matrix[dim_x, dim_g]
     outer_f: Callable  # (y) -> float
     outer_f_gradient: Callable  # (y) -> vector[dim_g]
     feasible_set: object
-    inner_h: Callable | None = None  # (x, zeta) -> vector[dim_h]
+    inner_h: Callable | None = None  # (x, zeta) -> vector[dim_h]; block -> (k, dim_h)
     inner_h_jacobian: Callable | None = None
     outer_q: Callable | None = None  # (z) -> vector[num_constraints]
     outer_q_jacobian: Callable | None = None  # (z) -> matrix[dim_h, num_constraints]
@@ -61,8 +67,11 @@ class CompositionalProblem:
     def check_shapes(self, rng, n_draws: int = 10, x: np.ndarray | None = None):
         """Draw a few samples and verify every map's output shape.
 
-        Raises ValueError on the first mismatch; cheap sanity net for
-        hand-written Jacobians.
+        Also checks the batch contract on a block of three draws: the block
+        has a leading sample axis and every row of ``inner_g`` /
+        ``inner_h`` on it is bitwise equal to the single call.  Raises
+        ValueError naming the first map that fails; cheap sanity net for
+        hand-written maps.
         """
         if x is None:
             x = self.feasible_set.midpoint()
@@ -81,9 +90,36 @@ class CompositionalProblem:
             z = np.asarray(self.inner_h(x, self.sample(rng)), dtype=float)
             _expect("outer_q", self.outer_q(z), (J,))
             _expect("outer_q_jacobian", self.outer_q_jacobian(z), (d, J))
+        block = np.asarray(_on_block("sample", self.sample, rng, 3))
+        if block.ndim != 2 or block.shape[0] != 3:
+            raise ValueError(
+                f"sample(rng, 3) returned shape {block.shape}, expected (3, dim_zeta)"
+            )
+        maps = [("inner_g", self.inner_g, m)]
+        if self.constrained:
+            maps.append(("inner_h", self.inner_h, d))
+        for name, fn, dim in maps:
+            rows = _expect(name, _on_block(name, fn, x, block), (3, dim)).astype(float)
+            for i, zeta in enumerate(block):
+                single = np.asarray(fn(x, zeta), dtype=float)
+                if rows[i].tobytes() != single.tobytes():
+                    raise ValueError(
+                        f"{name} row {i} on a sample block is not bitwise equal "
+                        "to the single call"
+                    )
+
+
+def _on_block(name: str, fn, *args):
+    # A map written for one sample typically fails on a block with a
+    # broadcasting, indexing or arity error that does not say which map.
+    try:
+        return fn(*args)
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ValueError(f"{name} does not support a leading sample axis: {exc}") from exc
 
 
 def _expect(name: str, value, shape: tuple):
     arr = np.asarray(value)
     if arr.shape != shape:
         raise ValueError(f"{name} returned shape {arr.shape}, expected {shape}")
+    return arr

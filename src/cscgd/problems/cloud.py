@@ -92,19 +92,25 @@ class CloudProvisioningInstance:
         idx = np.arange(n)
         dist = self.load_dist
 
-        def sample(rng):
-            return dist.draw(rng)
-
+        # The load is a multiply-and-sum, not ``zeta @ r``: a matrix-vector
+        # product on a zeta block rounds some rows differently from the
+        # dot product on the single row.
         def inner_g(x, zeta):
             r, cap = x[:n], x[n]
-            load = zeta @ r
+            load = (zeta * r).sum(axis=-1)
             taken = sigmoid(eta * (cap - load) / cap)
+            if zeta.ndim > 1:  # one row per sample of a zeta block
+                load, taken = load[:, None], taken[:, None]
             below = sigmoid(eta * (cap - r - load) / cap)
-            return np.concatenate([taken - below, np.full(n, taken), [cap]])
+            out = np.empty(below.shape[:-1] + (2 * n + 1,))
+            out[..., :n] = taken - below
+            out[..., n:2 * n] = taken
+            out[..., 2 * n] = cap
+            return out
 
         def inner_g_jacobian(x, zeta):
             r, cap = x[:n], x[n]
-            load = zeta @ r
+            load = (zeta * r).sum()
             d1 = sigmoid_deriv(eta * (cap - load) / cap)  # scalar
             d2 = sigmoid_deriv(eta * (cap - r - load) / cap)  # per class
             dtaken_dr = d1 * (-eta * zeta / cap)
@@ -139,7 +145,7 @@ class CloudProvisioningInstance:
             dim_g=2 * n + 1,
             dim_h=0,
             num_constraints=0,
-            sample=sample,
+            sample=dist.draw,
             inner_g=inner_g,
             inner_g_jacobian=inner_g_jacobian,
             outer_f=outer_f,

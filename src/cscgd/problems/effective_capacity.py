@@ -87,12 +87,9 @@ class EffectiveCapacityInstance:
         dist = self.channel_distribution()
         idx = np.arange(n)
 
-        def sample(rng):
-            return dist.draw(rng)
-
         def inner_g(p, zeta):
             b = bw * np.log1p(zeta * p)
-            return np.concatenate([b, b**2])
+            return np.concatenate([b, b**2], axis=-1)
 
         def inner_g_jacobian(p, zeta):
             b = bw * np.log1p(zeta * p)
@@ -134,7 +131,7 @@ class EffectiveCapacityInstance:
             dim_g=2 * n,
             dim_h=0,
             num_constraints=0,
-            sample=sample,
+            sample=dist.draw,
             inner_g=inner_g,
             inner_g_jacobian=inner_g_jacobian,
             outer_f=outer_f,

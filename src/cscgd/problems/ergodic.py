@@ -89,13 +89,12 @@ class Mg1ErgodicInstance:
         dist = self.channel_distribution()
         idx = np.arange(n)
 
-        def sample(rng):
-            return dist.draw(rng)
-
         def inner_g(x, zeta):
             lam, p = x[:n], x[n:]
             b = bw * np.log1p(zeta * p)
-            return np.concatenate([lam, lam / b, lam / b**2])
+            if b.ndim > 1:  # one row per sample of a zeta block
+                lam = np.broadcast_to(lam, b.shape)
+            return np.concatenate([lam, lam / b, lam / b**2], axis=-1)
 
         def inner_g_jacobian(x, zeta):
             lam, p = x[:n], x[n:]
@@ -112,7 +111,7 @@ class Mg1ErgodicInstance:
         def inner_h(x, zeta):
             p = x[n:]
             b = bw * np.log1p(zeta * p)
-            return np.array([-np.min(b)])
+            return -b.min(axis=-1, keepdims=True)
 
         def inner_h_jacobian(x, zeta):
             p = x[n:]
@@ -147,7 +146,7 @@ class Mg1ErgodicInstance:
             dim_g=3 * n,
             dim_h=1,
             num_constraints=1,
-            sample=sample,
+            sample=dist.draw,
             inner_g=inner_g,
             inner_g_jacobian=inner_g_jacobian,
             inner_h=inner_h,

@@ -15,6 +15,7 @@ import numpy as np
 from ..distributions import ConstantVec
 from ..problem import CompositionalProblem
 from ..sets import Box
+from .toy import identity_map
 
 
 def mm1_utility(mu: float, lam: float, r: float, h: float) -> float:
@@ -58,9 +59,6 @@ def mm1_problem(
     dist = ConstantVec([0.0])
     one = np.ones((1, 1))
 
-    def inner_g(x, zeta):
-        return x
-
     def inner_g_jacobian(x, zeta):
         return one
 
@@ -76,7 +74,7 @@ def mm1_problem(
         dim_h=0,
         num_constraints=0,
         sample=dist.draw,
-        inner_g=inner_g,
+        inner_g=identity_map,
         inner_g_jacobian=inner_g_jacobian,
         outer_f=outer_f,
         outer_f_gradient=outer_f_gradient,

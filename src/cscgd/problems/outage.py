@@ -104,13 +104,12 @@ class OutageInstance:
         dist = self.channel_distribution()
         idx = np.arange(n)
 
-        def sample(rng):
-            return dist.draw(rng)
-
         def inner_g(x, zeta):
             lam, p = x[:n], x[n:]
             b = bw * np.log1p(zeta * p)
-            return np.concatenate([sigmoid(eta * (r - b)), lam])
+            if b.ndim > 1:  # one row per sample of a zeta block
+                lam = np.broadcast_to(lam, b.shape)
+            return np.concatenate([sigmoid(eta * (r - b)), lam], axis=-1)
 
         def inner_g_jacobian(x, zeta):
             p = x[n:]
@@ -146,7 +145,7 @@ class OutageInstance:
             dim_g=2 * n,
             dim_h=0,
             num_constraints=0,
-            sample=sample,
+            sample=dist.draw,
             inner_g=inner_g,
             inner_g_jacobian=inner_g_jacobian,
             outer_f=outer_f,

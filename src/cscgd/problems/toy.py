@@ -14,13 +14,22 @@ import numpy as np
 from ..problem import CompositionalProblem
 from ..sets import Box
 
+ZETA0 = np.zeros(1)
+ZETA0.setflags(write=False)  # shared by every toy problem
+
+
+def zero_sample(rng, size=None):
+    """The constant sample zeta = 0, or a (size, 1) block of it."""
+    return ZETA0 if size is None else np.zeros((size, 1))
+
+
+def identity_map(x, zeta):
+    """x itself for one zeta; one row of x per row of a zeta block."""
+    return x if zeta.ndim == 1 else np.broadcast_to(x, (len(zeta),) + x.shape)
+
 
 def quadratic_problem(lower: float = -1.0, upper: float = 1.0) -> CompositionalProblem:
-    zeta0 = np.zeros(1)
     one = np.ones((1, 1))
-
-    def identity(x, zeta):
-        return x
 
     def identity_jac(x, zeta):
         return one
@@ -30,8 +39,8 @@ def quadratic_problem(lower: float = -1.0, upper: float = 1.0) -> CompositionalP
         dim_g=1,
         dim_h=0,
         num_constraints=0,
-        sample=lambda rng: zeta0,
-        inner_g=identity,
+        sample=zero_sample,
+        inner_g=identity_map,
         inner_g_jacobian=identity_jac,
         outer_f=lambda y: 0.5 * float(y @ y),
         outer_f_gradient=lambda y: np.asarray(y, dtype=float),
@@ -47,11 +56,7 @@ def constrained_quadratic_problem(
     """Minimize x^2/2 subject to threshold - x <= 0 on [lower, upper]."""
     if not lower < threshold < upper:
         raise ValueError("threshold must be interior to the box")
-    zeta0 = np.zeros(1)
     one = np.ones((1, 1))
-
-    def identity(x, zeta):
-        return x
 
     def identity_jac(x, zeta):
         return one
@@ -61,10 +66,10 @@ def constrained_quadratic_problem(
         dim_g=1,
         dim_h=1,
         num_constraints=1,
-        sample=lambda rng: zeta0,
-        inner_g=identity,
+        sample=zero_sample,
+        inner_g=identity_map,
         inner_g_jacobian=identity_jac,
-        inner_h=identity,
+        inner_h=identity_map,
         inner_h_jacobian=identity_jac,
         outer_f=lambda y: 0.5 * float(y @ y),
         outer_f_gradient=lambda y: np.asarray(y, dtype=float),

@@ -92,11 +92,8 @@ class Mg1WiredInstance:
         dist = self.length_distribution()
         idx = np.arange(n)
 
-        def sample(rng):
-            return dist.draw(rng)
-
         def inner_g(lam, lengths):
-            return np.concatenate([lam * lengths, lam * lengths**2])
+            return np.concatenate([lam * lengths, lam * lengths**2], axis=-1)
 
         def inner_g_jacobian(lam, lengths):
             jac = np.zeros((n, 2 * n))
@@ -136,7 +133,7 @@ class Mg1WiredInstance:
             dim_g=2 * n,
             dim_h=2 * n,
             num_constraints=1,
-            sample=sample,
+            sample=dist.draw,
             inner_g=inner_g,
             inner_g_jacobian=inner_g_jacobian,
             inner_h=inner_g,

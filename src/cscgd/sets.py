@@ -118,6 +118,11 @@ class BoxWithSumCap:
                 hi = nu
             if hi - lo <= self.tol * max(1.0, hi):
                 break
+        else:
+            raise FeasibleSetError(
+                f"sum-cap bisection did not converge in max_iter={self.max_iter} "
+                f"iterations; final bracket width {hi - lo:.3e}"
+            )
         u = np.clip(v - hi, self.lower, self.upper)
         return u
 

@@ -1,0 +1,118 @@
+"""The batch contract of the problem maps, pinned to single-sample calls.
+
+``sample(rng, k)`` must consume the stream exactly as k single draws, and
+every row of ``inner_g`` / ``inner_h`` on a zeta block must equal the single
+call bit for bit.  ``evaluate_point`` maps whole sub-batches at once; it is
+checked here against the one-sample-at-a-time loop it replaced.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from cscgd import make_rng
+from cscgd.distributions import ExponentialMean
+from cscgd.harness import evaluate_point
+from cscgd.problems import (
+    PRESETS,
+    constrained_quadratic_problem,
+    get_preset,
+    mm1_problem,
+    paper_ex5,
+    quadratic_problem,
+)
+
+BUILDERS = {name: (lambda name=name: get_preset(name).build()) for name in PRESETS}
+BUILDERS.update({
+    "quadratic-toy": quadratic_problem,
+    "constrained-quadratic-toy": constrained_quadratic_problem,
+    "mm1": lambda: mm1_problem(lam=1.0, r=2.0, h=0.5),
+    "paper-ex5-exponential-load": lambda: paper_ex5(
+        load_dist=ExponentialMean([1.0, 1.2, 0.8])).build(),
+})
+
+
+def bits(a) -> bytes:
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+def inner_maps(problem):
+    maps = [("inner_g", problem.inner_g)]
+    if problem.constrained:
+        maps.append(("inner_h", problem.inner_h))
+    return maps
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_block_draw_equals_single_draws(name):
+    problem = BUILDERS[name]()
+    block_rng, single_rng = make_rng(11, 3), make_rng(11, 3)
+    block = np.asarray(problem.sample(block_rng, 257))
+    singles = np.stack([problem.sample(single_rng) for _ in range(257)])
+    assert block.shape == singles.shape
+    assert bits(block) == bits(singles)
+    assert block_rng.bit_generator.state == single_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_block_rows_equal_single_calls(name):
+    problem = BUILDERS[name]()
+    x = problem.feasible_set.midpoint()
+    block = problem.sample(make_rng(5, 3), 257)
+    for label, fn in inner_maps(problem):
+        rows = np.asarray(fn(x, block))
+        dim = problem.dim_g if label == "inner_g" else problem.dim_h
+        assert rows.shape == (257, dim), label
+        for i, zeta in enumerate(block):
+            assert bits(rows[i]) == bits(fn(x, zeta)), f"{label} row {i}"
+
+
+def per_sample_evaluate(problem, x, n_samples, seed, n_batches=10):
+    """One sample at a time with left-fold sums: the loop evaluate_point replaced."""
+    rng = make_rng(seed, 1)
+    x = np.asarray(x, dtype=float)
+    h_is_g = problem.inner_h is problem.inner_g
+    per_batch = max(2, n_samples // n_batches)
+    f_vals, q_vals = [], []
+    g_total = h_total = None
+    for _ in range(n_batches):
+        g_sum = h_sum = None
+        for _ in range(per_batch):
+            zeta = problem.sample(rng)
+            gv = np.asarray(problem.inner_g(x, zeta), dtype=float)
+            g_sum = gv.copy() if g_sum is None else g_sum + gv
+            if problem.constrained and not h_is_g:
+                hv = np.asarray(problem.inner_h(x, zeta), dtype=float)
+                h_sum = hv.copy() if h_sum is None else h_sum + hv
+        g_mean = g_sum / per_batch
+        f_vals.append(float(problem.outer_f(g_mean)))
+        g_total = g_mean if g_total is None else g_total + g_mean
+        if problem.constrained:
+            h_mean = g_mean if h_is_g else h_sum / per_batch
+            q_vals.append(np.asarray(problem.outer_q(h_mean), dtype=float))
+            h_total = h_mean if h_total is None else h_total + h_mean
+    out = {
+        "f": float(problem.outer_f(g_total / n_batches)),
+        "f_std_err": float(np.array(f_vals).std(ddof=1) / math.sqrt(n_batches)),
+        "n_samples": per_batch * n_batches,
+        "q": np.zeros(0),
+        "q_std_err": np.zeros(0),
+    }
+    if problem.constrained:
+        out["q"] = np.asarray(problem.outer_q(h_total / n_batches), dtype=float)
+        out["q_std_err"] = np.stack(q_vals).std(axis=0, ddof=1) / math.sqrt(n_batches)
+    return out
+
+
+@pytest.mark.parametrize("n_samples", [5, 2_001, 40_000])
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_evaluate_point_equals_per_sample_loop(name, n_samples):
+    problem = BUILDERS[name]()
+    x = problem.feasible_set.midpoint()
+    got = evaluate_point(problem, x, n_samples, seed=3)
+    want = per_sample_evaluate(problem, x, n_samples, seed=3)
+    assert sorted(got) == sorted(want)
+    assert got["n_samples"] == want["n_samples"]
+    for key in ("f", "f_std_err", "q", "q_std_err"):
+        assert bits(got[key]) == bits(want[key]), key

@@ -48,6 +48,12 @@ class TestConfig:
         assert a.config_hash() != b.config_hash()
         assert a.config_hash() == small_config(tmp_path).config_hash()
 
+    def test_hash_ignores_out_dir_and_workers(self, tmp_path):
+        a = small_config(tmp_path, out_dir=str(tmp_path / "a"), workers=1)
+        b = small_config(tmp_path, out_dir=str(tmp_path / "b"), workers=4)
+        assert a.canonical_json() != b.canonical_json()
+        assert a.config_hash() == b.config_hash()
+
 
 class TestTrajectoryCsv:
     def test_header_matches_contract(self):

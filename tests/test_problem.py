@@ -4,11 +4,22 @@ import pytest
 from cscgd import Box, CompositionalProblem
 
 
+def draw_uniform(rng, size=None):
+    return rng.random(2 if size is None else (size, 2))
+
+
+def inner_linear(x, z):
+    # x and x . z per sample; a leading sample axis on z gives one row each
+    return np.concatenate(
+        [np.broadcast_to(x, z.shape), (x * z).sum(axis=-1, keepdims=True)], axis=-1
+    )
+
+
 def make_problem(**overrides):
     base = dict(
         dim_x=2, dim_g=3, dim_h=0, num_constraints=0,
-        sample=lambda rng: rng.random(2),
-        inner_g=lambda x, z: np.concatenate([x, [x @ z]]),
+        sample=draw_uniform,
+        inner_g=inner_linear,
         inner_g_jacobian=lambda x, z: np.vstack([np.eye(2), z]).T,
         outer_f=lambda y: float(y @ y),
         outer_f_gradient=lambda y: 2.0 * y,
@@ -26,6 +37,33 @@ def test_shape_check_catches_bad_jacobian(rng):
     problem = make_problem(inner_g_jacobian=lambda x, z: np.eye(2))
     with pytest.raises(ValueError, match="inner_g_jacobian"):
         problem.check_shapes(rng)
+
+
+@pytest.mark.parametrize("inner_g", [
+    lambda x, z: np.concatenate([x, [x @ z]]),  # written for one sample
+    lambda x, z: inner_linear(x, np.atleast_2d(z)[0]),  # maps the first row only
+])
+def test_shape_check_catches_inner_g_ignoring_the_batch_axis(rng, inner_g):
+    with pytest.raises(ValueError, match="^inner_g "):
+        make_problem(inner_g=inner_g).check_shapes(rng)
+
+
+def test_shape_check_catches_block_rows_out_of_order(rng):
+    def reversed_rows(x, z):
+        g = inner_linear(x, z)
+        return g if z.ndim == 1 else g[::-1]
+
+    with pytest.raises(ValueError, match="inner_g row 0 .* not bitwise equal"):
+        make_problem(inner_g=reversed_rows).check_shapes(rng)
+
+
+@pytest.mark.parametrize("sample", [
+    lambda rng: rng.random(2),
+    lambda rng, size=None: rng.random(2),
+])
+def test_shape_check_catches_sample_without_size(rng, sample):
+    with pytest.raises(ValueError, match="^sample"):
+        make_problem(sample=sample).check_shapes(rng)
 
 
 def test_constrained_requires_all_constraint_maps():

@@ -82,6 +82,14 @@ def test_linear_inequalities_non_convergence_raises():
         BoxWithLinearInequalities(**kw, max_sweeps=1).project(v)
 
 
+def test_sumcap_bisection_non_convergence_raises():
+    kw = dict(lower=[0.0, 0.0], upper=[10.0, 10.0], cap=1.0)
+    v = np.array([3.0, 2.0])  # box clip sums to 5: the budget binds
+    assert np.allclose(BoxWithSumCap(**kw).project(v), [1.0, 0.0])
+    with pytest.raises(FeasibleSetError, match=r"max_iter=1 .* bracket width 1\.500e\+00"):
+        BoxWithSumCap(**kw, max_iter=1).project(v)
+
+
 def test_linear_inequalities_projection_small_qp(rng):
     # box [0,2]^2 with x0 - x1 <= 0; check against a refined grid search
     s = BoxWithLinearInequalities(
