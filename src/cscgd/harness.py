@@ -27,6 +27,8 @@ from .problems import constrained_quadratic_problem, get_preset, quadratic_probl
 from .solver import SolverConfig, run
 
 EPS_PLOT = 1e-12
+# Rows drawn and mapped at once by evaluate_point; bounds its memory.
+EVAL_CHUNK_ROWS = 16_384
 
 
 # ---------------------------------------------------------------------------
@@ -170,8 +172,9 @@ def evaluate_point(problem, x, n_samples: int, seed: int, n_batches: int = 10):
 
     Standard errors come from re-evaluating the outer functions on batch
     sub-means, which respects the non-linear plug-in structure.  Each
-    sub-batch is drawn and mapped as one block; its rows are summed in
-    sample order, so the estimates equal a one-sample-at-a-time loop bit
+    sub-batch is drawn and mapped in blocks of at most ``EVAL_CHUNK_ROWS``
+    rows; its rows are summed in sample order, with the running sum carried
+    across blocks, so the estimates equal a one-sample-at-a-time loop bit
     for bit.
     """
     rng = make_rng(seed, 1)
@@ -182,10 +185,12 @@ def evaluate_point(problem, x, n_samples: int, seed: int, n_batches: int = 10):
     g_total = None
     h_total = None
     for _ in range(n_batches):
-        zeta = problem.sample(rng, per_batch)
-        g_sum = _row_sum(problem.inner_g(x, zeta))
-        if problem.constrained and not h_is_g:
-            h_sum = _row_sum(problem.inner_h(x, zeta))
+        g_sum = h_sum = None
+        for start in range(0, per_batch, EVAL_CHUNK_ROWS):
+            zeta = problem.sample(rng, min(EVAL_CHUNK_ROWS, per_batch - start))
+            g_sum = _row_sum(problem.inner_g(x, zeta), g_sum)
+            if problem.constrained and not h_is_g:
+                h_sum = _row_sum(problem.inner_h(x, zeta), h_sum)
         g_mean = g_sum / per_batch
         f_vals.append(float(problem.outer_f(g_mean)))
         g_total = g_mean if g_total is None else g_total + g_mean
@@ -210,10 +215,14 @@ def evaluate_point(problem, x, n_samples: int, seed: int, n_batches: int = 10):
     return out
 
 
-def _row_sum(rows) -> np.ndarray:
+def _row_sum(rows, carry=None) -> np.ndarray:
     # cumsum adds strictly in row order; .sum(axis=0) switches to pairwise
-    # summation on a single column and would move the last bits.
-    return np.cumsum(np.asarray(rows, dtype=float), axis=0)[-1]
+    # summation on a single column and would move the last bits.  A carried
+    # sum enters as row 0, so chunked sums equal one left fold.
+    rows = np.asarray(rows, dtype=float)
+    if carry is not None:
+        rows = np.concatenate((carry[None], rows))
+    return np.cumsum(rows, axis=0)[-1]
 
 
 @dataclass

@@ -3,8 +3,9 @@
 Everything here deliberately avoids the solver's code paths: moments come
 from adaptive quadrature, optima from deterministic reformulations solved
 by line-searched projected gradient descent or brute-force grids, and the
-budgeted-box projection uses a sorted-breakpoint algorithm instead of the
-solver's bisection.  Gradient claims are checked by centered differences.
+budgeted-box projection has two references of its own, a sorted-breakpoint
+scan and a bisection on the budget multiplier, neither of which calls
+``sets``.  Gradient claims are checked by centered differences.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from scipy import integrate
 
 from .distributions import make_rng
 from .problems.safeguards import safe_inv
+from .sets import FeasibleSetError
 
 QUAD_OPTS = {"epsabs": 1e-13, "epsrel": 1e-13, "limit": 400}
 
@@ -126,7 +128,8 @@ def project_box_sumcap_sorted(v, lower, upper, cap) -> np.ndarray:
     """Exact projection onto {lower <= u <= upper, sum(u) <= cap}.
 
     Scans the piecewise-linear multiplier function over its sorted
-    breakpoints; independent of the bisection used by the solver's sets.
+    breakpoints one Python-level evaluation at a time; shares no code with
+    the vectorised search in ``sets.BoxWithSumCap``.
     """
     v = np.asarray(v, dtype=float)
     lower = np.broadcast_to(np.asarray(lower, dtype=float), v.shape)
@@ -152,6 +155,40 @@ def project_box_sumcap_sorted(v, lower, upper, cap) -> np.ndarray:
             frac = (s_lo - cap) / (s_lo - s_hi)
             nu = lo_nu + frac * (hi_nu - lo_nu)
     return np.clip(v - nu, lower, upper)
+
+
+def project_box_sumcap_bisect(v, lower, upper, cap, tol=1e-12, max_iter=200) -> np.ndarray:
+    """Projection onto {lower <= u <= upper, sum(u) <= cap} by bisection.
+
+    Halves the bracket [0, max(v - lower)] on the budget multiplier until
+    its width is within ``tol`` (relative above 1) and returns the upper
+    bracket end, so the result is feasible and within about ``tol`` of the
+    exact point.  Raises :class:`FeasibleSetError` after ``max_iter``
+    halvings without convergence.
+    """
+    v = np.asarray(v, dtype=float)
+    lower = np.broadcast_to(np.asarray(lower, dtype=float), v.shape)
+    upper = np.broadcast_to(np.asarray(upper, dtype=float), v.shape)
+    u = np.clip(v, lower, upper)
+    if u.sum() <= cap + tol:
+        return u
+    # sum(clip(v - nu)) is nonincreasing in nu, so the root is bracketed by
+    # [0, max(v - lower)].
+    lo, hi = 0.0, float(np.max(v - lower))
+    for _ in range(max_iter):
+        nu = 0.5 * (lo + hi)
+        if np.clip(v - nu, lower, upper).sum() > cap:
+            lo = nu
+        else:
+            hi = nu
+        if hi - lo <= tol * max(1.0, hi):
+            break
+    else:
+        raise FeasibleSetError(
+            f"sum-cap bisection did not converge in max_iter={max_iter} "
+            f"iterations; final bracket width {hi - lo:.3e}"
+        )
+    return np.clip(v - hi, lower, upper)
 
 
 @dataclass

@@ -2,9 +2,10 @@
 
 Three set variants cover everything the queuing designs need: plain boxes,
 boxes intersected with a total-budget halfspace (arrival-rate and power
-budgets), and products of such sets over disjoint coordinate blocks.  A
-fourth variant adds general linear inequalities (service-tier ladders) via
-Dykstra's alternating projections.
+budgets), and products of such sets over disjoint coordinate blocks.  The
+budgeted box is projected exactly by a vectorised breakpoint search on the
+budget multiplier.  A fourth variant adds general linear inequalities
+(service-tier ladders) via Dykstra's alternating projections.
 """
 
 from __future__ import annotations
@@ -71,16 +72,18 @@ class Box:
 class BoxWithSumCap:
     """Box intersected with the budget halfspace {x : sum(x) <= cap}.
 
-    Projection is exact: clip(v - nu, lower, upper) with the multiplier
-    nu >= 0 found by bisection until the cap binds (or nu = 0 when the
-    plain box projection already satisfies the budget).
+    Projection is exact: clip(v - nu, lower, upper) with nu = 0 when the
+    plain box projection already satisfies the budget, and otherwise the
+    root of the piecewise-linear, nonincreasing s(nu) = sum(clip(v - nu)).
+    Its kinks are the 2n breakpoints v - upper and v - lower; the root is
+    interpolated on the segment where s first drops to the cap (Kiwiel
+    2008, "Breakpoint searching algorithms for the continuous quadratic
+    knapsack problem").  A fixed number of array operations, no iteration.
     """
 
     lower: np.ndarray
     upper: np.ndarray
     cap: float
-    tol: float = 1e-12
-    max_iter: int = 200
 
     def __post_init__(self):
         object.__setattr__(self, "lower", _as_vector(self.lower, "lower"))
@@ -104,27 +107,25 @@ class BoxWithSumCap:
         if not np.all(np.isfinite(v)):
             raise FeasibleSetError("cannot project non-finite point")
         u = np.clip(v, self.lower, self.upper)
-        if u.sum() <= self.cap + self.tol:
+        if u.sum() <= self.cap:
             return u
-        # Bisection on the halfspace multiplier; sum(clip(v - nu)) is
-        # nonincreasing in nu, so the root is bracketed by [0, max(v - lower)].
-        lo, hi = 0.0, float(np.max(v - self.lower))
-        for _ in range(self.max_iter):
-            nu = 0.5 * (lo + hi)
-            s = np.clip(v - nu, self.lower, self.upper).sum()
-            if s > self.cap:
-                lo = nu
-            else:
-                hi = nu
-            if hi - lo <= self.tol * max(1.0, hi):
-                break
+        bps = np.sort(np.concatenate((v - self.upper, v - self.lower)))
+        s = np.clip(v - bps[:, None], self.lower, self.upper).sum(axis=1)
+        # argmax, not searchsorted: the first index with s <= cap gives
+        # s[k-1] > cap >= s[k] even where rounding breaks monotonicity by an ulp.
+        below = s <= self.cap
+        k = int(np.argmax(below))
+        if not below[k]:
+            # Past the last breakpoint every coordinate sits at its lower
+            # bound; only rounding kept s above a cap equal to sum(lower).
+            return self.lower.copy()
+        if k == 0:
+            # s(bps[0]) = sum(upper) > cap unless rounding says otherwise.
+            nu = bps[0]
         else:
-            raise FeasibleSetError(
-                f"sum-cap bisection did not converge in max_iter={self.max_iter} "
-                f"iterations; final bracket width {hi - lo:.3e}"
-            )
-        u = np.clip(v - hi, self.lower, self.upper)
-        return u
+            frac = (s[k - 1] - self.cap) / (s[k - 1] - s[k])
+            nu = bps[k - 1] + frac * (bps[k] - bps[k - 1])
+        return np.clip(v - nu, self.lower, self.upper)
 
     def contains(self, v: np.ndarray, slack: float = MEMBERSHIP_SLACK) -> bool:
         v = np.asarray(v, dtype=float)

@@ -2,8 +2,10 @@
 
 ``sample(rng, k)`` must consume the stream exactly as k single draws, and
 every row of ``inner_g`` / ``inner_h`` on a zeta block must equal the single
-call bit for bit.  ``evaluate_point`` maps whole sub-batches at once; it is
-checked here against the one-sample-at-a-time loop it replaced.
+call bit for bit.  ``evaluate_point`` maps each sub-batch in blocks of rows;
+it is checked here against the one-sample-at-a-time loop it replaced, with
+the default block size and with blocks small enough to split every
+sub-batch.
 """
 
 import math
@@ -11,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from cscgd import make_rng
+from cscgd import harness, make_rng
 from cscgd.distributions import ExponentialMean
 from cscgd.harness import evaluate_point
 from cscgd.problems import (
@@ -116,3 +118,17 @@ def test_evaluate_point_equals_per_sample_loop(name, n_samples):
     assert got["n_samples"] == want["n_samples"]
     for key in ("f", "f_std_err", "q", "q_std_err"):
         assert bits(got[key]) == bits(want[key]), key
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_evaluate_point_chunked_equals_per_sample_loop(name, monkeypatch):
+    # 7-row chunks: sub-batches of 200 and 4000 rows end on a partial chunk.
+    monkeypatch.setattr(harness, "EVAL_CHUNK_ROWS", 7)
+    problem = BUILDERS[name]()
+    x = problem.feasible_set.midpoint()
+    for n_samples in (2_001, 40_000):
+        got = evaluate_point(problem, x, n_samples, seed=3)
+        want = per_sample_evaluate(problem, x, n_samples, seed=3)
+        assert got["n_samples"] == want["n_samples"]
+        for key in ("f", "f_std_err", "q", "q_std_err"):
+            assert bits(got[key]) == bits(want[key]), key

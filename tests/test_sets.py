@@ -3,7 +3,7 @@ import pytest
 
 from cscgd import Box, BoxWithLinearInequalities, BoxWithSumCap, FeasibleSetError, ProductSet
 from cscgd.checks import projection_suite
-from cscgd.oracles import project_box_sumcap_sorted
+from cscgd.oracles import project_box_sumcap_bisect, project_box_sumcap_sorted
 
 
 def test_box_clamp():
@@ -63,6 +63,53 @@ def test_sumcap_agrees_with_sorted_breakpoint_oracle(rng):
         )
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sumcap_agrees_with_both_oracles(rng, n):
+    for _ in range(300):
+        lower = rng.normal(size=n)
+        upper = lower + rng.uniform(0.0, 3.0, size=n)
+        cap = lower.sum() + rng.uniform(0.0, 1.2) * (upper - lower).sum()
+        v = rng.normal(scale=3.0, size=n)
+        got = BoxWithSumCap(lower=lower, upper=upper, cap=cap).project(v)
+        for oracle in (project_box_sumcap_sorted, project_box_sumcap_bisect):
+            assert np.allclose(got, oracle(v, lower, upper, cap), rtol=0.0, atol=1e-9), oracle
+
+
+@pytest.mark.parametrize("lower, upper, cap, v, want", [
+    # tied breakpoints: equal coordinates with equal bounds share both kinks
+    ([0.0, 0.0, 0.0], [2.0, 2.0, 2.0], 3.0, [4.0, 4.0, 4.0], [1.0, 1.0, 1.0]),
+    ([0.0, 1.0], [2.0, 3.0], 1.0, [3.0, 4.0], [0.0, 1.0]),
+    # cap == sum(lower): the only feasible point with a binding cap is lower
+    ([0.5, -1.0, 2.0], [1.0, 1.0, 3.0], 1.5, [9.0, 9.0, 9.0], [0.5, -1.0, 2.0]),
+    ([0.1, 0.2, 0.3], [1.0, 1.0, 1.0], 0.1 + 0.2 + 0.3, [0.2, 0.3, 0.4], [0.1, 0.2, 0.3]),
+    # here rounding leaves s above the cap at every breakpoint
+    ([0.1, 0.1], [3.0, 3.0], 0.2, [1.1, 0.7], [0.1, 0.1]),
+    # n = 1: the cap acts as a tighter upper bound
+    ([0.0], [5.0], 2.0, [3.0], [2.0]),
+    ([0.0], [5.0], 2.0, [-1.0], [0.0]),
+    # cap one ulp below sum(upper): s at the first breakpoint rounds to <= cap
+    ([0.0], [0.1], 0.09999999999999999, [0.7], [0.1]),
+    # v already on the cap is its own projection
+    ([0.0, 0.0], [2.0, 2.0], 1.0, [0.25, 0.75], [0.25, 0.75]),
+    ([0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 2.0, [1.0, 0.5, 0.5], [1.0, 0.5, 0.5]),
+    # entries of +-1e6
+    ([0.0, 0.0, 0.0], [10.0, 10.0, 10.0], 12.0, [1e6, -1e6, 1e6], [6.0, 0.0, 6.0]),
+    ([-5.0, -5.0], [5.0, 5.0], 1.0, [1e6, 1e6], [0.5, 0.5]),
+])
+def test_sumcap_degenerate_cases(lower, upper, cap, v, want):
+    s = BoxWithSumCap(lower=lower, upper=upper, cap=cap)
+    got = s.project(np.array(v))
+    assert s.contains(got)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+    assert np.allclose(got, project_box_sumcap_sorted(v, lower, upper, cap), rtol=0.0, atol=1e-9)
+    # The bisection stops on a bracket of width tol * max(1, nu), which is
+    # 1e-6 at |v| = 1e6; the projection moves at most that far.
+    bisect_atol = 2e-12 * max(1.0, float(np.max(np.subtract(v, lower))))
+    assert np.allclose(
+        got, project_box_sumcap_bisect(v, lower, upper, cap), rtol=0.0, atol=bisect_atol
+    )
+
+
 def test_product_blockwise():
     s = ProductSet(blocks=(
         Box(lower=[0.0], upper=[1.0]),
@@ -87,7 +134,7 @@ def test_sumcap_bisection_non_convergence_raises():
     v = np.array([3.0, 2.0])  # box clip sums to 5: the budget binds
     assert np.allclose(BoxWithSumCap(**kw).project(v), [1.0, 0.0])
     with pytest.raises(FeasibleSetError, match=r"max_iter=1 .* bracket width 1\.500e\+00"):
-        BoxWithSumCap(**kw, max_iter=1).project(v)
+        project_box_sumcap_bisect(v, **kw, max_iter=1)
 
 
 def test_linear_inequalities_projection_small_qp(rng):

@@ -1,0 +1,76 @@
+"""Hypothesis property tests for the budgeted-box projection.
+
+On generated boxes, caps and points, ``BoxWithSumCap.project`` must return a
+feasible point, be idempotent, and satisfy the KKT conditions of the
+projection: p == clip(v - nu, lower, upper) for one multiplier nu >= 0, with
+the cap met with equality whenever nu > 0.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cscgd import BoxWithSumCap
+
+PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+coords = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def sumcap_instances(draw):
+    n = draw(st.integers(1, 6))
+    vectors = st.lists(coords, min_size=n, max_size=n)
+    lower = np.array(draw(vectors))
+    widths = st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n)
+    upper = lower + np.array(draw(widths))
+    cap = draw(st.floats(float(lower.sum()), float(upper.sum()) + 1.0))
+    v = np.array(draw(st.lists(st.floats(-3e3, 3e3), min_size=n, max_size=n)))
+    return BoxWithSumCap(lower=lower, upper=upper, cap=cap), v
+
+
+def _scale(s, v) -> float:
+    return max(1.0, float(np.max(np.abs(np.concatenate((v, s.lower, s.upper))))))
+
+
+def _multiplier(s, v, p, atol) -> float:
+    """The smallest nu >= 0 with p == clip(v - nu) to ``atol``, read off p."""
+    if np.allclose(p, np.clip(v, s.lower, s.upper), rtol=0.0, atol=atol):
+        return 0.0
+    tol = 1e-3 * atol
+    informative = s.upper - s.lower > 2 * tol
+    free = informative & (p > s.lower + tol) & (p < s.upper - tol)
+    if free.any():
+        return float(np.median((v - p)[free]))
+    # Only clipped coordinates: the smallest nu that holds those at their
+    # lower bound there (nu >= v - lower).
+    at_lower = informative & (p <= s.lower + tol)
+    return float(np.max((v - s.lower)[at_lower], initial=0.0))
+
+
+@PROPERTY_SETTINGS
+@given(sumcap_instances())
+def test_sumcap_projection_is_feasible(instance):
+    s, v = instance
+    assert s.contains(s.project(v))
+
+
+@PROPERTY_SETTINGS
+@given(sumcap_instances())
+def test_sumcap_projection_is_idempotent(instance):
+    s, v = instance
+    p = s.project(v)
+    assert np.allclose(s.project(p), p, rtol=0.0, atol=1e-9 * _scale(s, v))
+
+
+@PROPERTY_SETTINGS
+@given(sumcap_instances())
+def test_sumcap_projection_satisfies_kkt(instance):
+    s, v = instance
+    p = s.project(v)
+    scale = _scale(s, v)
+    nu = _multiplier(s, v, p, atol=1e-9 * scale)
+    assert nu >= 0.0
+    assert np.allclose(p, np.clip(v - nu, s.lower, s.upper), rtol=0.0, atol=1e-9 * scale)
+    if nu > 0.0:
+        assert abs(p.sum() - s.cap) <= 1e-9 * max(1.0, abs(s.cap))
