@@ -29,9 +29,9 @@ print(f"  (gradient-map norm {base.grad_map_norm:.1e}, "
 
 config = SolverConfig(
     a=0.9167, b=0.5, c=0.75, regime="constant", horizon=10_000,
-    gamma=0.0, c_ell=inst.default_c_ell(), seed=0,
+    gamma=0.0, c_ell=inst.default_c_ell(), seeds=(0,),
 )
-x_hat, trajectory = run(problem, config)
+(x_hat,), (trajectory,) = run(problem, config)
 
 print(f"\nsolver x_hat = {np.round(x_hat, 3)} after {config.horizon} samples")
 print(f"F(x_hat) = {base.objective(x_hat):.4f}  "

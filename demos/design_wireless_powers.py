@@ -28,9 +28,9 @@ print(f"  rate-floor slack {-ref.constraint_estimate:.2f}")
 
 config = SolverConfig(
     a=0.9167, b=0.5, c=0.75, regime="constant", horizon=20_000,
-    gamma=0.0, c_ell=inst.default_c_ell(), seed=1,
+    gamma=0.0, c_ell=inst.default_c_ell(), seeds=(1,),
 )
-x_hat, _ = run(problem, config)
+(x_hat,), _ = run(problem, config)
 ev = evaluate_point(problem, x_hat, n_samples=40_000, seed=1)
 
 print(f"\nsolver design after {config.horizon} channel samples:")

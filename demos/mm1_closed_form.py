@@ -13,8 +13,8 @@ for lam, r, h in [(1.0, 1.0, 1.0), (2.0, 0.7, 1.3), (0.6, 1.8, 0.9)]:
     mu_star = mm1_optimal_mu(lam, r, h)
     problem = mm1_problem(lam, r, h)
     config = SolverConfig(a=0.6, b=0.4, c=0.5, regime="diminishing",
-                          horizon=30_000, seed=0)
-    x_hat, _ = run(problem, config)
+                          horizon=30_000, seeds=(0,))
+    (x_hat,), _ = run(problem, config)
     print(f"lam={lam:.1f} r={r:.1f} h={h:.1f}: "
           f"mu*={mu_star:.6f}  solver={x_hat[0]:.6f}  "
           f"|err|={abs(x_hat[0] - mu_star):.2e}  "

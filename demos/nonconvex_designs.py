@@ -19,8 +19,8 @@ for build in (paper_ex3, paper_ex4):
     print(f"\n=== {inst.name} (n = {problem.dim_x} design variables) ===")
 
     config = SolverConfig(a=0.9167, b=0.5, c=0.75, regime="constant",
-                          horizon=10_000, seed=0)
-    x_hat, trajectory = run(problem, config)
+                          horizon=10_000, seeds=(0,))
+    (x_hat,), (trajectory,) = run(problem, config)
     x_init = problem.feasible_set.project(problem.feasible_set.midpoint())
 
     ev_hat = evaluate_point(problem, x_hat, n_samples=20_000, seed=5)

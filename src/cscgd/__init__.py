@@ -30,8 +30,10 @@ from .solver import (
     SolverConfig,
     SolverState,
     cscgd_step,
+    draw_zeta,
     init_state,
     run,
+    seed_streams,
     step_bound_diagnostic,
     zero_violation_gamma,
 )
@@ -57,12 +59,14 @@ __all__ = [
     "TruncatedChiSquared",
     "TruncatedExponential",
     "cscgd_step",
+    "draw_zeta",
     "init_state",
     "make_rng",
     "monte_carlo_mean",
     "penalty_gradient",
     "penalty_value",
     "run",
+    "seed_streams",
     "step_bound_diagnostic",
     "zero_violation_gamma",
 ]

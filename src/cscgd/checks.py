@@ -14,7 +14,14 @@ import numpy as np
 from .distributions import make_rng, monte_carlo_mean
 from .oracles import finite_difference_check
 from .penalty import PenaltyParams, penalty_value
-from .solver import SolverConfig, cscgd_step, init_state, tracking_weights
+from .solver import (
+    SolverConfig,
+    cscgd_step,
+    draw_zeta,
+    init_state,
+    seed_streams,
+    tracking_weights,
+)
 
 
 @dataclass
@@ -199,14 +206,16 @@ def tracking_consistency(
     """
     kwargs = {"a": 0.75, "b": 0.5, "c": 0.75, "regime": "diminishing"}
     kwargs.update(schedule_kwargs or {})
-    config = SolverConfig(horizon=horizon, seed=seed, **kwargs)
-    rng_run = make_rng(seed, 0)
+    config = SolverConfig(horizon=horizon, seeds=(seed,), **kwargs)
+    rngs = seed_streams(config.seeds)
     schedule = config.schedule()
-    state = init_state(problem, config, rng_run)
+    state = init_state(problem, config, draw_zeta(problem, rngs))
     x_frozen = state.x.copy()
-    for beta in schedule.step_arrays()[1]:
-        cscgd_step(problem, state, 0.0, beta, 0.0, config.penalty_params(), rng_run)
+    block = draw_zeta(problem, rngs, horizon)
+    for zeta, beta in zip(block, schedule.step_arrays()[1]):
+        cscgd_step(problem, state, 0.0, beta, 0.0, config.penalty_params(), zeta)
     assert np.array_equal(state.x, x_frozen)
+    x_frozen, tracked_y, tracked_z = x_frozen[0], state.y[0], state.z[0]
     weights, w0 = tracking_weights(schedule)
     var_scale = float(np.sum(weights**2))
 
@@ -220,11 +229,11 @@ def tracking_consistency(
             + 1e-12 * (np.abs(mc_mean) + 1.0)  # accumulated rounding floor
         return np.abs(tracked - mc_mean), band
 
-    err_y, band_y = band_and_err(state.y, vector_g_factory)
+    err_y, band_y = band_and_err(tracked_y, vector_g_factory)
     passed = bool(np.all(err_y <= band_y))
     detail = f"y: max err {float(err_y.max()):.3e} vs band {float(band_y.max()):.3e}"
     if vector_h_factory is not None and problem.constrained:
-        err_z, band_z = band_and_err(state.z, vector_h_factory)
+        err_z, band_z = band_and_err(tracked_z, vector_h_factory)
         passed = passed and bool(np.all(err_z <= band_z))
         detail += f"; z: max err {float(err_z.max()):.3e} vs band {float(band_z.max()):.3e}"
     return CheckResult(

@@ -1,10 +1,12 @@
 """Experiment harness: configs, multi-seed runs, metrics, plot-data emission.
 
 A run is fully determined by (config, seed): the trajectory CSV bytes, the
-summary rows and the plot data reproduce exactly.  Seeds execute in a
-process pool when requested; each owns its RNG streams (stream 0 drives the
-solver, stream 1 the fresh evaluation batch) so scheduling cannot leak into
-the results.  The shape check of a built problem draws from stream 2.
+summary rows and the plot data reproduce exactly.  The seeds of an
+experiment are solved together, in one batched solver call, or split into
+one contiguous chunk per process when a pool is requested.  Each seed owns
+its RNG streams (stream 0 drives the solver, stream 1 the fresh evaluation
+batch), so neither batching nor scheduling can leak into the results.  The
+shape check of a built problem draws from stream 2.
 """
 
 from __future__ import annotations
@@ -29,6 +31,10 @@ from .solver import SolverConfig, run
 EPS_PLOT = 1e-12
 # Rows drawn and mapped at once by evaluate_point; bounds its memory.
 EVAL_CHUNK_ROWS = 16_384
+# Parameters of the oracle baselines.  The cache records the ones its
+# baseline was computed with and refuses to serve any other.
+ERGODIC_ORACLE = {"lambda_points": 7, "p_points": 7, "mc_samples": 100_000, "seed": 99}
+SAMPLE_AVERAGE_ORACLE = {"n_samples": 2000, "seed": 99}
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +97,12 @@ class ExperimentConfig:
         payload = json.dumps(d, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
-    def solver_config(self, seed: int, c_ell: float) -> SolverConfig:
+    def solver_config(self, seeds, c_ell: float) -> SolverConfig:
         x0 = None if self.x0 is None else np.asarray(self.x0, dtype=float)
         return SolverConfig(
             a=self.a, b=self.b, c=self.c, regime=self.regime,
             horizon=self.horizon, gamma=self.gamma, c_ell=c_ell,
-            seed=seed, log_points=self.log_points, x0=x0,
+            seeds=tuple(seeds), log_points=self.log_points, x0=x0,
         )
 
 
@@ -247,9 +253,19 @@ def oracle_cache_path(out_dir: str, preset: str) -> str:
     return os.path.join(out_dir, f"oracle-{preset}.json")
 
 
+def oracle_params(preset: str) -> dict:
+    """Parameters of the baseline method used for ``preset`` ({} when it has none)."""
+    if preset.startswith("paper-ex2"):
+        return dict(ERGODIC_ORACLE)
+    if preset in TOY_TARGETS or preset == "paper-ex1":
+        return {}
+    return dict(SAMPLE_AVERAGE_ORACLE)
+
+
 def compute_oracle(config: ExperimentConfig, instance=None) -> dict:
     """Deterministic or brute-force baseline value for the configured preset."""
     name = config.preset
+    params = oracle_params(name)
     if name in TOY_TARGETS:
         problem = TOY_TARGETS[name](**(config.instance_overrides or {}))
         return {
@@ -267,8 +283,7 @@ def compute_oracle(config: ExperimentConfig, instance=None) -> dict:
             "grad_map_norm": base.grad_map_norm,
         }
     elif name.startswith("paper-ex2"):
-        res = ergodic_fstar(instance, lambda_points=7, p_points=7,
-                            mc_samples=100_000, seed=99)
+        res = ergodic_fstar(instance, **params)
         payload = {
             "method": "grid-search-crn",
             "f_star": res.best_value,
@@ -276,7 +291,7 @@ def compute_oracle(config: ExperimentConfig, instance=None) -> dict:
             "f_star_std_err": res.best_std_err,
         }
     else:
-        res = sample_average_baseline(instance.build(), n_samples=2000, seed=99)
+        res = sample_average_baseline(instance.build(), **params)
         payload = {
             "method": "sample-average-local",
             "f_star": res.value,
@@ -292,6 +307,7 @@ def write_oracle_cache(config: ExperimentConfig) -> str:
     path = oracle_cache_path(config.out_dir, config.preset)
     payload = compute_oracle(config)
     payload["instance_overrides"] = config.instance_overrides or {}
+    payload["oracle_params"] = oracle_params(config.preset)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=1)
     return path
@@ -307,14 +323,16 @@ def load_oracle_cache(config: ExperimentConfig) -> dict:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     # The file is keyed by preset name only; a baseline computed for other
-    # instance overrides is a different F*.
-    cached = json.dumps(payload.get("instance_overrides", {}), sort_keys=True)
-    wanted = json.dumps(config.instance_overrides or {}, sort_keys=True)
-    if cached != wanted:
-        raise ValueError(
-            f"oracle baseline at {path} was computed for instance_overrides "
-            f"{cached}, this config has {wanted}; run the 'oracle' command again"
-        )
+    # instance overrides, or with other oracle parameters, is a different F*.
+    for key, wanted in (("instance_overrides", config.instance_overrides or {}),
+                        ("oracle_params", oracle_params(config.preset))):
+        cached = json.dumps(payload[key], sort_keys=True) if key in payload else "nothing"
+        wanted = json.dumps(wanted, sort_keys=True)
+        if cached != wanted:
+            raise ValueError(
+                f"oracle baseline at {path} was computed for {key} {cached}, "
+                f"this config has {wanted}; run the 'oracle' command again"
+            )
     return payload
 
 
@@ -322,60 +340,67 @@ def load_oracle_cache(config: ExperimentConfig) -> dict:
 # Experiment runner
 # ---------------------------------------------------------------------------
 
-def _seed_payload(config: ExperimentConfig, seed: int, f_star: float | None):
-    return {
-        "config": config.to_dict(),
-        "seed": seed,
-        "f_star": f_star,
-    }
+def _run_batch(payload: dict) -> list:
+    """Solve a batch of seeds in one ``run`` call; [(RunSummary, curves)] per seed.
 
-
-def _run_one_seed(payload: dict):
+    The problem is resolved once for the batch.  Each seed's ``wall_time``
+    is its share of the batch's solve time (the solve time over the number
+    of seeds), so the shares add up to the solve time.  Every seed still
+    gets its own trajectory CSV and its own ``evaluate_point`` call.
+    """
     config = ExperimentConfig.from_dict(payload["config"])
-    seed = payload["seed"]
+    seeds = tuple(payload["seeds"])
+    f_star = payload["f_star"]
     problem, c_ell = resolve_problem(config)
     t0 = time.perf_counter()
-    x_hat, trajectory = run(problem, config.solver_config(seed, c_ell))
-    wall = time.perf_counter() - t0
-    path = os.path.join(config.out_dir, f"trajectory-seed{seed}.csv")
-    write_trajectory_csv(path, trajectory, problem.num_constraints)
-    ev = evaluate_point(problem, x_hat, config.eval_samples, seed)
-    max_viol = float(np.max(ev["q"])) if ev["q"].size else 0.0
-    viol_se = float(np.max(ev["q_std_err"])) if ev["q"].size else 0.0
-    gap = None
-    if payload["f_star"] is not None:
-        gap = ev["f"] - payload["f_star"]
-    summary = RunSummary(
-        seed=seed,
-        x_hat=x_hat,
-        f_hat=ev["f"],
-        f_std_err=ev["f_std_err"],
-        max_violation=max_viol,
-        violation_std_err=viol_se,
-        gap=gap,
-        wall_time=wall,
-        config_hash=config.config_hash(),
-        trajectory_path=path,
-    )
-    return summary, curve_arrays(trajectory)
+    x_hats, trajectories = run(problem, config.solver_config(seeds, c_ell))
+    wall = (time.perf_counter() - t0) / len(seeds)
+    results = []
+    for seed, x_hat, trajectory in zip(seeds, x_hats, trajectories):
+        path = os.path.join(config.out_dir, f"trajectory-seed{seed}.csv")
+        write_trajectory_csv(path, trajectory, problem.num_constraints)
+        ev = evaluate_point(problem, x_hat, config.eval_samples, seed)
+        max_viol = float(np.max(ev["q"])) if ev["q"].size else 0.0
+        viol_se = float(np.max(ev["q_std_err"])) if ev["q"].size else 0.0
+        summary = RunSummary(
+            seed=seed,
+            x_hat=x_hat,
+            f_hat=ev["f"],
+            f_std_err=ev["f_std_err"],
+            max_violation=max_viol,
+            violation_std_err=viol_se,
+            gap=None if f_star is None else ev["f"] - f_star,
+            wall_time=wall,
+            config_hash=config.config_hash(),
+            trajectory_path=path,
+        )
+        results.append((summary, curve_arrays(trajectory)))
+    return results
 
 
 def run_experiment(config: ExperimentConfig):
     """Execute all seeds, persist trajectories and summaries.
 
-    Returns (list of RunSummary, dict of aggregate curves).  Requires the
-    oracle cache when ``oracle_gap`` is set.
+    The seeds run as one batch, or as one contiguous chunk per worker
+    process when ``workers > 1``.  Returns (list of RunSummary in seed
+    order, dict of aggregate curves).  Requires the oracle cache when
+    ``oracle_gap`` is set.
     """
     os.makedirs(config.out_dir, exist_ok=True)
     f_star = None
     if config.oracle_gap:
         f_star = float(load_oracle_cache(config)["f_star"])
-    payloads = [_seed_payload(config, s, f_star) for s in config.seeds]
-    if config.workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_run_one_seed, payloads))
+    seeds = list(config.seeds)
+    n_chunks = min(config.workers, len(seeds))
+    chunks = [seeds[i * len(seeds) // n_chunks:(i + 1) * len(seeds) // n_chunks]
+              for i in range(n_chunks)]
+    payloads = [{"config": config.to_dict(), "seeds": chunk, "f_star": f_star}
+                for chunk in chunks]
+    if len(payloads) > 1:
+        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
+            results = [r for batch in pool.map(_run_batch, payloads) for r in batch]
     else:
-        results = [_run_one_seed(p) for p in payloads]
+        results = _run_batch(payloads[0])
     summaries = [r[0] for r in results]
     curves = aggregate_curves([r[1] for r in results], f_star=f_star)
     write_summary_csv(os.path.join(config.out_dir, "summary.csv"), summaries)

@@ -52,7 +52,7 @@ def penalty_gradient(w, params: PenaltyParams) -> np.ndarray:
     branch and vanishes for satisfied constraints.
     """
     w = np.atleast_1d(np.asarray(w, dtype=float))
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ValueError("non-finite penalty argument")
     x = w + params.gamma
     return np.minimum(np.maximum(x, 0.0), params.c_ell)

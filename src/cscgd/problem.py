@@ -5,11 +5,21 @@ solver never differentiates anything numerically.  Unconstrained problems
 use num_constraints = 0 together with dim_h = 0, in which case the
 constraint path of the solver is inert.
 
-The sampler and the inner maps also take a leading sample axis:
-``sample(rng, k)`` draws a (k, dim_zeta) block that consumes the stream
-exactly as k single draws do, and ``inner_g(x, block)`` /
-``inner_h(x, block)`` return (k, dim_g) / (k, dim_h) whose row i is bitwise
-equal to the single call on ``block[i]``.  The point x is never batched.
+Every map also takes a leading axis, and row i of a stacked call is bitwise
+equal to the single call on row i:
+
+- ``sample(rng, k)`` draws a (k, dim_zeta) block that consumes the stream
+  exactly as k single draws do;
+- ``inner_g(x, zeta)`` / ``inner_h(x, zeta)`` take one point with a zeta
+  block (k, dim_zeta), or stacked points x (S, dim_x) with one zeta per row
+  (S, dim_zeta), and return (k or S, dim_g / dim_h);
+- the Jacobians on stacked points return (S, dim_x, dim_g / dim_h);
+- ``outer_f`` on stacked trackers y (..., dim_g) returns (...,);
+  ``outer_f_gradient`` returns (..., dim_g), ``outer_q`` on z (..., dim_h)
+  returns (..., J) and ``outer_q_jacobian`` (..., dim_h, J).
+
+The solver steps one row per seed through these maps; ``evaluate_point``
+maps sample blocks at one point.
 """
 
 from __future__ import annotations
@@ -19,6 +29,9 @@ from typing import Callable
 
 import numpy as np
 
+# Offsets of the three stacked points on which check_shapes tries the maps.
+_CHECK_OFFSETS = 1e-3 * np.arange(1.0, 4.0)[:, None]
+
 
 @dataclass
 class CompositionalProblem:
@@ -27,15 +40,15 @@ class CompositionalProblem:
     dim_h: int
     num_constraints: int
     sample: Callable  # (rng, size=None) -> one zeta, or a (size, dim_zeta) block
-    inner_g: Callable  # (x, zeta) -> vector[dim_g]; zeta block -> (k, dim_g)
-    inner_g_jacobian: Callable  # (x, zeta) -> matrix[dim_x, dim_g]
-    outer_f: Callable  # (y) -> float
-    outer_f_gradient: Callable  # (y) -> vector[dim_g]
+    inner_g: Callable  # (x, zeta) -> vector[dim_g]; stacked -> (k, dim_g)
+    inner_g_jacobian: Callable  # (x, zeta) -> matrix[dim_x, dim_g]; stacked -> (S, ...)
+    outer_f: Callable  # (y) -> float; stacked y (..., dim_g) -> (...,)
+    outer_f_gradient: Callable  # (y) -> vector[dim_g]; stacked -> (..., dim_g)
     feasible_set: object
-    inner_h: Callable | None = None  # (x, zeta) -> vector[dim_h]; block -> (k, dim_h)
+    inner_h: Callable | None = None  # (x, zeta) -> vector[dim_h]; stacked -> (k, dim_h)
     inner_h_jacobian: Callable | None = None
-    outer_q: Callable | None = None  # (z) -> vector[num_constraints]
-    outer_q_jacobian: Callable | None = None  # (z) -> matrix[dim_h, num_constraints]
+    outer_q: Callable | None = None  # (z) -> vector[num_constraints]; stacked -> (..., J)
+    outer_q_jacobian: Callable | None = None  # (z) -> matrix[dim_h, J]; stacked -> (..., dim_h, J)
     name: str = ""
     metadata: dict = field(default_factory=dict)
 
@@ -65,13 +78,14 @@ class CompositionalProblem:
         return self.num_constraints > 0
 
     def check_shapes(self, rng, n_draws: int = 10, x: np.ndarray | None = None):
-        """Draw a few samples and verify every map's output shape.
+        """Draw a few samples and verify every map's shapes and batch contract.
 
-        Also checks the batch contract on a block of three draws: the block
-        has a leading sample axis and every row of ``inner_g`` /
-        ``inner_h`` on it is bitwise equal to the single call.  Raises
-        ValueError naming the first map that fails; cheap sanity net for
-        hand-written maps.
+        Single calls must return the declared shapes.  On a block of three
+        draws, the inner maps at one point must return one row per sample,
+        and every map on three stacked points (x rows with one zeta each,
+        then the resulting y and z rows) one row per point; each row must
+        be bitwise equal to the single call.  Raises ValueError naming the
+        first map that fails; cheap sanity net for hand-written maps.
         """
         if x is None:
             x = self.feasible_set.midpoint()
@@ -99,23 +113,48 @@ class CompositionalProblem:
         if self.constrained:
             maps.append(("inner_h", self.inner_h, d))
         for name, fn, dim in maps:
-            rows = _expect(name, _on_block(name, fn, x, block), (3, dim)).astype(float)
-            for i, zeta in enumerate(block):
-                single = np.asarray(fn(x, zeta), dtype=float)
-                if rows[i].tobytes() != single.tobytes():
-                    raise ValueError(
-                        f"{name} row {i} on a sample block is not bitwise equal "
-                        "to the single call"
-                    )
+            _rows_match(name, fn, (x, block), [(x, zeta) for zeta in block],
+                        (3, dim), "on a sample block")
+
+        xs = np.asarray(self.feasible_set.project(x + _CHECK_OFFSETS), dtype=float)
+        points = [(xs[i], block[i]) for i in range(3)]
+
+        def stacked(name, fn, args, singles, shape):
+            return _rows_match(name, fn, args, singles, shape, "on stacked points")
+
+        ys = stacked("inner_g", self.inner_g, (xs, block), points, (3, m))
+        stacked("inner_g_jacobian", self.inner_g_jacobian, (xs, block), points, (3, n, m))
+        stacked("outer_f", self.outer_f, (ys,), [(row,) for row in ys], (3,))
+        stacked("outer_f_gradient", self.outer_f_gradient, (ys,), [(row,) for row in ys],
+                (3, m))
+        if self.constrained:
+            zs = stacked("inner_h", self.inner_h, (xs, block), points, (3, d))
+            stacked("inner_h_jacobian", self.inner_h_jacobian, (xs, block), points,
+                    (3, n, d))
+            stacked("outer_q", self.outer_q, (zs,), [(row,) for row in zs], (3, J))
+            stacked("outer_q_jacobian", self.outer_q_jacobian, (zs,),
+                    [(row,) for row in zs], (3, d, J))
 
 
 def _on_block(name: str, fn, *args):
-    # A map written for one sample typically fails on a block with a
-    # broadcasting, indexing or arity error that does not say which map.
+    # A map written for one point or sample typically fails on stacked
+    # arguments with a broadcasting, indexing or arity error that does not
+    # say which map.
     try:
         return fn(*args)
     except (TypeError, ValueError, IndexError) as exc:
-        raise ValueError(f"{name} does not support a leading sample axis: {exc}") from exc
+        raise ValueError(f"{name} does not support a leading axis: {exc}") from exc
+
+
+def _rows_match(name: str, fn, args, singles, shape: tuple, where: str) -> np.ndarray:
+    """``fn(*args)`` has ``shape`` and row i is bitwise ``fn(*singles[i])``."""
+    rows = _expect(name, _on_block(name, fn, *args), shape).astype(float)
+    for i, single in enumerate(singles):
+        if rows[i].tobytes() != np.asarray(fn(*single), dtype=float).tobytes():
+            raise ValueError(
+                f"{name} row {i} {where} is not bitwise equal to the single call"
+            )
+    return rows
 
 
 def _expect(name: str, value, shape: tuple):

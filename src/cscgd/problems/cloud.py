@@ -94,50 +94,49 @@ class CloudProvisioningInstance:
 
         # The load is a multiply-and-sum, not ``zeta @ r``: a matrix-vector
         # product on a zeta block rounds some rows differently from the
-        # dot product on the single row.
+        # dot product on the single row.  ``cap`` and ``load`` keep a
+        # trailing axis of one so that rows of x and of zeta broadcast.
         def inner_g(x, zeta):
-            r, cap = x[:n], x[n]
-            load = (zeta * r).sum(axis=-1)
+            r, cap = x[..., :n], x[..., n:]
+            load = (zeta * r).sum(axis=-1, keepdims=True)
             taken = sigmoid(eta * (cap - load) / cap)
-            if zeta.ndim > 1:  # one row per sample of a zeta block
-                load, taken = load[:, None], taken[:, None]
             below = sigmoid(eta * (cap - r - load) / cap)
             out = np.empty(below.shape[:-1] + (2 * n + 1,))
             out[..., :n] = taken - below
             out[..., n:2 * n] = taken
-            out[..., 2 * n] = cap
+            out[..., 2 * n] = cap[..., 0]
             return out
 
         def inner_g_jacobian(x, zeta):
-            r, cap = x[:n], x[n]
-            load = (zeta * r).sum()
-            d1 = sigmoid_deriv(eta * (cap - load) / cap)  # scalar
+            r, cap = x[..., :n], x[..., n:]
+            load = (zeta * r).sum(axis=-1, keepdims=True)
+            d1 = sigmoid_deriv(eta * (cap - load) / cap)  # one per row
             d2 = sigmoid_deriv(eta * (cap - r - load) / cap)  # per class
             dtaken_dr = d1 * (-eta * zeta / cap)
             dtaken_dc = d1 * eta * load / cap**2
             # dbelow_i/dr_j = d2_i * (-eta (delta_ij + zeta_j) / cap)
-            dbelow_dr = np.outer(-eta * zeta / cap, d2)
-            dbelow_dr[idx, idx] += -eta * d2 / cap
+            dbelow_dr = (-eta * zeta / cap)[..., :, None] * d2[..., None, :]
+            dbelow_dr[..., idx, idx] += -eta * d2 / cap
             dbelow_dc = d2 * eta * (r + load) / cap**2
-            jac = np.zeros((n + 1, 2 * n + 1))
-            jac[:n, :n] = dtaken_dr[:, None] - dbelow_dr
-            jac[n, :n] = dtaken_dc - dbelow_dc
-            jac[:n, n:2 * n] = dtaken_dr[:, None]
-            jac[n, n:2 * n] = dtaken_dc
-            jac[n, 2 * n] = 1.0
+            jac = np.zeros(d2.shape[:-1] + (n + 1, 2 * n + 1))
+            jac[..., :n, :n] = dtaken_dr[..., :, None] - dbelow_dr
+            jac[..., n, :n] = dtaken_dc - dbelow_dc
+            jac[..., :n, n:2 * n] = dtaken_dr[..., :, None]
+            jac[..., n, n:2 * n] = dtaken_dc
+            jac[..., n, 2 * n] = 1.0
             return jac
 
         def outer_f(y):
-            blocked = y[:n] * safe_inv(y[n:2 * n], knee)
-            return float(np.sum(pn * (blocked - 1.0)) + chi * y[2 * n])
+            blocked = y[..., :n] * safe_inv(y[..., n:2 * n], knee)
+            return np.sum(pn * (blocked - 1.0), axis=-1) + chi * y[..., 2 * n]
 
         def outer_f_gradient(y):
-            inv = safe_inv(y[n:2 * n], knee)
-            dinv = safe_inv_deriv(y[n:2 * n], knee)
-            grad = np.empty(2 * n + 1)
-            grad[:n] = pn * inv
-            grad[n:2 * n] = pn * y[:n] * dinv
-            grad[2 * n] = chi
+            inv = safe_inv(y[..., n:2 * n], knee)
+            dinv = safe_inv_deriv(y[..., n:2 * n], knee)
+            grad = np.empty(y.shape)
+            grad[..., :n] = pn * inv
+            grad[..., n:2 * n] = pn * y[..., :n] * dinv
+            grad[..., 2 * n] = chi
             return grad
 
         return CompositionalProblem(

@@ -69,7 +69,7 @@ class EffectiveCapacityInstance:
     def qos_exponent(self, y: np.ndarray) -> np.ndarray:
         """theta_i from tracked rate moments y = (means, second moments)."""
         n = self.n_queues
-        u, v = y[:n], y[n:]
+        u, v = y[..., :n], y[..., n:]
         den = self.arrival_variances + v - u**2
         knee = self.eps_den * self.arrival_variances
         return (u - self.arrival_means) * safe_inv(den, knee)
@@ -94,21 +94,21 @@ class EffectiveCapacityInstance:
         def inner_g_jacobian(p, zeta):
             b = bw * np.log1p(zeta * p)
             bp = bw * zeta / (1.0 + zeta * p)
-            jac = np.zeros((n, 2 * n))
-            jac[idx, idx] = bp
-            jac[idx, n + idx] = 2.0 * b * bp
+            jac = np.zeros(b.shape[:-1] + (n, 2 * n))
+            jac[..., idx, idx] = bp
+            jac[..., idx, n + idx] = 2.0 * b * bp
             return jac
 
         def outer_f(y):
-            u, v = y[:n], y[n:]
+            u, v = y[..., :n], y[..., n:]
             den = var_a + v - u**2
             theta = (u - m_a) * safe_inv(den, knee)
             alpha = m_a + 0.5 * theta * var_a
             tail = np.exp(-theta * alpha * w_target)
-            return float(np.sum(phi * tail - psi * np.log(alpha)))
+            return np.sum(phi * tail - psi * np.log(alpha), axis=-1)
 
         def outer_f_gradient(y):
-            u, v = y[:n], y[n:]
+            u, v = y[..., :n], y[..., n:]
             den = var_a + v - u**2
             inv, dinv = safe_inv(den, knee), safe_inv_deriv(den, knee)
             diff = u - m_a
@@ -121,9 +121,9 @@ class EffectiveCapacityInstance:
             dalpha_dv = 0.5 * var_a * dtheta_dv
             dtail_du = -w_target * tail * (theta * dalpha_du + alpha * dtheta_du)
             dtail_dv = -w_target * tail * (theta * dalpha_dv + alpha * dtheta_dv)
-            grad = np.empty(2 * n)
-            grad[:n] = phi * dtail_du - psi * dalpha_du / alpha
-            grad[n:] = phi * dtail_dv - psi * dalpha_dv / alpha
+            grad = np.empty(y.shape)
+            grad[..., :n] = phi * dtail_du - psi * dalpha_du / alpha
+            grad[..., n:] = phi * dtail_dv - psi * dalpha_dv / alpha
             return grad
 
         return CompositionalProblem(

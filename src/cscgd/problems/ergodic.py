@@ -18,7 +18,7 @@ import numpy as np
 from ..distributions import TruncatedChiSquared
 from ..problem import CompositionalProblem
 from ..sets import BoxWithSumCap, ProductSet
-from .safeguards import safe_inv, safe_inv_deriv
+from .safeguards import first_argmax_mask, safe_inv, safe_inv_deriv
 
 
 @dataclass(frozen=True)
@@ -90,56 +90,56 @@ class Mg1ErgodicInstance:
         idx = np.arange(n)
 
         def inner_g(x, zeta):
-            lam, p = x[:n], x[n:]
+            lam, p = x[..., :n], x[..., n:]
             b = bw * np.log1p(zeta * p)
-            if b.ndim > 1:  # one row per sample of a zeta block
+            if lam.shape != b.shape:  # one point, one row per sample of a zeta block
                 lam = np.broadcast_to(lam, b.shape)
             return np.concatenate([lam, lam / b, lam / b**2], axis=-1)
 
         def inner_g_jacobian(x, zeta):
-            lam, p = x[:n], x[n:]
+            lam, p = x[..., :n], x[..., n:]
             b = bw * np.log1p(zeta * p)
             bp = bw * zeta / (1.0 + zeta * p)
-            jac = np.zeros((2 * n, 3 * n))
-            jac[idx, idx] = 1.0
-            jac[idx, n + idx] = 1.0 / b
-            jac[idx, 2 * n + idx] = 1.0 / b**2
-            jac[n + idx, n + idx] = -lam * bp / b**2
-            jac[n + idx, 2 * n + idx] = -2.0 * lam * bp / b**3
+            jac = np.zeros(b.shape[:-1] + (2 * n, 3 * n))
+            jac[..., idx, idx] = 1.0
+            jac[..., idx, n + idx] = 1.0 / b
+            jac[..., idx, 2 * n + idx] = 1.0 / b**2
+            jac[..., n + idx, n + idx] = -lam * bp / b**2
+            jac[..., n + idx, 2 * n + idx] = -2.0 * lam * bp / b**3
             return jac
 
         def inner_h(x, zeta):
-            p = x[n:]
+            p = x[..., n:]
             b = bw * np.log1p(zeta * p)
             return -b.min(axis=-1, keepdims=True)
 
         def inner_h_jacobian(x, zeta):
-            p = x[n:]
+            p = x[..., n:]
             b = bw * np.log1p(zeta * p)
-            i = int(np.argmin(b))  # first minimizer breaks ties
-            jac = np.zeros((2 * n, 1))
-            jac[n + i, 0] = -bw[i] * zeta[i] / (1.0 + zeta[i] * p[i])
+            worst = first_argmax_mask(-b)  # first minimizer breaks ties
+            jac = np.zeros(b.shape[:-1] + (2 * n, 1))
+            jac[..., n:, 0] = np.where(worst, -bw * zeta / (1.0 + zeta * p), 0.0)
             return jac
 
         def outer_f(y):
-            lam_t, rho, m2 = y[:n], y[n:2 * n], y[2 * n:]
+            lam_t, rho, m2 = y[..., :n], y[..., n:2 * n], y[..., 2 * n:]
             delay = (m2 / 2.0) * safe_inv(1.0 - rho, eps)
-            return float(np.sum(phi * delay - psi * np.log(lam_t)))
+            return np.sum(phi * delay - psi * np.log(lam_t), axis=-1)
 
         def outer_f_gradient(y):
-            lam_t, rho, m2 = y[:n], y[n:2 * n], y[2 * n:]
+            lam_t, rho, m2 = y[..., :n], y[..., n:2 * n], y[..., 2 * n:]
             d = 1.0 - rho
-            grad = np.empty(3 * n)
-            grad[:n] = -psi / lam_t
-            grad[n:2 * n] = -phi * (m2 / 2.0) * safe_inv_deriv(d, eps)
-            grad[2 * n:] = phi * safe_inv(d, eps) / 2.0
+            grad = np.empty(y.shape)
+            grad[..., :n] = -psi / lam_t
+            grad[..., n:2 * n] = -phi * (m2 / 2.0) * safe_inv_deriv(d, eps)
+            grad[..., 2 * n:] = phi * safe_inv(d, eps) / 2.0
             return grad
 
         def outer_q(z):
-            return np.array([r_min + z[0]])
+            return r_min + z
 
         def outer_q_jacobian(z):
-            return np.array([[1.0]])
+            return np.ones(z.shape[:-1] + (1, 1))
 
         return CompositionalProblem(
             dim_x=2 * n,

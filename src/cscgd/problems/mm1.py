@@ -15,20 +15,24 @@ import numpy as np
 from ..distributions import ConstantVec
 from ..problem import CompositionalProblem
 from ..sets import Box
-from .toy import identity_map
+from .toy import identity_jacobian, identity_map
 
 
-def mm1_utility(mu: float, lam: float, r: float, h: float) -> float:
-    if not (mu > lam > 0.0):
+def _check_stable(mu, lam: float):
+    if not (lam > 0.0 and (np.asarray(mu) > lam).all()):
         raise ValueError("unstable queue: need mu > lam > 0")
+
+
+def mm1_utility(mu, lam: float, r: float, h: float):
+    """U(mu) for one service rate, or elementwise for an array of them."""
+    _check_stable(mu, lam)
     if r <= 0.0 or h <= 0.0:
         raise ValueError("r and h must be positive")
     return r * lam / mu - h * (lam / mu) / (mu - lam)
 
 
-def mm1_utility_derivative(mu: float, lam: float, r: float, h: float) -> float:
-    if not (mu > lam > 0.0):
-        raise ValueError("unstable queue: need mu > lam > 0")
+def mm1_utility_derivative(mu, lam: float, r: float, h: float):
+    _check_stable(mu, lam)
     return -r * lam / mu**2 + h * lam * (2.0 * mu - lam) / (mu * (mu - lam)) ** 2
 
 
@@ -57,16 +61,12 @@ def mm1_problem(
         probe = box[1] - 0.05 * (box[1] - box[0])
         gain = 1.0 / max(abs(mm1_utility_derivative(probe, lam, r, h)), 1e-12)
     dist = ConstantVec([0.0])
-    one = np.ones((1, 1))
-
-    def inner_g_jacobian(x, zeta):
-        return one
 
     def outer_f(y):
-        return -gain * mm1_utility(float(y[0]), lam, r, h)
+        return -gain * mm1_utility(y[..., 0], lam, r, h)
 
     def outer_f_gradient(y):
-        return np.array([-gain * mm1_utility_derivative(float(y[0]), lam, r, h)])
+        return -gain * mm1_utility_derivative(y[..., :1], lam, r, h)
 
     return CompositionalProblem(
         dim_x=1,
@@ -75,7 +75,7 @@ def mm1_problem(
         num_constraints=0,
         sample=dist.draw,
         inner_g=identity_map,
-        inner_g_jacobian=inner_g_jacobian,
+        inner_g_jacobian=identity_jacobian,
         outer_f=outer_f,
         outer_f_gradient=outer_f_gradient,
         feasible_set=Box(lower=[box[0]], upper=[box[1]]),

@@ -90,7 +90,7 @@ class OutageInstance:
 
     def waiting_times(self, y: np.ndarray) -> np.ndarray:
         n = self.n_queues
-        u, v = y[:n], y[n:]
+        u, v = y[..., :n], y[..., n:]
         a = self.rates * (1.0 - u)
         knee = self.eps_den * self.rates
         return (v * (1.0 + u) / 2.0) * safe_inv(a, knee) * safe_inv(a - v, knee)
@@ -105,29 +105,29 @@ class OutageInstance:
         idx = np.arange(n)
 
         def inner_g(x, zeta):
-            lam, p = x[:n], x[n:]
+            lam, p = x[..., :n], x[..., n:]
             b = bw * np.log1p(zeta * p)
-            if b.ndim > 1:  # one row per sample of a zeta block
+            if lam.shape != b.shape:  # one point, one row per sample of a zeta block
                 lam = np.broadcast_to(lam, b.shape)
             return np.concatenate([sigmoid(eta * (r - b)), lam], axis=-1)
 
         def inner_g_jacobian(x, zeta):
-            p = x[n:]
+            p = x[..., n:]
             b = bw * np.log1p(zeta * p)
             bp = bw * zeta / (1.0 + zeta * p)
-            jac = np.zeros((2 * n, 2 * n))
-            jac[n + idx, idx] = -eta * sigmoid_deriv(eta * (r - b)) * bp
-            jac[idx, n + idx] = 1.0
+            jac = np.zeros(b.shape[:-1] + (2 * n, 2 * n))
+            jac[..., n + idx, idx] = -eta * sigmoid_deriv(eta * (r - b)) * bp
+            jac[..., idx, n + idx] = 1.0
             return jac
 
         def outer_f(y):
-            u, v = y[:n], y[n:]
+            u, v = y[..., :n], y[..., n:]
             a = r * (1.0 - u)
             w = (v * (1.0 + u) / 2.0) * safe_inv(a, knee) * safe_inv(a - v, knee)
-            return float(np.sum(phi * w - psi * np.log(a)))
+            return np.sum(phi * w - psi * np.log(a), axis=-1)
 
         def outer_f_gradient(y):
-            u, v = y[:n], y[n:]
+            u, v = y[..., :n], y[..., n:]
             a = r * (1.0 - u)
             inv1, dinv1 = safe_inv(a, knee), safe_inv_deriv(a, knee)
             inv2, dinv2 = safe_inv(a - v, knee), safe_inv_deriv(a - v, knee)
@@ -135,9 +135,9 @@ class OutageInstance:
             dw_du = (v / 2.0) * inv1 * inv2 \
                 - r * base * (dinv1 * inv2 + inv1 * dinv2)
             dw_dv = ((1.0 + u) / 2.0) * inv1 * inv2 - base * inv1 * dinv2
-            grad = np.empty(2 * n)
-            grad[:n] = phi * dw_du + psi * r / a
-            grad[n:] = phi * dw_dv
+            grad = np.empty(y.shape)
+            grad[..., :n] = phi * dw_du + psi * r / a
+            grad[..., n:] = phi * dw_dv
             return grad
 
         return CompositionalProblem(

@@ -37,6 +37,12 @@ def safe_inv_deriv(d, knee):
     return np.where(safe, -1.0 / guarded**2, -1.0 / knee**2)
 
 
+def first_argmax_mask(values):
+    """One-hot mask of each row's first maximizer (ties go to the lowest index)."""
+    i = np.argmax(values, axis=-1)
+    return np.arange(values.shape[-1]) == np.expand_dims(i, -1)
+
+
 def sigmoid(s):
     return special.expit(s)
 

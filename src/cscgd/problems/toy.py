@@ -24,16 +24,22 @@ def zero_sample(rng, size=None):
 
 
 def identity_map(x, zeta):
-    """x itself for one zeta; one row of x per row of a zeta block."""
-    return x if zeta.ndim == 1 else np.broadcast_to(x, (len(zeta),) + x.shape)
+    """x itself; a point broadcast to one row per row of a zeta block."""
+    if x.shape[:-1] == zeta.shape[:-1]:
+        return x
+    return np.broadcast_to(x, zeta.shape[:-1] + x.shape[-1:])
+
+
+def identity_jacobian(x, zeta):
+    """The (1, 1) identity, one per row of stacked one-dimensional points."""
+    return np.ones(x.shape[:-1] + (1, 1))
+
+
+def _half_square(y):
+    return 0.5 * (y * y).sum(axis=-1)
 
 
 def quadratic_problem(lower: float = -1.0, upper: float = 1.0) -> CompositionalProblem:
-    one = np.ones((1, 1))
-
-    def identity_jac(x, zeta):
-        return one
-
     return CompositionalProblem(
         dim_x=1,
         dim_g=1,
@@ -41,8 +47,8 @@ def quadratic_problem(lower: float = -1.0, upper: float = 1.0) -> CompositionalP
         num_constraints=0,
         sample=zero_sample,
         inner_g=identity_map,
-        inner_g_jacobian=identity_jac,
-        outer_f=lambda y: 0.5 * float(y @ y),
+        inner_g_jacobian=identity_jacobian,
+        outer_f=_half_square,
         outer_f_gradient=lambda y: np.asarray(y, dtype=float),
         feasible_set=Box(lower=[lower], upper=[upper]),
         name="quadratic-toy",
@@ -56,10 +62,9 @@ def constrained_quadratic_problem(
     """Minimize x^2/2 subject to threshold - x <= 0 on [lower, upper]."""
     if not lower < threshold < upper:
         raise ValueError("threshold must be interior to the box")
-    one = np.ones((1, 1))
 
-    def identity_jac(x, zeta):
-        return one
+    def outer_q_jacobian(z):
+        return np.full(z.shape[:-1] + (1, 1), -1.0)
 
     return CompositionalProblem(
         dim_x=1,
@@ -68,13 +73,13 @@ def constrained_quadratic_problem(
         num_constraints=1,
         sample=zero_sample,
         inner_g=identity_map,
-        inner_g_jacobian=identity_jac,
+        inner_g_jacobian=identity_jacobian,
         inner_h=identity_map,
-        inner_h_jacobian=identity_jac,
-        outer_f=lambda y: 0.5 * float(y @ y),
+        inner_h_jacobian=identity_jacobian,
+        outer_f=_half_square,
         outer_f_gradient=lambda y: np.asarray(y, dtype=float),
-        outer_q=lambda z: np.asarray([threshold - float(z[0])]),
-        outer_q_jacobian=lambda z: np.array([[-1.0]]),
+        outer_q=lambda z: threshold - z,
+        outer_q_jacobian=outer_q_jacobian,
         feasible_set=Box(lower=[lower], upper=[upper]),
         name="constrained-quadratic-toy",
         metadata={

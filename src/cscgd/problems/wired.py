@@ -17,7 +17,7 @@ import numpy as np
 from ..distributions import TruncatedExponential
 from ..problem import CompositionalProblem
 from ..sets import BoxWithSumCap
-from .safeguards import EPS_DEN, safe_inv, safe_inv_deriv
+from .safeguards import EPS_DEN, first_argmax_mask, safe_inv, safe_inv_deriv
 
 
 @dataclass(frozen=True)
@@ -77,9 +77,9 @@ class Mg1WiredInstance:
         return replace(self, **kwargs)
 
     def delays(self, y: np.ndarray) -> np.ndarray:
-        """Safeguarded per-queue PK waiting delays at tracked moments y."""
+        """Safeguarded per-queue PK waiting delays at tracked moments y (rows too)."""
         n = self.n_queues
-        u, v = y[:n], y[n:]
+        u, v = y[..., :n], y[..., n:]
         c = self.capacities
         knee = self.eps_den * c
         return (v / (2.0 * c)) * safe_inv(c - u, knee)
@@ -96,36 +96,36 @@ class Mg1WiredInstance:
             return np.concatenate([lam * lengths, lam * lengths**2], axis=-1)
 
         def inner_g_jacobian(lam, lengths):
-            jac = np.zeros((n, 2 * n))
-            jac[idx, idx] = lengths
-            jac[idx, n + idx] = lengths**2
+            jac = np.zeros(lengths.shape[:-1] + (n, 2 * n))
+            jac[..., idx, idx] = lengths
+            jac[..., idx, n + idx] = lengths**2
             return jac
 
         def outer_f(y):
-            u, v = y[:n], y[n:]
+            u, v = y[..., :n], y[..., n:]
             delay = (v / (2.0 * c)) * safe_inv(c - u, knee)
-            return float(np.sum(phi * delay - psi * np.log(u)))
+            return np.sum(phi * delay - psi * np.log(u), axis=-1)
 
         def outer_f_gradient(y):
-            u, v = y[:n], y[n:]
+            u, v = y[..., :n], y[..., n:]
             d = c - u
             inv = safe_inv(d, knee)
             dinv = safe_inv_deriv(d, knee)
-            grad = np.empty(2 * n)
-            grad[:n] = -phi * (v / (2.0 * c)) * dinv - psi / u
-            grad[n:] = phi * inv / (2.0 * c)
+            grad = np.empty(y.shape)
+            grad[..., :n] = -phi * (v / (2.0 * c)) * dinv - psi / u
+            grad[..., n:] = phi * inv / (2.0 * c)
             return grad
 
         def outer_q(z):
-            return np.array([np.max(self.delays(z)) - self.d_max])
+            return np.max(self.delays(z), axis=-1, keepdims=True) - self.d_max
 
         def outer_q_jacobian(z):
-            u, v = z[:n], z[n:]
-            i = int(np.argmax(self.delays(z)))  # first maximizer breaks ties
-            d = c[i] - u[i]
-            jac = np.zeros((2 * n, 1))
-            jac[i, 0] = -(v[i] / (2.0 * c[i])) * safe_inv_deriv(d, knee[i])
-            jac[n + i, 0] = safe_inv(d, knee[i]) / (2.0 * c[i])
+            u, v = z[..., :n], z[..., n:]
+            worst = first_argmax_mask(self.delays(z))
+            d = c - u
+            jac = np.zeros(z.shape[:-1] + (2 * n, 1))
+            jac[..., :n, 0] = np.where(worst, -(v / (2.0 * c)) * safe_inv_deriv(d, knee), 0.0)
+            jac[..., n:, 0] = np.where(worst, safe_inv(d, knee) / (2.0 * c), 0.0)
             return jac
 
         return CompositionalProblem(

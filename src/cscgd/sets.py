@@ -6,6 +6,10 @@ budgets), and products of such sets over disjoint coordinate blocks.  The
 budgeted box is projected exactly by a vectorised breakpoint search on the
 budget multiplier.  A fourth variant adds general linear inequalities
 (service-tier ladders) via Dykstra's alternating projections.
+
+``project`` takes one point (n,) or a stack of points (S, n), one per row;
+each row of a stacked projection is bitwise equal to projecting it alone.
+``contains`` and ``midpoint`` work on single points.
 """
 
 from __future__ import annotations
@@ -25,6 +29,16 @@ def _as_vector(x, name: str) -> np.ndarray:
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.ndim != 1:
         raise FeasibleSetError(f"{name} must be a one-dimensional vector")
+    return v
+
+
+def _as_points(v, dim: int) -> np.ndarray:
+    """A point (dim,) or a stack of points (S, dim), all finite."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim not in (1, 2) or v.shape[-1] != dim:
+        raise FeasibleSetError(f"point has dim {v.shape}, set has dim {dim}")
+    if not np.isfinite(v).all():
+        raise FeasibleSetError("cannot project non-finite point")
     return v
 
 
@@ -48,12 +62,7 @@ class Box:
         return self.lower.size
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
-            raise FeasibleSetError(f"point has dim {v.shape}, set has dim {self.dim}")
-        if not np.all(np.isfinite(v)):
-            raise FeasibleSetError("cannot project non-finite point")
-        return np.clip(v, self.lower, self.upper)
+        return _as_points(v, self.dim).clip(self.lower, self.upper)
 
     def contains(self, v: np.ndarray, slack: float = MEMBERSHIP_SLACK) -> bool:
         v = np.asarray(v, dtype=float)
@@ -78,7 +87,8 @@ class BoxWithSumCap:
     Its kinks are the 2n breakpoints v - upper and v - lower; the root is
     interpolated on the segment where s first drops to the cap (Kiwiel
     2008, "Breakpoint searching algorithms for the continuous quadratic
-    knapsack problem").  A fixed number of array operations, no iteration.
+    knapsack problem").  A fixed number of array operations per point whose
+    budget binds, no iteration.
     """
 
     lower: np.ndarray
@@ -101,14 +111,16 @@ class BoxWithSumCap:
         return self.lower.size
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
-            raise FeasibleSetError(f"point has dim {v.shape}, set has dim {self.dim}")
-        if not np.all(np.isfinite(v)):
-            raise FeasibleSetError("cannot project non-finite point")
-        u = np.clip(v, self.lower, self.upper)
-        if u.sum() <= self.cap:
-            return u
+        v = _as_points(v, self.dim)
+        u = v.clip(self.lower, self.upper)
+        if v.ndim == 1:
+            return self._onto_cap(v) if u.sum() > self.cap else u
+        for i in np.flatnonzero(u.sum(axis=-1) > self.cap):
+            u[i] = self._onto_cap(v[i])
+        return u
+
+    def _onto_cap(self, v: np.ndarray) -> np.ndarray:
+        """Project one point v whose box clip exceeds the cap."""
         bps = np.sort(np.concatenate((v - self.upper, v - self.lower)))
         s = np.clip(v - bps[:, None], self.lower, self.upper).sum(axis=1)
         # argmax, not searchsorted: the first index with s <= cap gives
@@ -183,11 +195,12 @@ class BoxWithLinearInequalities:
         return v - (resid / (a @ a)) * a
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
-            raise FeasibleSetError(f"point has dim {v.shape}, set has dim {self.dim}")
-        if not np.all(np.isfinite(v)):
-            raise FeasibleSetError("cannot project non-finite point")
+        v = _as_points(v, self.dim)
+        if v.ndim == 2:
+            return np.stack([self._dykstra(row) for row in v])
+        return self._dykstra(v)
+
+    def _dykstra(self, v: np.ndarray) -> np.ndarray:
         n_sets = 1 + self.b_vec.size
         x = v.copy()
         increments = [np.zeros(self.dim) for _ in range(n_sets)]
@@ -246,16 +259,16 @@ class ProductSet:
     def _split(self, v: np.ndarray):
         out, k = [], 0
         for b in self.blocks:
-            out.append(v[k:k + b.dim])
+            out.append(v[..., k:k + b.dim])
             k += b.dim
         return out
 
     def project(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
-        if v.shape != (self.dim,):
+        if v.ndim not in (1, 2) or v.shape[-1] != self.dim:
             raise FeasibleSetError(f"point has dim {v.shape}, set has dim {self.dim}")
         return np.concatenate(
-            [b.project(part) for b, part in zip(self.blocks, self._split(v))]
+            [b.project(part) for b, part in zip(self.blocks, self._split(v))], axis=-1
         )
 
     def contains(self, v: np.ndarray, slack: float = MEMBERSHIP_SLACK) -> bool:

@@ -6,6 +6,11 @@ the iterate moves along the quasi-gradient assembled from outer gradients
 evaluated at the freshly updated trackers, plus a penalty pull toward the
 feasible region, followed by projection.  The returned design point is the
 average of the second half of the iterates.
+
+Independent seeds run side by side: the state holds one row per seed
+(x, y, z and the tail sum are (S, .) arrays) and one kernel call steps
+every row.  Each seed keeps its own generator, and every row is bitwise
+equal to the same seed run alone.
 """
 
 from __future__ import annotations
@@ -22,15 +27,20 @@ from .schedule import DIMINISHING, StepSchedule
 
 FULL_LOG_MAX_HORIZON = 10_000
 SPARSE_LOG_POINTS = 1_000
+# Rows of zeta drawn at once per seed by run; a block consumes a seed's
+# stream exactly as that many single draws.
+ZETA_BLOCK_ROWS = 1024
 
 
 class NonFiniteGradientError(RuntimeError):
-    """A map produced a non-finite value; carries the culprit's name."""
+    """A map produced a non-finite value; names the map, iteration and seed."""
 
-    def __init__(self, source: str, t: int):
+    def __init__(self, source: str, t: int, seed: int | None = None):
         self.source = source
         self.t = t
-        super().__init__(f"non-finite value from {source} at iteration {t}")
+        self.seed = seed
+        where = "" if seed is None else f" of seed {seed}"
+        super().__init__(f"non-finite value from {source} at iteration {t}{where}")
 
 
 @dataclass
@@ -42,9 +52,14 @@ class SolverConfig:
     horizon: int = 1000
     gamma: float = 0.0
     c_ell: float = 1.0
-    seed: int = 0
+    seeds: tuple = (0,)
     x0: np.ndarray | None = None
     log_points: int | None = None
+
+    def __post_init__(self):
+        self.seeds = tuple(int(s) for s in self.seeds)
+        if not self.seeds:
+            raise ValueError("need at least one seed")
 
     def schedule(self) -> StepSchedule:
         return StepSchedule(self.a, self.b, self.c, self.regime, self.horizon)
@@ -55,9 +70,12 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
+    """One row per seed: x (S, n), y (S, dim_g), z (S, dim_h), tail_sum (S, n)."""
+
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray
+    seeds: tuple
     t: int = 1
     tail_sum: np.ndarray = None
     tail_count: int = 0
@@ -68,23 +86,49 @@ class SolverState:
             self.tail_sum = np.zeros_like(self.x)
 
 
-def init_state(problem: CompositionalProblem, config: SolverConfig, rng) -> SolverState:
-    """x1 = projected box midpoint (or configured point); y1, z1 from one extra sample."""
+def seed_streams(seeds) -> list:
+    """The solver's generator (stream 0) of each seed."""
+    return [make_rng(seed, 0) for seed in seeds]
+
+
+def draw_zeta(problem: CompositionalProblem, rngs, size: int | None = None) -> np.ndarray:
+    """One zeta per seed as an (S, dim_zeta) array, or a (size, S, dim_zeta) block.
+
+    Row s of the result comes from ``rngs[s]`` alone, and a block consumes
+    each stream exactly as ``size`` single draws.
+    """
+    if size is None:
+        return np.stack([problem.sample(rng) for rng in rngs])
+    return np.stack([problem.sample(rng, size) for rng in rngs], axis=1)
+
+
+def init_state(problem: CompositionalProblem, config: SolverConfig, zeta0) -> SolverState:
+    """x1 = projected box midpoint (or configured point); y1, z1 from one extra sample.
+
+    ``zeta0`` holds that extra sample, one row per seed of ``config.seeds``.
+    """
     if config.x0 is not None:
         x1 = problem.feasible_set.project(np.asarray(config.x0, dtype=float))
     else:
         x1 = problem.feasible_set.project(problem.feasible_set.midpoint())
-    zeta0 = problem.sample(rng)
+    zeta0 = np.asarray(zeta0)
+    seeds = tuple(config.seeds)
+    if len(zeta0) != len(seeds):
+        raise ValueError(f"zeta0 has {len(zeta0)} rows for {len(seeds)} seeds")
+    x1 = np.tile(x1, (len(seeds), 1))
     y1 = np.array(problem.inner_g(x1, zeta0), dtype=float, copy=True)
     if problem.constrained:
         z1 = np.array(problem.inner_h(x1, zeta0), dtype=float, copy=True)
     else:
-        z1 = np.zeros(0)
+        z1 = np.zeros((len(seeds), 0))
     tail_start = math.ceil(config.horizon / 2)
-    return SolverState(x=x1, y=y1, z=z1, t=1, tail_start=tail_start)
+    return SolverState(x=x1, y=y1, z=z1, seeds=seeds, t=1, tail_start=tail_start)
 
 
-_NO_CONSTRAINTS = np.zeros(0)
+def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    # Stacked matmul runs one gemv per row, bitwise equal to the single
+    # ``mat @ vec``; einsum and multiply-then-sum round differently.
+    return (mats @ vecs[..., None])[..., 0]
 
 
 def cscgd_step(
@@ -94,16 +138,17 @@ def cscgd_step(
     beta: float,
     delta: float,
     penalty_params: PenaltyParams,
-    rng,
+    zeta: np.ndarray,
 ) -> np.ndarray:
-    """One sample, one tracking update, one projected quasi-gradient step.
+    """One sample, one tracking update, one projected quasi-gradient step per seed.
 
-    Updates ``state`` in place: the trackers y and z (step ``beta``), the
-    tail sum and count, the iterate x (steps ``alpha`` and ``delta``) and
-    the iteration counter.  Trackers are updated before they feed the
-    gradient assembly.  ``alpha = delta = 0`` gives pure tracking at a
-    frozen x.  Returns the constraint estimates q(z) at the updated
-    tracker (empty for an unconstrained problem).
+    ``zeta`` holds one sample per row of the state, (S, dim_zeta).  Updates
+    ``state`` in place: the trackers y and z (step ``beta``), the tail sum
+    and count, the iterate x (steps ``alpha`` and ``delta``) and the
+    iteration counter.  Trackers are updated before they feed the gradient
+    assembly.  ``alpha = delta = 0`` gives pure tracking at a frozen x.
+    Returns the constraint estimates q(z) at the updated trackers, (S, J)
+    (J = 0 for an unconstrained problem).
     """
     t = state.t
     x = state.x
@@ -111,7 +156,6 @@ def cscgd_step(
         state.tail_sum += x
         state.tail_count += 1
 
-    zeta = problem.sample(rng)
     gval = np.asarray(problem.inner_g(x, zeta), dtype=float)
     state.y *= 1.0 - beta
     state.y += beta * gval
@@ -127,52 +171,64 @@ def cscgd_step(
 
     fgrad = np.asarray(problem.outer_f_gradient(state.y), dtype=float)
     jac_g = np.asarray(problem.inner_g_jacobian(x, zeta), dtype=float)
-    direction = alpha * (jac_g @ fgrad)
+    direction = alpha * _matvec(jac_g, fgrad)
 
-    qval = _NO_CONSTRAINTS
     if constrained:
         qval = np.asarray(problem.outer_q(state.z), dtype=float)
         try:
             lgrad = penalty_gradient(qval, penalty_params)
         except ValueError:  # non-finite q(z); checking here first would cost every step
-            culprit = _locate_nonfinite(problem, state, x, zeta)
-            raise NonFiniteGradientError(culprit, t) from None
-        if delta != 0.0 and np.any(lgrad != 0.0):
-            jac_q = np.asarray(problem.outer_q_jacobian(state.z), dtype=float)
+            raise _non_finite(problem, state, x, zeta, qval) from None
+        if delta != 0.0 and lgrad.any():
+            # Only rows with an active penalty move: adding a zero pull
+            # elsewhere could turn -0.0 into +0.0, or inf * 0 into NaN.
+            active = lgrad.any(axis=-1)
+            rows = slice(None) if active.all() else active
+            jac_q = np.asarray(problem.outer_q_jacobian(state.z[rows]), dtype=float)
             if problem.inner_h_jacobian is problem.inner_g_jacobian:
-                jac_h = jac_g
+                jac_h = jac_g[rows]
             else:
-                jac_h = np.asarray(problem.inner_h_jacobian(x, zeta), dtype=float)
-            direction += delta * (jac_h @ (jac_q @ lgrad))
+                jac_h = np.asarray(problem.inner_h_jacobian(x[rows], zeta[rows]), dtype=float)
+            direction[rows] += delta * _matvec(jac_h, _matvec(jac_q, lgrad[rows]))
+    else:
+        qval = np.zeros((len(x), 0))
 
-    if not np.all(np.isfinite(direction)):
-        raise NonFiniteGradientError(_locate_nonfinite(problem, state, x, zeta), t)
+    if not np.isfinite(direction).all():
+        raise _non_finite(problem, state, x, zeta, direction)
 
     state.x = problem.feasible_set.project(x - direction)
     state.t = t + 1
     return qval
 
 
-def _locate_nonfinite(problem, state, x, zeta) -> str:
+def _non_finite(problem, state, x, zeta, values) -> NonFiniteGradientError:
+    """Name the first seed whose row of ``values`` is non-finite, and its map.
+
+    Only that seed's row is probed, one single-point call per map.
+    """
+    row = int(np.argmin(np.all(np.isfinite(values), axis=-1)))
+    x, zeta, y, z = x[row], zeta[row], state.y[row], state.z[row]
     probes = [
         ("inner_g", lambda: problem.inner_g(x, zeta)),
         ("inner_g_jacobian", lambda: problem.inner_g_jacobian(x, zeta)),
-        ("outer_f_gradient", lambda: problem.outer_f_gradient(state.y)),
+        ("outer_f_gradient", lambda: problem.outer_f_gradient(y)),
     ]
     if problem.constrained:
         probes += [
             ("inner_h", lambda: problem.inner_h(x, zeta)),
             ("inner_h_jacobian", lambda: problem.inner_h_jacobian(x, zeta)),
-            ("outer_q", lambda: problem.outer_q(state.z)),
-            ("outer_q_jacobian", lambda: problem.outer_q_jacobian(state.z)),
+            ("outer_q", lambda: problem.outer_q(z)),
+            ("outer_q_jacobian", lambda: problem.outer_q_jacobian(z)),
         ]
-    for name, fn in probes:
-        try:
-            if not np.all(np.isfinite(np.asarray(fn(), dtype=float))):
-                return name
-        except FloatingPointError:
-            return name
-    return "projection input"
+    source = next((name for name, fn in probes if not _finite(fn)), "projection input")
+    return NonFiniteGradientError(source, state.t, state.seeds[row])
+
+
+def _finite(fn) -> bool:
+    try:
+        return bool(np.all(np.isfinite(np.asarray(fn(), dtype=float))))
+    except FloatingPointError:
+        return False
 
 
 def logged_iterations(horizon: int, log_points: int | None = None) -> np.ndarray:
@@ -191,47 +247,61 @@ def logged_iterations(horizon: int, log_points: int | None = None) -> np.ndarray
     return pts[(pts >= 1) & (pts <= horizon)]
 
 
-def run(problem: CompositionalProblem, config: SolverConfig) -> tuple[np.ndarray, dict]:
-    """Execute the full horizon and return (tail-averaged point, trajectory).
+def run(problem: CompositionalProblem, config: SolverConfig) -> tuple[np.ndarray, list]:
+    """Execute the full horizon for every seed; (tail-averaged points, trajectories).
 
-    Each iteration is one :func:`cscgd_step` driven by stream 0 of
-    ``config.seed``.  The trajectory is a dict of column arrays, one row per
-    logged iteration (see :func:`logged_iterations`): ``t``, ``alpha``,
-    ``beta``, ``delta``, ``obj`` (f at the tracker y), ``viol`` (L x J
-    constraint estimates q(z)), ``step_sq`` (squared step norm) and ``x``
-    (L x n iterates after the step).
+    All seeds of ``config.seeds`` step together through :func:`cscgd_step`,
+    each on its own stream 0, drawn in blocks of ``ZETA_BLOCK_ROWS``.  The
+    points are an (S, n) array, row s for ``config.seeds[s]``.  Trajectory
+    s is a dict of column arrays, one row per logged iteration (see
+    :func:`logged_iterations`): ``t``, ``alpha``, ``beta``, ``delta``,
+    ``obj`` (f at the tracker y), ``viol`` (L x J constraint estimates
+    q(z)), ``step_sq`` (squared step norm) and ``x`` (L x n iterates after
+    the step).  ``obj`` comes from one ``outer_f`` call on the logged
+    trackers after the loop.
     """
     T = int(config.horizon)
     if T < 2:
         raise ValueError("horizon must be at least 2")
-    rng = make_rng(config.seed)
+    seeds = config.seeds
+    n_seeds = len(seeds)
+    rngs = seed_streams(seeds)
     penalty_params = config.penalty_params()
-    state = init_state(problem, config, rng)
+    state = init_state(problem, config, draw_zeta(problem, rngs))
     alphas, betas, deltas = config.schedule().step_arrays()
 
     log_ts = logged_iterations(T, config.log_points)
     rows = log_ts.size
-    obj = np.empty(rows)
-    viol = np.empty((rows, problem.num_constraints))
-    step_sq = np.empty(rows)
-    xs = np.empty((rows, problem.dim_x))
+    ys = np.empty((rows, n_seeds, problem.dim_g))
+    viol = np.empty((rows, n_seeds, problem.num_constraints))
+    step_sq = np.empty((rows, n_seeds))
+    xs = np.empty((rows, n_seeds, problem.dim_x))
     log_list = log_ts.tolist() + [0]  # trailing sentinel matches no t
     i = 0
-    for t, (alpha, beta, delta) in enumerate(zip(alphas, betas, deltas), start=1):
-        x = state.x
-        qval = cscgd_step(problem, state, alpha, beta, delta, penalty_params, rng)
-        if t == log_list[i]:
-            obj[i] = float(problem.outer_f(state.y))
-            viol[i] = qval
-            step_sq[i] = np.sum((state.x - x) ** 2)
-            xs[i] = state.x
-            i += 1
+    steps = zip(alphas, betas, deltas)
+    for start in range(0, T, ZETA_BLOCK_ROWS):
+        block = draw_zeta(problem, rngs, min(ZETA_BLOCK_ROWS, T - start))
+        # block first: zip stops on its end without taking a step size
+        for zeta, (alpha, beta, delta) in zip(block, steps):
+            t = state.t
+            x = state.x
+            qval = cscgd_step(problem, state, alpha, beta, delta, penalty_params, zeta)
+            if t == log_list[i]:
+                ys[i] = state.y
+                viol[i] = qval
+                step_sq[i] = ((state.x - x) ** 2).sum(axis=-1)
+                xs[i] = state.x
+                i += 1
+    obj = np.asarray(problem.outer_f(ys), dtype=float)
 
-    trajectory = {
-        "t": log_ts, "alpha": alphas[log_ts - 1], "beta": betas[log_ts - 1],
-        "delta": deltas[log_ts - 1], "obj": obj, "viol": viol, "step_sq": step_sq, "x": xs,
-    }
-    return state.tail_sum / state.tail_count, trajectory
+    shared = {"t": log_ts, "alpha": alphas[log_ts - 1], "beta": betas[log_ts - 1],
+              "delta": deltas[log_ts - 1]}
+    trajectories = [
+        {**shared, "obj": obj[:, s], "viol": viol[:, s], "step_sq": step_sq[:, s],
+         "x": xs[:, s]}
+        for s in range(n_seeds)
+    ]
+    return state.tail_sum / state.tail_count, trajectories
 
 
 def tracking_weights(schedule: StepSchedule) -> tuple[np.ndarray, float]:

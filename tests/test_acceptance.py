@@ -98,8 +98,8 @@ def test_criterion_2_mm1_closed_form():
         h = rng.uniform(0.5, 2.0)
         problem = mm1_problem(lam, r, h)
         cfg = SolverConfig(a=0.6, b=0.4, c=0.5, regime="diminishing",
-                           horizon=30_000, seed=trial)
-        x_hat, _ = run(problem, cfg)
+                           horizon=30_000, seeds=(trial,))
+        (x_hat,), _ = run(problem, cfg)
         worst = max(worst, abs(x_hat[0] - mm1_optimal_mu(lam, r, h)))
     ok = worst < 1e-3
     verdict(2, ok, f"5 random (lam, r, h) triples: worst |mu_hat - mu*| = {worst:.2e} (< 1e-3)")
@@ -330,8 +330,8 @@ def test_criterion_9_nonconvex_stationarity():
         problem = inst.build()
         report = constant_report(inst)
         cfg = SolverConfig(a=0.9167, b=0.5, c=0.75, regime="constant",
-                           horizon=10_000, seed=0)
-        x_hat, traj = run(problem, cfg)
+                           horizon=10_000, seeds=(0,))
+        (x_hat,), (traj,) = run(problem, cfg)
         x_init = problem.feasible_set.project(problem.feasible_set.midpoint())
         tail = slice(-(traj["t"].size // 10), None)
         movement = float(np.mean(np.sqrt(traj["step_sq"][tail]) / traj["alpha"][tail]))

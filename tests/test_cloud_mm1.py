@@ -126,6 +126,6 @@ class TestMm1:
         for seed, (lam, r, h) in enumerate([(1.0, 1.0, 1.0), (1.7, 0.6, 1.4)]):
             problem = mm1_problem(lam, r, h)
             cfg = SolverConfig(a=0.6, b=0.4, c=0.5, regime="diminishing",
-                               horizon=20_000, seed=seed)
-            x_hat, _ = run(problem, cfg)
+                               horizon=20_000, seeds=(seed,))
+            (x_hat,), _ = run(problem, cfg)
             assert abs(x_hat[0] - mm1_optimal_mu(lam, r, h)) < 1e-3

@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -63,8 +64,8 @@ class TestTrajectoryCsv:
     def test_round_trip_full_precision(self, tmp_path):
         problem = paper_ex1().build()
         cfg = SolverConfig(a=0.9167, b=0.5, c=0.75, regime="constant",
-                           horizon=50, c_ell=1.0, seed=0)
-        _, traj = run(problem, cfg)
+                           horizon=50, c_ell=1.0, seeds=(0,))
+        _, (traj,) = run(problem, cfg)
         path = tmp_path / "traj.csv"
         write_trajectory_csv(path, traj, problem.num_constraints)
         data = read_trajectory_csv(path)
@@ -78,9 +79,9 @@ class TestTrajectoryCsv:
     def test_determinism_byte_identical(self, tmp_path):
         problem = paper_ex1().build()
         cfg = SolverConfig(a=0.9167, b=0.5, c=0.75, regime="constant",
-                           horizon=100, c_ell=1.0, seed=3)
+                           horizon=100, c_ell=1.0, seeds=(3,))
         for name in ("a.csv", "b.csv"):
-            _, traj = run(problem, cfg)
+            _, (traj,) = run(problem, cfg)
             write_trajectory_csv(tmp_path / name, traj, 1)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
@@ -124,6 +125,12 @@ class TestRunExperiment:
             assert (tmp_path / "ser" / f"trajectory-seed{seed}.csv").read_bytes() == \
                 (tmp_path / "par" / f"trajectory-seed{seed}.csv").read_bytes()
 
+    def test_seeds_share_the_batch_solve_time(self, tmp_path):
+        # one solver call steps both seeds; each reports half its time
+        summaries, _ = run_experiment(small_config(tmp_path))
+        assert [s.seed for s in summaries] == [0, 1]
+        assert summaries[0].wall_time == summaries[1].wall_time > 0.0
+
     def test_gap_requires_oracle_cache(self, tmp_path):
         cfg = small_config(tmp_path, oracle_gap=True)
         with pytest.raises(FileNotFoundError, match="run the 'oracle' command"):
@@ -143,6 +150,36 @@ class TestRunExperiment:
         write_oracle_cache(other)
         assert load_oracle_cache(other)["instance_overrides"] == {"threshold": 0.5}
         with pytest.raises(ValueError, match="instance_overrides"):
+            load_oracle_cache(cfg)
+
+    def test_oracle_cache_refuses_other_oracle_params(self, tmp_path, monkeypatch):
+        from cscgd import harness
+
+        calls = []
+
+        def fake_ergodic_fstar(instance, **params):
+            calls.append(params)
+            return SimpleNamespace(best_value=-1.0, best_point=np.zeros(10),
+                                   best_std_err=0.0)
+
+        monkeypatch.setattr(harness, "ergodic_fstar", fake_ergodic_fstar)
+        cfg = ExperimentConfig(preset="paper-ex2-k5", horizon=100, seeds=(0,),
+                               out_dir=str(tmp_path / "ex2"))
+        path = write_oracle_cache(cfg)
+        assert calls == [harness.ERGODIC_ORACLE]
+        assert load_oracle_cache(cfg)["oracle_params"] == harness.ERGODIC_ORACLE
+        monkeypatch.setitem(harness.ERGODIC_ORACLE, "mc_samples", 1_000)
+        with pytest.raises(ValueError, match=r'oracle_params \{.*"mc_samples": 100000.*'
+                                             r'\}, this config has \{.*"mc_samples": 1000,'):
+            load_oracle_cache(cfg)
+        monkeypatch.undo()
+
+        # a cache written before the parameters were recorded is refused too
+        payload = json.loads(open(path, encoding="utf-8").read())
+        del payload["oracle_params"]
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        with pytest.raises(ValueError, match=r"oracle_params nothing, this config has \{"):
             load_oracle_cache(cfg)
 
     def test_toy_target_oracle(self, tmp_path):
@@ -223,8 +260,8 @@ class TestPlotData:
     def test_single_seed_zero_std(self, tmp_path):
         problem = paper_ex1().build()
         cfg = SolverConfig(a=0.9167, b=0.5, c=0.75, regime="constant",
-                           horizon=60, c_ell=1.0, seed=0)
-        _, traj = run(problem, cfg)
+                           horizon=60, c_ell=1.0, seeds=(0,))
+        _, (traj,) = run(problem, cfg)
         curves = emit_plot_data([traj], path=tmp_path / "plot.csv")
         assert np.all(curves["std_gap"] == 0.0)
         assert np.all(curves["std_violation"] == 0.0)
@@ -242,8 +279,8 @@ class TestPlotData:
         trajs = []
         for seed in range(10):
             cfg = SolverConfig(a=0.9167, b=0.5, c=0.75, regime="constant",
-                               horizon=2_000, c_ell=1.0, seed=seed)
-            _, traj = run(problem, cfg)
+                               horizon=2_000, c_ell=1.0, seeds=(seed,))
+            _, (traj,) = run(problem, cfg)
             trajs.append(traj)
         curves = emit_plot_data(trajs, f_star=base.f_star)
         idx = subsample_log(curves["t"], 150)
@@ -254,9 +291,9 @@ class TestPlotData:
 
     def test_mismatched_grids_rejected(self, tmp_path):
         problem = paper_ex1().build()
-        cfg1 = SolverConfig(a=0.9167, b=0.5, c=0.75, horizon=50, c_ell=1.0, seed=0)
-        cfg2 = SolverConfig(a=0.9167, b=0.5, c=0.75, horizon=60, c_ell=1.0, seed=0)
-        _, t1 = run(problem, cfg1)
-        _, t2 = run(problem, cfg2)
+        cfg1 = SolverConfig(a=0.9167, b=0.5, c=0.75, horizon=50, c_ell=1.0, seeds=(0,))
+        cfg2 = SolverConfig(a=0.9167, b=0.5, c=0.75, horizon=60, c_ell=1.0, seeds=(0,))
+        _, (t1,) = run(problem, cfg1)
+        _, (t2,) = run(problem, cfg2)
         with pytest.raises(ValueError, match="grids"):
             emit_plot_data([t1, t2])

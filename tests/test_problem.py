@@ -15,13 +15,21 @@ def inner_linear(x, z):
     )
 
 
+def linear_jacobian(x, z):
+    # [I | z] per row: d(x, x . z)/dx
+    jac = np.zeros(z.shape[:-1] + (2, 3))
+    jac[..., [0, 1], [0, 1]] = 1.0
+    jac[..., :, 2] = z
+    return jac
+
+
 def make_problem(**overrides):
     base = dict(
         dim_x=2, dim_g=3, dim_h=0, num_constraints=0,
         sample=draw_uniform,
         inner_g=inner_linear,
-        inner_g_jacobian=lambda x, z: np.vstack([np.eye(2), z]).T,
-        outer_f=lambda y: float(y @ y),
+        inner_g_jacobian=linear_jacobian,
+        outer_f=lambda y: (y * y).sum(axis=-1),
         outer_f_gradient=lambda y: 2.0 * y,
         feasible_set=Box(lower=[0.0, 0.0], upper=[1.0, 1.0]),
     )
@@ -64,6 +72,37 @@ def test_shape_check_catches_block_rows_out_of_order(rng):
 def test_shape_check_catches_sample_without_size(rng, sample):
     with pytest.raises(ValueError, match="^sample"):
         make_problem(sample=sample).check_shapes(rng)
+
+
+def constrained(**overrides):
+    # one constraint on h = x . z
+    maps = dict(
+        dim_h=1, num_constraints=1,
+        inner_h=lambda x, z: (x * z).sum(axis=-1, keepdims=True),
+        inner_h_jacobian=lambda x, z: z[..., None],
+        outer_q=lambda z: z - 1.0,
+        outer_q_jacobian=lambda z: np.ones(z.shape + (1,)),
+    )
+    maps.update(overrides)
+    return maps
+
+
+def test_shape_check_passes_for_consistent_constrained_maps(rng):
+    make_problem(**constrained()).check_shapes(rng)
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("inner_g", {"inner_g": lambda x, z: inner_linear(np.atleast_2d(x)[0], z)}),
+    ("inner_g_jacobian", {"inner_g_jacobian": lambda x, z: np.vstack([np.eye(2), z]).T}),
+    ("outer_f", {"outer_f": lambda y: float(y @ y)}),
+    ("outer_f_gradient", {"outer_f_gradient": lambda y: 2.0 * np.atleast_2d(y)[0]}),
+    ("outer_q", constrained(outer_q=lambda z: np.array([z[0] - 1.0]))),
+    ("outer_q_jacobian", constrained(outer_q_jacobian=lambda z: np.ones((1, 1)))),
+])
+def test_shape_check_catches_maps_written_for_one_point(rng, name, overrides):
+    # each map passes on single points and fails on three stacked ones
+    with pytest.raises(ValueError, match=f"^{name} "):
+        make_problem(**overrides).check_shapes(rng)
 
 
 def test_constrained_requires_all_constraint_maps():

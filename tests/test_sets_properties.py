@@ -1,16 +1,18 @@
-"""Hypothesis property tests for the budgeted-box projection.
+"""Hypothesis property tests for the box, budgeted-box and product projections.
 
 On generated boxes, caps and points, ``BoxWithSumCap.project`` must return a
 feasible point, be idempotent, and satisfy the KKT conditions of the
 projection: p == clip(v - nu, lower, upper) for one multiplier nu >= 0, with
-the cap met with equality whenever nu > 0.
+the cap met with equality whenever nu > 0.  ``Box`` and ``ProductSet`` must
+return feasible points and be idempotent.  For every set, each row of a
+stacked (S, n) projection must equal projecting that row alone, bit for bit.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cscgd import BoxWithSumCap
+from cscgd import Box, BoxWithSumCap, ProductSet
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -74,3 +76,50 @@ def test_sumcap_projection_satisfies_kkt(instance):
     assert np.allclose(p, np.clip(v - nu, s.lower, s.upper), rtol=0.0, atol=1e-9 * scale)
     if nu > 0.0:
         assert abs(p.sum() - s.cap) <= 1e-9 * max(1.0, abs(s.cap))
+
+
+@st.composite
+def boxes(draw):
+    n = draw(st.integers(1, 6))
+    lower = np.array(draw(st.lists(coords, min_size=n, max_size=n)))
+    widths = st.lists(st.floats(0.0, 1e3), min_size=n, max_size=n)
+    upper = lower + np.array(draw(widths))
+    return Box(lower=lower, upper=upper)
+
+
+@st.composite
+def products(draw):
+    """A box and a budgeted box side by side (the wireless designs' layout)."""
+    box = draw(boxes())
+    sumcap, _ = draw(sumcap_instances())
+    return ProductSet(blocks=(box, sumcap))
+
+
+def points(draw, s, rows=None):
+    shape = s.dim if rows is None else (rows, s.dim)
+    size = int(np.prod(shape))
+    values = draw(st.lists(st.floats(-3e3, 3e3), min_size=size, max_size=size))
+    return np.array(values).reshape(shape)
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), st.one_of(boxes(), products()))
+def test_box_and_product_projection_is_feasible_and_idempotent(data, s):
+    v = points(data.draw, s)
+    p = s.project(v)
+    assert s.contains(p)
+    scale = max(1.0, float(np.max(np.abs(v))))
+    assert np.allclose(s.project(p), p, rtol=0.0, atol=1e-9 * scale)
+    if isinstance(s, Box):
+        assert np.array_equal(s.project(p), p)
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), st.one_of(boxes(), sumcap_instances().map(lambda i: i[0]), products()),
+       st.integers(1, 5))
+def test_stacked_projection_rows_equal_single_projections(data, s, rows):
+    v = points(data.draw, s, rows)
+    stacked = s.project(v)
+    assert stacked.shape == v.shape
+    for i in range(rows):
+        assert stacked[i].tobytes() == s.project(v[i]).tobytes(), f"row {i}"

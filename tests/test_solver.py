@@ -10,9 +10,11 @@ from cscgd import (
     SolverConfig,
     StepSchedule,
     cscgd_step,
+    draw_zeta,
     init_state,
     make_rng,
     run,
+    seed_streams,
     step_bound_diagnostic,
     zero_violation_gamma,
 )
@@ -46,8 +48,8 @@ def test_toy_run_matches_scalar_reference():
     problem = quadratic_problem()
     for regime in ("diminishing", "constant"):
         cfg = SolverConfig(a=0.75, b=0.5, c=0.75, regime=regime, horizon=400,
-                           seed=0, x0=np.array([1.0]))
-        x_hat, traj = run(problem, cfg)
+                           seeds=(0,), x0=np.array([1.0]))
+        (x_hat,), (traj,) = run(problem, cfg)
         xs_ref, x_hat_ref = scalar_reference(400, 0.75, 0.5, 0.75, regime)
         xs = traj["x"][:, 0]
         assert np.allclose(xs, xs_ref, atol=1e-14)
@@ -57,8 +59,8 @@ def test_toy_run_matches_scalar_reference():
 def test_toy_constant_regime_monotone_to_zero():
     problem = quadratic_problem()
     cfg = SolverConfig(a=0.75, b=0.5, c=0.75, regime="constant", horizon=10_000,
-                       seed=0, x0=np.array([1.0]))
-    x_hat, traj = run(problem, cfg)
+                       seeds=(0,), x0=np.array([1.0]))
+    (x_hat,), (traj,) = run(problem, cfg)
     xs = traj["x"][:, 0]
     assert np.all(np.diff(xs) <= 1e-15)
     assert np.all(xs >= -1e-15)
@@ -68,54 +70,56 @@ def test_toy_constant_regime_monotone_to_zero():
 def test_run_equals_repeated_steps_bitwise():
     problem = constrained_quadratic_problem()
     cfg = SolverConfig(a=0.8, b=0.4, c=0.6, regime="diminishing", horizon=250,
-                       gamma=0.05, c_ell=1.0, seed=11)
-    x_hat, traj = run(problem, cfg)
+                       gamma=0.05, c_ell=1.0, seeds=(11,))
+    (x_hat,), (traj,) = run(problem, cfg)
 
-    # solver stream 0, scalar step sizes: must agree with run's array path
-    rng = make_rng(cfg.seed, 0)
-    state = init_state(problem, cfg, rng)
+    # solver stream 0 drawn one zeta at a time, scalar step sizes: must
+    # agree with run's block draws and array path
+    rngs = seed_streams(cfg.seeds)
+    state = init_state(problem, cfg, draw_zeta(problem, rngs))
     schedule = cfg.schedule()
     assert traj["t"].size == cfg.horizon
     for i, t in enumerate(range(1, cfg.horizon + 1)):
         x_prev = state.x
         qval = cscgd_step(problem, state, *schedule.step_sizes(t),
-                          cfg.penalty_params(), rng)
+                          cfg.penalty_params(), draw_zeta(problem, rngs))
         assert traj["t"][i] == t
-        assert traj["x"][i, 0] == state.x[0]
-        assert traj["obj"][i] == problem.outer_f(state.y)
-        assert traj["step_sq"][i] == np.sum((state.x - x_prev) ** 2)
-        assert np.array_equal(traj["viol"][i], qval)
-    assert x_hat[0] == pytest.approx(state.tail_sum[0] / state.tail_count, abs=0.0)
+        assert traj["x"][i, 0] == state.x[0, 0]
+        assert traj["obj"][i] == problem.outer_f(state.y[0])
+        assert traj["step_sq"][i] == np.sum((state.x[0] - x_prev[0]) ** 2)
+        assert np.array_equal(traj["viol"][i], qval[0])
+    assert x_hat[0] == pytest.approx(state.tail_sum[0, 0] / state.tail_count, abs=0.0)
 
 
 def test_unconstrained_step_is_plain_tracked_gradient():
     problem = quadratic_problem()
-    cfg = SolverConfig(a=0.75, b=0.5, c=0.75, horizon=10, seed=0, x0=np.array([0.7]))
-    rng = make_rng(0, 0)
-    state = init_state(problem, cfg, rng)
+    cfg = SolverConfig(a=0.75, b=0.5, c=0.75, horizon=10, seeds=(0,), x0=np.array([0.7]))
+    rngs = seed_streams(cfg.seeds)
+    state = init_state(problem, cfg, draw_zeta(problem, rngs))
     sched = cfg.schedule()
-    y0 = state.y[0]
+    y0 = state.y[0, 0]
     alpha, beta, delta = sched.step_sizes(1)
-    cscgd_step(problem, state, alpha, beta, delta, cfg.penalty_params(), rng)
+    cscgd_step(problem, state, alpha, beta, delta, cfg.penalty_params(),
+               draw_zeta(problem, rngs))
     y1 = (1 - beta) * y0 + beta * 0.7
-    assert state.y[0] == pytest.approx(y1, abs=1e-15)
-    assert state.x[0] == pytest.approx(0.7 - alpha * y1, abs=1e-15)
+    assert state.y[0, 0] == pytest.approx(y1, abs=1e-15)
+    assert state.x[0, 0] == pytest.approx(0.7 - alpha * y1, abs=1e-15)
 
 
 def test_zero_steps_keep_x_but_update_trackers():
     problem = constrained_quadratic_problem()
-    cfg = SolverConfig(a=0.75, b=0.5, c=0.75, horizon=50, seed=3,
+    cfg = SolverConfig(a=0.75, b=0.5, c=0.75, horizon=50, seeds=(3,),
                        x0=np.array([0.9]), c_ell=1.0)
-    rng = make_rng(3, 0)
-    state = init_state(problem, cfg, rng)
+    rngs = seed_streams(cfg.seeds)
+    state = init_state(problem, cfg, draw_zeta(problem, rngs))
     y_before = state.y.copy()
     _, beta, _ = cfg.schedule().step_sizes(1)
-    cscgd_step(problem, state, 0.0, beta, 0.0, cfg.penalty_params(), rng)
-    assert state.x[0] == 0.9
+    cscgd_step(problem, state, 0.0, beta, 0.0, cfg.penalty_params(), draw_zeta(problem, rngs))
+    assert state.x[0, 0] == 0.9
     # beta_1 = 1 for the diminishing regime: tracker now equals g(x, zeta)
-    assert state.y[0] == 0.9
+    assert state.y[0, 0] == 0.9
     assert state.t == 2
-    assert y_before[0] == 0.9  # init used one extra sample at x1
+    assert y_before[0, 0] == 0.9  # init used one extra sample at x1
 
 
 def test_pure_tracking_matches_monte_carlo():
@@ -128,32 +132,32 @@ def test_pure_tracking_matches_monte_carlo():
         dim_x=1, dim_g=1, dim_h=0, num_constraints=0,
         sample=dist.draw,
         inner_g=lambda x, z: x * z,
-        inner_g_jacobian=lambda x, z: z.reshape(1, 1),
-        outer_f=lambda y: 0.5 * float(y @ y),
+        inner_g_jacobian=lambda x, z: z[..., None],
+        outer_f=lambda y: 0.5 * (y * y).sum(axis=-1),
         outer_f_gradient=lambda y: y,
         feasible_set=Box(lower=[0.5], upper=[0.5]),
         name="tracking-toy",
     )
     T = 4000
-    cfg = SolverConfig(a=0.75, b=0.5, c=0.75, horizon=T, seed=21)
-    rng = make_rng(21, 0)
-    state = init_state(problem, cfg, rng)
+    cfg = SolverConfig(a=0.75, b=0.5, c=0.75, horizon=T, seeds=(21,))
+    rngs = seed_streams(cfg.seeds)
+    state = init_state(problem, cfg, draw_zeta(problem, rngs))
     sched = cfg.schedule()
     for beta in sched.step_arrays()[1]:
-        cscgd_step(problem, state, 0.0, beta, 0.0, cfg.penalty_params(), rng)
+        cscgd_step(problem, state, 0.0, beta, 0.0, cfg.penalty_params(), draw_zeta(problem, rngs))
     weights, w0 = tracking_weights(sched)
     assert w0 == 0.0  # beta_1 = 1 wipes the initialization
     # Var(y_T) = sum w_t^2 Var(0.5 zeta); 10^6-sample independent estimate
     mc = dist.draw(make_rng(99, 0), 1_000_000)[:, 0] * 0.5
     band = 3.0 * math.sqrt(np.sum(weights**2) * mc.var(ddof=1)
                            + mc.var(ddof=1) / mc.size)
-    assert abs(state.y[0] - mc.mean()) <= band
+    assert abs(state.y[0, 0] - mc.mean()) <= band
 
 
 def test_horizon_two_tail_average():
     problem = quadratic_problem()
-    cfg = SolverConfig(a=0.75, b=0.5, c=0.75, horizon=2, seed=0, x0=np.array([1.0]))
-    x_hat, traj = run(problem, cfg)
+    cfg = SolverConfig(a=0.75, b=0.5, c=0.75, horizon=2, seeds=(0,), x0=np.array([1.0]))
+    (x_hat,), _ = run(problem, cfg)
     # tail covers t in {1, 2}: x1 = 1 and x2 = x1 - alpha_1 * y_2 = 0
     assert x_hat[0] == pytest.approx(0.5, abs=1e-15)
 
@@ -161,8 +165,8 @@ def test_horizon_two_tail_average():
 def test_every_iterate_stays_feasible():
     problem = constrained_quadratic_problem()
     cfg = SolverConfig(a=0.9167, b=0.5, c=0.75, regime="constant", horizon=500,
-                       gamma=0.2, c_ell=1.0, seed=5)
-    _, traj = run(problem, cfg)
+                       gamma=0.2, c_ell=1.0, seeds=(5,))
+    _, (traj,) = run(problem, cfg)
     for x in traj["x"]:
         assert problem.feasible_set.contains(x, slack=1e-12)
 
@@ -170,13 +174,40 @@ def test_every_iterate_stays_feasible():
     inst = get_preset("paper-ex2-k5")
     problem = inst.build()
     cfg = SolverConfig(a=0.9167, b=0.5, c=0.75, regime="constant", horizon=300,
-                       c_ell=inst.default_c_ell(), seed=0)
-    _, traj = run(problem, cfg)
+                       c_ell=inst.default_c_ell(), seeds=(0,))
+    _, (traj,) = run(problem, cfg)
     for x in traj["x"]:
         assert problem.feasible_set.contains(x, slack=1e-12)
     blocks = problem.feasible_set.blocks
     parts = np.split(traj["x"], np.cumsum([b.dim for b in blocks])[:-1], axis=1)
     assert any(np.any(part.sum(axis=1) >= b.cap - 1e-9) for b, part in zip(blocks, parts))
+
+
+def zeros_sample(rng, size=None):
+    return np.zeros(1 if size is None else (size, 1))
+
+
+def ones_jacobian(x, z):
+    return np.ones(x.shape + (1,))
+
+
+def identity_problem(**maps):
+    """x in [-1, 1] with g = h = x; ``maps`` replaces the outer maps."""
+    fields = dict(
+        dim_x=1, dim_g=1, dim_h=1, num_constraints=1,
+        sample=zeros_sample,
+        inner_g=lambda x, z: x,
+        inner_g_jacobian=ones_jacobian,
+        outer_f=lambda y: 0.5 * (y * y).sum(axis=-1),
+        outer_f_gradient=lambda y: y,
+        inner_h=lambda x, z: x,
+        inner_h_jacobian=ones_jacobian,
+        outer_q=lambda z: z - 1.0,
+        outer_q_jacobian=lambda z: np.ones(z.shape + (1,)),
+        feasible_set=Box(lower=[-1.0], upper=[1.0]),
+    )
+    fields.update(maps)
+    return CompositionalProblem(**fields)
 
 
 def test_non_finite_gradient_names_culprit():
@@ -187,19 +218,13 @@ def test_non_finite_gradient_names_culprit():
     def bad_grad(y):
         calls["n"] += 1
         if calls["n"] > bad_after:
-            return np.array([np.nan])
+            return np.full_like(y, np.nan)
         return y
 
-    problem = CompositionalProblem(
-        dim_x=1, dim_g=1, dim_h=0, num_constraints=0,
-        sample=lambda rng: np.zeros(1),
-        inner_g=lambda x, z: x,
-        inner_g_jacobian=lambda x, z: np.ones((1, 1)),
-        outer_f=lambda y: 0.5 * float(y @ y),
-        outer_f_gradient=bad_grad,
-        feasible_set=Box(lower=[-1.0], upper=[1.0]),
-    )
-    cfg = SolverConfig(a=0.75, b=0.5, c=0.75, horizon=100, seed=0)
+    problem = identity_problem(dim_h=0, num_constraints=0, inner_h=None,
+                               inner_h_jacobian=None, outer_q=None,
+                               outer_q_jacobian=None, outer_f_gradient=bad_grad)
+    cfg = SolverConfig(a=0.75, b=0.5, c=0.75, horizon=100, seeds=(0,))
     with pytest.raises(NonFiniteGradientError) as exc:
         run(problem, cfg)
     assert exc.value.source == "outer_f_gradient"
@@ -211,26 +236,39 @@ def test_non_finite_outer_q_is_named():
 
     def bad_q(z):
         calls["n"] += 1
-        return np.array([np.nan]) if calls["n"] > 20 else z - 1.0
+        return np.full_like(z, np.nan) if calls["n"] > 20 else z - 1.0
 
-    problem = CompositionalProblem(
-        dim_x=1, dim_g=1, dim_h=1, num_constraints=1,
-        sample=lambda rng: np.zeros(1),
-        inner_g=lambda x, z: x,
-        inner_g_jacobian=lambda x, z: np.ones((1, 1)),
-        outer_f=lambda y: 0.5 * float(y @ y),
-        outer_f_gradient=lambda y: y,
-        inner_h=lambda x, z: x,
-        inner_h_jacobian=lambda x, z: np.ones((1, 1)),
-        outer_q=bad_q,
-        outer_q_jacobian=lambda z: np.ones((1, 1)),
-        feasible_set=Box(lower=[-1.0], upper=[1.0]),
-    )
-    cfg = SolverConfig(a=0.75, b=0.5, c=0.75, horizon=100, seed=0)
+    problem = identity_problem(outer_q=bad_q)
+    cfg = SolverConfig(a=0.75, b=0.5, c=0.75, horizon=100, seeds=(0,))
     with pytest.raises(NonFiniteGradientError) as exc:
         run(problem, cfg)
     assert exc.value.source == "outer_q"
     assert exc.value.t == 21
+    assert exc.value.seed == 0
+
+
+def test_non_finite_outer_q_names_the_seed_in_a_batch():
+    calls = {"n": 0}
+
+    def bad_q(z):
+        # From the 21st stacked call on, the middle seed's row is NaN; the
+        # single-row probe of that seed sees NaN as well.
+        out = z - 1.0
+        if z.ndim == 2:
+            calls["n"] += 1
+            if calls["n"] > 20:
+                out[1] = np.nan
+        elif calls["n"] > 20:
+            out[:] = np.nan
+        return out
+
+    problem = identity_problem(outer_q=bad_q)
+    cfg = SolverConfig(a=0.75, b=0.5, c=0.75, horizon=100, seeds=(4, 7, 9))
+    with pytest.raises(NonFiniteGradientError, match="outer_q at iteration 21 of seed 7") as exc:
+        run(problem, cfg)
+    assert exc.value.source == "outer_q"
+    assert exc.value.t == 21
+    assert exc.value.seed == 7
 
 
 def test_logged_iterations_policy():
@@ -253,8 +291,8 @@ def test_step_bound_holds_with_exact_constants():
     trajectories = []
     for seed in range(20):
         cfg = SolverConfig(a=0.75, b=0.5, c=0.75, regime="constant",
-                           horizon=300, seed=seed, x0=np.array([1.0]))
-        _, traj = run(problem, cfg)
+                           horizon=300, seeds=(seed,), x0=np.array([1.0]))
+        _, (traj,) = run(problem, cfg)
         trajectories.append(traj)
     report = step_bound_diagnostic(trajectories, constants)
     assert report.violation_count == 0
@@ -262,15 +300,15 @@ def test_step_bound_holds_with_exact_constants():
 
 def test_step_bound_zero_steps_trivially_hold():
     problem = quadratic_problem()
-    cfg = SolverConfig(a=0.75, b=0.5, c=0.75, horizon=100, seed=0)
+    cfg = SolverConfig(a=0.75, b=0.5, c=0.75, horizon=100, seeds=(0,))
     # pure tracking (alpha = delta = 0): every step is exactly zero
-    rng = make_rng(cfg.seed, 0)
-    state = init_state(problem, cfg, rng)
+    rngs = seed_streams(cfg.seeds)
+    state = init_state(problem, cfg, draw_zeta(problem, rngs))
     _, betas, _ = cfg.schedule().step_arrays()
     steps = []
     for beta in betas:
         x_prev = state.x
-        cscgd_step(problem, state, 0.0, beta, 0.0, cfg.penalty_params(), rng)
+        cscgd_step(problem, state, 0.0, beta, 0.0, cfg.penalty_params(), draw_zeta(problem, rngs))
         steps.append(np.sum((state.x - x_prev) ** 2))
     traj = {"t": np.arange(1, cfg.horizon + 1), "alpha": np.zeros(cfg.horizon),
             "delta": np.zeros(cfg.horizon), "step_sq": np.array(steps)}
@@ -289,8 +327,8 @@ def test_step_bound_flags_when_constants_shrunk():
     trajectories = []
     for seed in range(10):
         cfg = SolverConfig(a=0.75, b=0.5, c=0.75, regime="constant",
-                           horizon=200, seed=seed, x0=np.array([1.0]))
-        _, traj = run(problem, cfg)
+                           horizon=200, seeds=(seed,), x0=np.array([1.0]))
+        _, (traj,) = run(problem, cfg)
         trajectories.append(traj)
     report = step_bound_diagnostic(trajectories, shrunk)
     assert report.violation_count > 0
@@ -309,8 +347,8 @@ def test_zero_violation_margin_positive_for_constrained_problem():
 def test_records_carry_exact_schedule_values():
     problem = constrained_quadratic_problem()
     cfg = SolverConfig(a=0.8, b=0.45, c=0.6, regime="diminishing", horizon=64,
-                       c_ell=1.0, seed=2)
-    _, traj = run(problem, cfg)
+                       c_ell=1.0, seeds=(2,))
+    _, (traj,) = run(problem, cfg)
     sched = cfg.schedule()
     for i, t in enumerate(traj["t"]):
         row = (traj["alpha"][i], traj["beta"][i], traj["delta"][i])
@@ -321,8 +359,8 @@ def test_records_carry_exact_schedule_values():
 def test_full_logging_flag_for_long_horizons():
     problem = quadratic_problem()
     cfg = SolverConfig(a=0.75, b=0.5, c=0.75, regime="constant", horizon=20_000,
-                       seed=0, log_points=20_000)
-    _, traj = run(problem, cfg)
+                       seeds=(0,), log_points=20_000)
+    _, (traj,) = run(problem, cfg)
     assert traj["t"].size == 20_000
     assert traj["x"].shape == (20_000, 1)
 
@@ -330,7 +368,7 @@ def test_full_logging_flag_for_long_horizons():
 def test_init_state_projects_configured_point():
     problem = quadratic_problem()
     cfg = SolverConfig(a=0.75, b=0.5, c=0.75, horizon=10, x0=np.array([7.0]))
-    state = init_state(problem, cfg, make_rng(0, 0))
-    assert state.x[0] == 1.0  # clamped to the box
-    assert state.y[0] == 1.0  # one extra sample at x1: g = x1
+    state = init_state(problem, cfg, draw_zeta(problem, seed_streams(cfg.seeds)))
+    assert state.x[0, 0] == 1.0  # clamped to the box
+    assert state.y[0, 0] == 1.0  # one extra sample at x1: g = x1
     assert state.tail_start == 5

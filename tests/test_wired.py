@@ -117,8 +117,8 @@ def test_every_iterate_feasible_on_preset():
     inst = paper_ex1()
     problem = inst.build()
     cfg = SolverConfig(a=0.9167, b=0.5, c=0.75, regime="constant",
-                       horizon=400, c_ell=inst.default_c_ell(), seed=9)
-    _, traj = run(problem, cfg)
+                       horizon=400, c_ell=inst.default_c_ell(), seeds=(9,))
+    _, (traj,) = run(problem, cfg)
     for x in traj["x"]:
         assert problem.feasible_set.contains(x, slack=1e-12)
 
