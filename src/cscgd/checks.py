@@ -220,9 +220,7 @@ def tracking_consistency(
     var_scale = float(np.sum(weights**2))
 
     def band_and_err(tracked, factory):
-        mc_mean, mc_se = monte_carlo_mean(
-            factory(x_frozen), dist, n_mc, make_rng(seed, 17), vectorized=True
-        )
+        mc_mean, mc_se = monte_carlo_mean(factory(x_frozen), dist, n_mc, make_rng(seed, 17))
         sample_var = (mc_se * math.sqrt(n_mc)) ** 2
         band = 3.0 * np.sqrt(var_scale * sample_var + mc_se**2) \
             + w0 * (np.abs(mc_mean) + 1.0) \

@@ -159,19 +159,15 @@ class TruncatedChiSquared:
         return float(self.lower[i]), np.inf
 
 
-def monte_carlo_mean(fn, dist, n_samples: int, rng, vectorized: bool = False):
+def monte_carlo_mean(fn, dist, n_samples: int, rng):
     """Sample mean and standard error of fn over i.i.d. draws.
 
-    With ``vectorized=True`` fn receives the full (n, dim) batch and must
-    return an (n, k) array; otherwise it is applied row by row.
+    fn receives the full (n, dim) batch and returns an (n,) or (n, k) array.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     batch = dist.draw(rng, n_samples)
-    if vectorized:
-        vals = np.asarray(fn(batch), dtype=float)
-    else:
-        vals = np.asarray([np.atleast_1d(fn(row)) for row in batch], dtype=float)
+    vals = np.asarray(fn(batch), dtype=float)
     if vals.ndim == 1:
         vals = vals[:, None]
     if not np.all(np.isfinite(vals)):

@@ -4,7 +4,8 @@ Everything here deliberately avoids the solver's code paths: moments come
 from adaptive quadrature, optima from deterministic reformulations solved
 by line-searched projected gradient descent or brute-force grids, and the
 budgeted-box projection has two references of its own, a sorted-breakpoint
-scan and a bisection on the budget multiplier, neither of which calls
+scan and a bisection on the budget multiplier, and the box with linear
+inequalities has Dykstra's alternating projections; none of them calls
 ``sets``.  Gradient claims are checked by centered differences.
 """
 
@@ -121,7 +122,8 @@ def finite_difference_check(
 
 
 # ---------------------------------------------------------------------------
-# Independent projection (sorted breakpoints) and projected descent
+# Independent projections (sorted breakpoints, bisection, Dykstra) and
+# projected descent
 # ---------------------------------------------------------------------------
 
 def project_box_sumcap_sorted(v, lower, upper, cap) -> np.ndarray:
@@ -189,6 +191,48 @@ def project_box_sumcap_bisect(v, lower, upper, cap, tol=1e-12, max_iter=200) -> 
             f"iterations; final bracket width {hi - lo:.3e}"
         )
     return np.clip(v - hi, lower, upper)
+
+
+def project_linear_dykstra(v, lower, upper, a_mat, b_vec, tol=1e-12,
+                           max_sweeps=2000) -> np.ndarray:
+    """Projection onto {lower <= x <= upper, a_mat x <= b_vec} by Dykstra's
+    alternating projections over the box and each halfspace.
+
+    Converges to the exact projection; stops once the squared drift of the
+    increments over one sweep is within ``(tol * max(1, |v|))**2``.  Raises
+    :class:`FeasibleSetError` after ``max_sweeps`` sweeps without convergence.
+    """
+    v = np.asarray(v, dtype=float)
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    a_mat = np.atleast_2d(np.asarray(a_mat, dtype=float))
+    b_vec = np.atleast_1d(np.asarray(b_vec, dtype=float))
+    n_sets = 1 + b_vec.size
+    x = v.copy()
+    increments = [np.zeros(v.size) for _ in range(n_sets)]
+    scale = max(1.0, float(np.linalg.norm(v)))
+    for _ in range(max_sweeps):
+        # Convergence is judged on the increment drift, not on x itself:
+        # iterates can repeat for a few sweeps while the increments are
+        # still being redistributed between the sets.
+        drift = 0.0
+        for i in range(n_sets):
+            y = x + increments[i]
+            if i == 0:
+                x = np.clip(y, lower, upper)
+            else:
+                a = a_mat[i - 1]
+                resid = a @ y - b_vec[i - 1]
+                x = y if resid <= 0.0 else y - (resid / (a @ a)) * a
+            new_inc = y - x
+            drift += float(np.sum((new_inc - increments[i]) ** 2))
+            increments[i] = new_inc
+        if drift <= (tol * scale) ** 2:
+            return x
+    raise FeasibleSetError(
+        f"Dykstra projection did not converge in {max_sweeps} sweeps "
+        f"(final squared drift {drift:.3e}, tolerance {(tol * scale) ** 2:.3e})"
+    )
 
 
 @dataclass

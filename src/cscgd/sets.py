@@ -5,7 +5,7 @@ boxes intersected with a total-budget halfspace (arrival-rate and power
 budgets), and products of such sets over disjoint coordinate blocks.  The
 budgeted box is projected exactly by a vectorised breakpoint search on the
 budget multiplier.  A fourth variant adds general linear inequalities
-(service-tier ladders) via Dykstra's alternating projections.
+(service-tier ladders), projected by one finite NNLS active-set solve.
 
 ``project`` takes one point (n,) or a stack of points (S, n), one per row;
 each row of a stacked projection is bitwise equal to projecting it alone.
@@ -17,12 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import optimize
 
 MEMBERSHIP_SLACK = 1e-12
 
 
 class FeasibleSetError(ValueError):
-    """Raised when a feasible set is mis-configured or its projection fails to converge."""
+    """Raised when a feasible set is mis-configured or empty, or its projection fails."""
 
 
 def _as_vector(x, name: str) -> np.ndarray:
@@ -158,20 +159,20 @@ class BoxWithSumCap:
 
 @dataclass(frozen=True)
 class BoxWithLinearInequalities:
-    """Box intersected with halfspaces {x : A x <= b}.
+    """Box intersected with halfspaces {x : A x <= b}, stacked as G x <= h
+    with G = [A; I; -I] and h = [b; upper; -lower].
 
-    Projection uses Dykstra's alternating projections over the box and each
-    halfspace, which converges to the exact Euclidean projection for
-    intersections of convex sets.  Used by the tiered-provisioning design
-    whose price-ladder constraints are pairwise differences.
+    Projection is exact and finite (Lawson & Hanson 1974, ch. 23): one NNLS
+    solve of the least-distance program for x - v marks the active rows G_A
+    by their positive weights, then x = v - G_A^T mu with G_A G_A^T mu =
+    G_A v - h_A, solved by least squares as repeated or opposite rows make it
+    singular.  Used by the tiered-provisioning design (price ladders).
     """
 
     lower: np.ndarray
     upper: np.ndarray
     a_mat: np.ndarray
     b_vec: np.ndarray
-    tol: float = 1e-12
-    max_sweeps: int = 2000
 
     def __post_init__(self):
         object.__setattr__(self, "lower", _as_vector(self.lower, "lower"))
@@ -182,57 +183,55 @@ class BoxWithLinearInequalities:
             raise FeasibleSetError("empty box: lower > upper")
         if self.a_mat.shape != (self.b_vec.size, self.lower.size):
             raise FeasibleSetError("constraint matrix shape mismatch")
+        eye = np.eye(self.dim)
+        object.__setattr__(self, "_g", np.vstack((self.a_mat, eye, -eye)))
+        object.__setattr__(self, "_h", np.concatenate((self.b_vec, self.upper, -self.lower)))
+        try:
+            self._project_one(0.5 * (self.lower + self.upper))
+        except FeasibleSetError as err:
+            raise FeasibleSetError(f"empty set: box midpoint has no projection ({err})") from None
 
     @property
     def dim(self) -> int:
         return self.lower.size
 
-    def _halfspace_project(self, v: np.ndarray, i: int) -> np.ndarray:
-        a = self.a_mat[i]
-        resid = a @ v - self.b_vec[i]
-        if resid <= 0.0:
-            return v
-        return v - (resid / (a @ a)) * a
-
     def project(self, v: np.ndarray) -> np.ndarray:
         v = _as_points(v, self.dim)
         if v.ndim == 2:
-            return np.stack([self._dykstra(row) for row in v])
-        return self._dykstra(v)
+            return np.stack([self._project_one(row) for row in v])
+        return self._project_one(v)
 
-    def _dykstra(self, v: np.ndarray) -> np.ndarray:
-        n_sets = 1 + self.b_vec.size
-        x = v.copy()
-        increments = [np.zeros(self.dim) for _ in range(n_sets)]
-        scale = max(1.0, float(np.linalg.norm(v)))
-        for _ in range(self.max_sweeps):
-            # Convergence is judged on the increment drift, not on x itself:
-            # iterates can repeat for a few sweeps while the increments are
-            # still being redistributed between the sets.
-            drift = 0.0
-            for i in range(n_sets):
-                y = x + increments[i]
-                if i == 0:
-                    x = np.clip(y, self.lower, self.upper)
-                else:
-                    x = self._halfspace_project(y, i - 1)
-                new_inc = y - x
-                drift += float(np.sum((new_inc - increments[i]) ** 2))
-                increments[i] = new_inc
-            if drift <= (self.tol * scale) ** 2:
-                return x
-        raise FeasibleSetError(
-            f"Dykstra projection did not converge in {self.max_sweeps} sweeps "
-            f"(final squared drift {drift:.3e}, tolerance {(self.tol * scale) ** 2:.3e})"
-        )
+    def _project_one(self, v: np.ndarray) -> np.ndarray:
+        g, h, free = self._g, self._h, self.lower < self.upper
+        # A coordinate with lower == upper has one feasible value; fixing it
+        # keeps its opposite box rows, which degenerate the NNLS, out of it.
+        x = np.where(free, v, self.lower)
+        slack = h - g @ x
+        scale = np.max(np.abs(slack))
+        # NNLS cannot resolve violations within rounding of the largest slack:
+        # such rows count as met, and a point meeting every row is returned.
+        slack[(slack < 0.0) & (slack >= -MEMBERSHIP_SLACK * scale)] = 0.0
+        if np.all(slack >= 0.0):
+            return x
+        # LDP min ||u|| s.t. G u <= slack as NNLS, E = [-G^T; -slack^T] and f = e_{k+1};
+        # slack scaled to unit size keeps NNLS's internal tolerance relative.
+        g_free = g[:, free]
+        e_mat = np.vstack((-g_free.T, -slack / scale))
+        try:
+            weights, _ = optimize.nnls(e_mat, np.eye(e_mat.shape[0])[-1])
+        except RuntimeError:
+            raise FeasibleSetError(f"NNLS hit its {3 * g.shape[0]}-iteration limit") from None
+        g_act = g_free[weights > 0.0]
+        mu = np.linalg.lstsq(g_act @ g_act.T, -slack[weights > 0.0], rcond=None)[0]
+        x[free] -= g_act.T @ mu
+        if not self.contains(x):
+            viol = g @ x - h
+            raise FeasibleSetError(f"projected point violates row {np.argmax(viol)} of "
+                                   f"[A; I; -I] x <= [b; upper; -lower] by {viol.max():.3e}")
+        return x
 
     def contains(self, v: np.ndarray, slack: float = 1e-9) -> bool:
-        v = np.asarray(v, dtype=float)
-        return bool(
-            np.all(v >= self.lower - slack)
-            and np.all(v <= self.upper + slack)
-            and np.all(self.a_mat @ v <= self.b_vec + slack)
-        )
+        return bool(np.all(self._g @ np.asarray(v, dtype=float) - self._h <= slack))
 
     def midpoint(self) -> np.ndarray:
         return self.project(0.5 * (self.lower + self.upper))

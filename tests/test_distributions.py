@@ -62,7 +62,7 @@ def test_truncated_chi_squared_mean_vs_quadrature(rng):
 
 def test_exponential_second_moment(rng):
     d = ExponentialMean(1.0)
-    mean, se = monte_carlo_mean(lambda x: x**2, d, 1_000_000, rng, vectorized=True)
+    mean, se = monte_carlo_mean(lambda x: x**2, d, 1_000_000, rng)
     assert abs(mean[0] - 2.0) <= 3.0 * se[0]
 
 
@@ -76,9 +76,7 @@ def test_monte_carlo_wired_inner_map_matches_moment_formula(rng):
     # throughput coordinates of the wired design: E[lam * L] = lam * E[L]
     lam = np.array([2.0, 3.0, 4.0])
     d = TruncatedExponential(mean=[15.0, 20.0, 35.0], upper=[20.0, 30.0, 60.0])
-    mean, se = monte_carlo_mean(
-        lambda L: lam * L, d, 1_000_000, rng, vectorized=True
-    )
+    mean, se = monte_carlo_mean(lambda L: lam * L, d, 1_000_000, rng)
     for i in range(3):
         m1 = quadrature_moments(d, (1,), i)[1]
         assert abs(mean[i] - lam[i] * m1) <= 3.0 * se[i]
@@ -88,7 +86,7 @@ def test_monte_carlo_non_finite_reports_sample(rng):
     d = ConstantVec([0.0])
     with np.errstate(divide="ignore"):
         with pytest.raises(ValueError, match="non-finite"):
-            monte_carlo_mean(lambda x: 1.0 / x, d, 10, rng, vectorized=True)
+            monte_carlo_mean(lambda x: 1.0 / x, d, 10, rng)
 
 
 def test_reproducibility_and_stream_independence():

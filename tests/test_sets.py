@@ -3,7 +3,12 @@ import pytest
 
 from cscgd import Box, BoxWithLinearInequalities, BoxWithSumCap, FeasibleSetError, ProductSet
 from cscgd.checks import projection_suite
-from cscgd.oracles import project_box_sumcap_bisect, project_box_sumcap_sorted
+from cscgd.oracles import (
+    project_box_sumcap_bisect,
+    project_box_sumcap_sorted,
+    project_linear_dykstra,
+)
+from cscgd.problems import paper_ex5
 
 
 def test_box_clamp():
@@ -123,10 +128,72 @@ def test_product_blockwise():
 
 def test_linear_inequalities_non_convergence_raises():
     kw = dict(lower=[0.0, 0.0], upper=[2.0, 2.0], a_mat=[[1.0, -1.0]], b_vec=[0.0])
-    v = np.array([2.0, 0.0])  # needs many sweeps to settle at (1, 1)
+    v = np.array([2.0, 0.0])  # Dykstra needs many sweeps to settle at (1, 1)
     assert np.allclose(BoxWithLinearInequalities(**kw).project(v), [1.0, 1.0])
     with pytest.raises(FeasibleSetError, match="did not converge in 1 sweeps"):
-        BoxWithLinearInequalities(**kw, max_sweeps=1).project(v)
+        project_linear_dykstra(v, **kw, max_sweeps=1)
+
+
+def _random_ladder(rng, n):
+    """A price ladder around a drawn feasible point p: the gaps
+    x_{i+1} - x_i lie in a band around p's own gaps, and sum(x) is capped."""
+    lower = rng.normal(size=n)
+    upper = lower + rng.uniform(0.5, 5.0, size=n)
+    p = rng.uniform(lower, upper)
+    rows, rhs = [], []
+    for i in range(n - 1):
+        row = np.zeros(n)
+        row[i], row[i + 1] = 1.0, -1.0
+        gap = p[i + 1] - p[i]
+        rows += [row, -row]
+        rhs += [-gap + rng.uniform(0.0, 1.0), gap + rng.uniform(0.0, 2.0)]
+    rows.append(np.ones(n))
+    rhs.append(p.sum() + rng.uniform(0.0, 2.0))
+    kw = dict(lower=lower, upper=upper, a_mat=np.array(rows), b_vec=np.array(rhs))
+    return kw, p
+
+
+def _assert_agrees_with_dykstra(kw, v):
+    got = BoxWithLinearInequalities(**kw).project(v)
+    # Dykstra's sweep count has a heavy tail on these ladders (up to ~1.2e3
+    # here, over 1e5 on narrower bands); the budget only keeps the oracle
+    # from giving up.
+    ref = project_linear_dykstra(v, **kw, max_sweeps=20_000)
+    assert np.allclose(got, ref, rtol=0.0, atol=1e-9)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_linear_inequalities_agree_with_dykstra_oracle(rng, n):
+    for _ in range(40):
+        kw, inside = _random_ladder(rng, n)
+        assert np.array_equal(BoxWithLinearInequalities(**kw).project(inside), inside)
+        for v in (inside, kw["lower"] + rng.normal(scale=4.0, size=n)):
+            _assert_agrees_with_dykstra(kw, v)
+
+
+def test_linear_inequalities_criterion_7_set_agrees_with_dykstra_oracle(rng):
+    s = paper_ex5().feasible_set()
+    kw = dict(lower=s.lower, upper=s.upper, a_mat=s.a_mat, b_vec=s.b_vec)
+    mid = s.midpoint()
+    span = 3.0 * (np.abs(mid) + 1.0)  # the spread projection_suite draws with
+    for _ in range(150):
+        _assert_agrees_with_dykstra(kw, mid + span * rng.standard_normal(s.dim))
+    _assert_agrees_with_dykstra(kw, mid)  # on the boundary
+    inside = np.array([2.0, 3.0, 5.0, 20.0])
+    assert np.array_equal(s.project(inside), inside)
+    _assert_agrees_with_dykstra(kw, inside)
+
+
+def test_linear_inequalities_nnls_iteration_limit_raises(monkeypatch):
+    s = BoxWithLinearInequalities(lower=[0.0, 0.0], upper=[2.0, 2.0], a_mat=[[1.0, -1.0]],
+                                  b_vec=[0.0])
+
+    def stalled(*args, **kwargs):
+        raise RuntimeError("Maximum number of iterations reached.")
+
+    monkeypatch.setattr("scipy.optimize.nnls", stalled)
+    with pytest.raises(FeasibleSetError, match="NNLS hit its 15-iteration limit"):
+        s.project(np.array([2.0, 0.0]))
 
 
 def test_sumcap_bisection_non_convergence_raises():
@@ -158,6 +225,18 @@ def test_linear_inequalities_projection_small_qp(rng):
                 assert np.sum((p - v) ** 2) <= np.sum((q - v) ** 2) + 1e-9
 
 
+def test_linear_inequalities_row_violated_by_rounding_counts_as_met():
+    # The row touches only fixed coordinates, and b is A x at a point of the
+    # box, but the stacked G x rounds the row's slack to about -1e-13.  Passed
+    # to NNLS as is, that reads as an infeasible set: the polish lands outside.
+    lower = [889.5129571313623, -940.3568716118904, 290.94407269182966, 112.995976950662]
+    upper = [1410.4177179174658, *lower[1:]]
+    s = BoxWithLinearInequalities(lower=lower, upper=upper, a_mat=[[0.0, -1.0, -1.0, 1.0]],
+                                  b_vec=[762.4087758707227])
+    v = np.array([-1607.484770071206, -2332.345651180767, 335.65181567054333, 2569.9526642921983])
+    assert np.allclose(s.project(v), lower, rtol=0.0, atol=1e-9)
+
+
 @pytest.mark.parametrize("variant", ["box", "sumcap", "product", "linear"])
 def test_projection_property_suite(variant):
     sets = {
@@ -172,8 +251,7 @@ def test_projection_property_suite(variant):
             a_mat=[[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]], b_vec=[0.5, 0.5],
         ),
     }
-    n_trials = 2000 if variant == "linear" else 10_000
-    result = projection_suite(sets[variant], n_trials=n_trials)
+    result = projection_suite(sets[variant], n_trials=10_000)
     assert result.passed, result.detail
 
 
@@ -182,6 +260,9 @@ def test_empty_sets_rejected():
         Box(lower=[1.0], upper=[0.0])
     with pytest.raises(FeasibleSetError):
         BoxWithSumCap(lower=[1.0, 1.0], upper=[2.0, 2.0], cap=1.0)
+    with pytest.raises(FeasibleSetError, match="empty set"):
+        BoxWithLinearInequalities(lower=[0.0, 0.0], upper=[1.0, 1.0], a_mat=[[1.0, 1.0]],
+                                  b_vec=[-1.0])
     with pytest.raises(FeasibleSetError):
         ProductSet(blocks=())
 
