@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from scipy import stats
+from scipy import special
 
 from .distributions import make_rng
 from .oracles import ergodic_fstar, sample_average_baseline, wired_fstar
@@ -560,7 +560,7 @@ def rate_fit(ladder: dict, min_horizons: int = 4, min_seeds: int = 10) -> RateFi
     resid = ly - (intercept + slope * lx)
     dof = max(n - 2, 1)
     se = float(math.sqrt((resid @ resid) / dof / (vx @ vx)))
-    tq = stats.t.ppf(0.975, dof)
+    tq = special.stdtrit(dof, 0.975)  # = stats.t.ppf(0.975, dof), without importing scipy.stats
     return RateFit(
         slope=slope, intercept=intercept, std_err=se,
         ci_low=slope - tq * se, ci_high=slope + tq * se,

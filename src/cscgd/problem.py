@@ -18,19 +18,24 @@ equal to the single call on row i:
   ``outer_f_gradient`` returns (..., dim_g), ``outer_q`` on z (..., dim_h)
   returns (..., J) and ``outer_q_jacobian`` (..., dim_h, J).
 
+Every map returns a float ndarray (``outer_f`` on a single point may return
+a float), and the solver uses the outputs as they come.
+
 The solver steps one row per seed through these maps; ``evaluate_point``
 maps sample blocks at one point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 # Offsets of the three stacked points on which check_shapes tries the maps.
 _CHECK_OFFSETS = 1e-3 * np.arange(1.0, 4.0)[:, None]
+_MAPS = ("inner_g", "inner_g_jacobian", "outer_f", "outer_f_gradient",
+         "inner_h", "inner_h_jacobian", "outer_q", "outer_q_jacobian")
 
 
 @dataclass
@@ -80,12 +85,13 @@ class CompositionalProblem:
     def check_shapes(self, rng, n_draws: int = 10, x: np.ndarray | None = None):
         """Draw a few samples and verify every map's shapes and batch contract.
 
-        Single calls must return the declared shapes.  On a block of three
-        draws, the inner maps at one point must return one row per sample,
-        and every map on three stacked points (x rows with one zeta each,
-        then the resulting y and z rows) one row per point; each row must
-        be bitwise equal to the single call.  Raises ValueError naming the
-        first map that fails; cheap sanity net for hand-written maps.
+        Single calls must return float ndarrays of the declared shapes.  On
+        a block of three draws, the inner maps at one point must return one
+        row per sample, and every map on three stacked points (x rows with
+        one zeta each, then the resulting y and z rows) one row per point;
+        each row must be bitwise equal to the single call.  Raises
+        ValueError naming the first map that fails; cheap sanity net for
+        hand-written maps.
         """
         if x is None:
             x = self.feasible_set.midpoint()
@@ -135,6 +141,29 @@ class CompositionalProblem:
             stacked("outer_q_jacobian", self.outer_q_jacobian, (zs,),
                     [(row,) for row in zs], (3, d, J))
 
+    def with_output_checks(self) -> "CompositionalProblem":
+        """A copy whose maps check that their first output is a float ndarray.
+
+        On its first call each check puts the bare map back in its place, so
+        every later call costs nothing extra.  Aliased maps (``inner_h is
+        inner_g``) share one check and stay aliased.
+        """
+        checked = replace(self)
+        groups = {}
+        for name in _MAPS:
+            fn = getattr(self, name)
+            if fn is not None:
+                groups.setdefault(id(fn), (fn, []))[1].append(name)
+        for fn, names in groups.values():
+            def first_call(*args, fn=fn, names=names):
+                for name in names:
+                    setattr(checked, name, fn)
+                return _expect_floats(names[0], fn(*args))
+
+            for name in names:
+                setattr(checked, name, first_call)
+        return checked
+
 
 def _on_block(name: str, fn, *args):
     # A map written for one point or sample typically fails on stacked
@@ -148,7 +177,7 @@ def _on_block(name: str, fn, *args):
 
 def _rows_match(name: str, fn, args, singles, shape: tuple, where: str) -> np.ndarray:
     """``fn(*args)`` has ``shape`` and row i is bitwise ``fn(*singles[i])``."""
-    rows = _expect(name, _on_block(name, fn, *args), shape).astype(float)
+    rows = _expect(name, _on_block(name, fn, *args), shape)
     for i, single in enumerate(singles):
         if rows[i].tobytes() != np.asarray(fn(*single), dtype=float).tobytes():
             raise ValueError(
@@ -157,8 +186,17 @@ def _rows_match(name: str, fn, args, singles, shape: tuple, where: str) -> np.nd
     return rows
 
 
+def _expect_floats(name: str, value):
+    if not isinstance(value, np.ndarray):
+        got = f"type {type(value).__name__}"
+    elif value.dtype != float:
+        got = f"dtype {value.dtype}"
+    else:
+        return value
+    raise ValueError(f"{name} returned {got}, expected a float ndarray")
+
+
 def _expect(name: str, value, shape: tuple):
-    arr = np.asarray(value)
-    if arr.shape != shape:
-        raise ValueError(f"{name} returned shape {arr.shape}, expected {shape}")
-    return arr
+    if _expect_floats(name, value).shape != shape:
+        raise ValueError(f"{name} returned shape {value.shape}, expected {shape}")
+    return value

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..problem import CompositionalProblem
 from ..sets import BoxWithLinearInequalities
-from .safeguards import EPS_DEN, safe_inv, safe_inv_deriv, sigmoid, sigmoid_deriv
+from .safeguards import EPS_DEN, safe_inv, safe_inv_and_deriv, sigmoid, sigmoid_deriv
 
 
 @dataclass(frozen=True)
@@ -131,8 +131,7 @@ class CloudProvisioningInstance:
             return np.sum(pn * (blocked - 1.0), axis=-1) + chi * y[..., 2 * n]
 
         def outer_f_gradient(y):
-            inv = safe_inv(y[..., n:2 * n], knee)
-            dinv = safe_inv_deriv(y[..., n:2 * n], knee)
+            inv, dinv = safe_inv_and_deriv(y[..., n:2 * n], knee)
             grad = np.empty(y.shape)
             grad[..., :n] = pn * inv
             grad[..., n:2 * n] = pn * y[..., :n] * dinv

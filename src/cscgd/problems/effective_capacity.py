@@ -17,7 +17,7 @@ import numpy as np
 from ..distributions import ExponentialMean
 from ..problem import CompositionalProblem
 from ..sets import BoxWithSumCap
-from .safeguards import EPS_DEN, safe_inv, safe_inv_deriv
+from .safeguards import EPS_DEN, safe_inv, safe_inv_and_deriv
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,7 @@ class EffectiveCapacityInstance:
         def outer_f_gradient(y):
             u, v = y[..., :n], y[..., n:]
             den = var_a + v - u**2
-            inv, dinv = safe_inv(den, knee), safe_inv_deriv(den, knee)
+            inv, dinv = safe_inv_and_deriv(den, knee)
             diff = u - m_a
             theta = diff * inv
             alpha = m_a + 0.5 * theta * var_a

@@ -18,7 +18,7 @@ import numpy as np
 from ..distributions import TruncatedChiSquared
 from ..problem import CompositionalProblem
 from ..sets import BoxWithSumCap, ProductSet
-from .safeguards import first_argmax_mask, safe_inv, safe_inv_deriv
+from .safeguards import first_argmax_mask, safe_inv, safe_inv_and_deriv
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,7 @@ class Mg1ErgodicInstance:
         psi, phi = self.psi_weights, self.phi_weights
         eps = self.varsigma_eps
         r_min = self.r_min
+        neg_bw, neg_psi, neg_phi = -bw, -psi, -phi
         dist = self.channel_distribution()
         idx = np.arange(n)
 
@@ -118,21 +119,21 @@ class Mg1ErgodicInstance:
             b = bw * np.log1p(zeta * p)
             worst = first_argmax_mask(-b)  # first minimizer breaks ties
             jac = np.zeros(b.shape[:-1] + (2 * n, 1))
-            jac[..., n:, 0] = np.where(worst, -bw * zeta / (1.0 + zeta * p), 0.0)
+            jac[..., n:, 0] = np.where(worst, neg_bw * zeta / (1.0 + zeta * p), 0.0)
             return jac
 
         def outer_f(y):
             lam_t, rho, m2 = y[..., :n], y[..., n:2 * n], y[..., 2 * n:]
             delay = (m2 / 2.0) * safe_inv(1.0 - rho, eps)
-            return np.sum(phi * delay - psi * np.log(lam_t), axis=-1)
+            return (phi * delay - psi * np.log(lam_t)).sum(axis=-1)
 
         def outer_f_gradient(y):
             lam_t, rho, m2 = y[..., :n], y[..., n:2 * n], y[..., 2 * n:]
-            d = 1.0 - rho
+            inv, dinv = safe_inv_and_deriv(1.0 - rho, eps)
             grad = np.empty(y.shape)
-            grad[..., :n] = -psi / lam_t
-            grad[..., n:2 * n] = -phi * (m2 / 2.0) * safe_inv_deriv(d, eps)
-            grad[..., 2 * n:] = phi * safe_inv(d, eps) / 2.0
+            grad[..., :n] = neg_psi / lam_t
+            grad[..., n:2 * n] = neg_phi * (m2 / 2.0) * dinv
+            grad[..., 2 * n:] = phi * inv / 2.0
             return grad
 
         def outer_q(z):

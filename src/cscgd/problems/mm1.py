@@ -23,17 +23,28 @@ def _check_stable(mu, lam: float):
         raise ValueError("unstable queue: need mu > lam > 0")
 
 
+def _utility(mu, lam: float, r: float, h: float):
+    return r * lam / mu - h * (lam / mu) / (mu - lam)
+
+
+def _utility_derivative(mu, lam: float, r: float, h: float):
+    # Squares as products: on floats, ** 2 calls pow(), which need not round
+    # as mu * mu does; on arrays both are one multiply.
+    w = mu * (mu - lam)
+    return -r * lam / (mu * mu) + h * lam * (2.0 * mu - lam) / (w * w)
+
+
 def mm1_utility(mu, lam: float, r: float, h: float):
     """U(mu) for one service rate, or elementwise for an array of them."""
     _check_stable(mu, lam)
     if r <= 0.0 or h <= 0.0:
         raise ValueError("r and h must be positive")
-    return r * lam / mu - h * (lam / mu) / (mu - lam)
+    return _utility(mu, lam, r, h)
 
 
 def mm1_utility_derivative(mu, lam: float, r: float, h: float):
     _check_stable(mu, lam)
-    return -r * lam / mu**2 + h * lam * (2.0 * mu - lam) / (mu * (mu - lam)) ** 2
+    return _utility_derivative(mu, lam, r, h)
 
 
 def mm1_optimal_mu(lam: float, r: float, h: float) -> float:
@@ -51,7 +62,11 @@ def mm1_problem(
     The utility is flat for large mu, so without rescaling the unit-free
     step sizes crawl; ``gain`` conditions the objective without moving its
     maximizer.  The default normalizes the slope near the upper box edge.
+    The box excludes the unstable region mu <= lam, so the maps skip the
+    stability check of :func:`mm1_utility`.
     """
+    if lam <= 0.0 or r <= 0.0 or h <= 0.0:
+        raise ValueError("lam, r, h must be positive")
     if box is None:
         width = mm1_optimal_mu(lam, r, h) - lam
         box = (lam + 0.4 * width, lam + 2.5 * width)
@@ -63,10 +78,13 @@ def mm1_problem(
     dist = ConstantVec([0.0])
 
     def outer_f(y):
-        return -gain * mm1_utility(y[..., 0], lam, r, h)
+        return -gain * _utility(y[..., 0], lam, r, h)
 
     def outer_f_gradient(y):
-        return -gain * mm1_utility_derivative(y[..., :1], lam, r, h)
+        # One rate per row, in floats: ten float operations cost less than
+        # ten ufunc calls on a (1, 1) array, and round the same.
+        grad = [-gain * _utility_derivative(mu, lam, r, h) for mu in y.ravel().tolist()]
+        return np.array(grad).reshape(y.shape)
 
     return CompositionalProblem(
         dim_x=1,

@@ -17,7 +17,7 @@ import numpy as np
 from ..distributions import TruncatedExponential
 from ..problem import CompositionalProblem
 from ..sets import BoxWithSumCap, ProductSet
-from .safeguards import EPS_DEN, safe_inv, safe_inv_deriv, sigmoid, sigmoid_deriv
+from .safeguards import EPS_DEN, safe_inv, safe_inv_and_deriv, sigmoid, sigmoid_deriv
 
 
 @dataclass(frozen=True)
@@ -129,8 +129,8 @@ class OutageInstance:
         def outer_f_gradient(y):
             u, v = y[..., :n], y[..., n:]
             a = r * (1.0 - u)
-            inv1, dinv1 = safe_inv(a, knee), safe_inv_deriv(a, knee)
-            inv2, dinv2 = safe_inv(a - v, knee), safe_inv_deriv(a - v, knee)
+            inv1, dinv1 = safe_inv_and_deriv(a, knee)
+            inv2, dinv2 = safe_inv_and_deriv(a - v, knee)
             base = v * (1.0 + u) / 2.0
             dw_du = (v / 2.0) * inv1 * inv2 \
                 - r * base * (dinv1 * inv2 + inv1 * dinv2)

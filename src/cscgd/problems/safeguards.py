@@ -21,26 +21,24 @@ def safe_inv(d, knee):
     safe = d >= knee
     if safe.all():
         return 1.0 / d
-    knee = np.broadcast_to(np.asarray(knee, dtype=float), d.shape)
     guarded = np.where(safe, d, knee)  # avoid spurious division warnings
-    return np.where(safe, 1.0 / guarded, (2.0 * knee - d) / knee**2)
+    return np.where(safe, 1.0 / guarded, (2.0 * knee - d) / (knee * knee))
 
 
-def safe_inv_deriv(d, knee):
-    """Derivative of :func:`safe_inv` with respect to d."""
-    d = np.asarray(d, dtype=float)
+def safe_inv_and_deriv(d, knee):
+    """:func:`safe_inv` and its derivative with respect to d, from one knee test."""
     safe = d >= knee
     if safe.all():
-        return -1.0 / d**2
-    knee = np.broadcast_to(np.asarray(knee, dtype=float), d.shape)
+        return 1.0 / d, -1.0 / d**2
     guarded = np.where(safe, d, knee)
-    return np.where(safe, -1.0 / guarded**2, -1.0 / knee**2)
+    return (np.where(safe, 1.0 / guarded, (2.0 * knee - d) / (knee * knee)),
+            np.where(safe, -1.0 / guarded**2, -1.0 / (knee * knee)))
 
 
 def first_argmax_mask(values):
     """One-hot mask of each row's first maximizer (ties go to the lowest index)."""
-    i = np.argmax(values, axis=-1)
-    return np.arange(values.shape[-1]) == np.expand_dims(i, -1)
+    i = values.argmax(axis=-1)
+    return np.arange(values.shape[-1]) == i[..., None]
 
 
 def sigmoid(s):

@@ -17,7 +17,7 @@ import numpy as np
 from ..distributions import TruncatedExponential
 from ..problem import CompositionalProblem
 from ..sets import BoxWithSumCap
-from .safeguards import EPS_DEN, first_argmax_mask, safe_inv, safe_inv_deriv
+from .safeguards import EPS_DEN, first_argmax_mask, safe_inv, safe_inv_and_deriv
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,7 @@ class Mg1WiredInstance:
         c = self.capacities
         psi, phi = self.psi_weights, self.phi_weights
         knee = self.eps_den * c
+        two_c, neg_phi, d_max = 2.0 * c, -phi, self.d_max
         dist = self.length_distribution()
         idx = np.arange(n)
 
@@ -103,29 +104,29 @@ class Mg1WiredInstance:
 
         def outer_f(y):
             u, v = y[..., :n], y[..., n:]
-            delay = (v / (2.0 * c)) * safe_inv(c - u, knee)
-            return np.sum(phi * delay - psi * np.log(u), axis=-1)
+            delay = (v / two_c) * safe_inv(c - u, knee)
+            return (phi * delay - psi * np.log(u)).sum(axis=-1)
 
         def outer_f_gradient(y):
             u, v = y[..., :n], y[..., n:]
-            d = c - u
-            inv = safe_inv(d, knee)
-            dinv = safe_inv_deriv(d, knee)
+            inv, dinv = safe_inv_and_deriv(c - u, knee)
             grad = np.empty(y.shape)
-            grad[..., :n] = -phi * (v / (2.0 * c)) * dinv - psi / u
-            grad[..., n:] = phi * inv / (2.0 * c)
+            grad[..., :n] = neg_phi * (v / two_c) * dinv - psi / u
+            grad[..., n:] = phi * inv / two_c
             return grad
 
         def outer_q(z):
-            return np.max(self.delays(z), axis=-1, keepdims=True) - self.d_max
+            u, v = z[..., :n], z[..., n:]
+            delays = (v / two_c) * safe_inv(c - u, knee)
+            return delays.max(axis=-1, keepdims=True) - d_max
 
         def outer_q_jacobian(z):
             u, v = z[..., :n], z[..., n:]
-            worst = first_argmax_mask(self.delays(z))
-            d = c - u
+            inv, dinv = safe_inv_and_deriv(c - u, knee)
+            worst = first_argmax_mask((v / two_c) * inv)
             jac = np.zeros(z.shape[:-1] + (2 * n, 1))
-            jac[..., :n, 0] = np.where(worst, -(v / (2.0 * c)) * safe_inv_deriv(d, knee), 0.0)
-            jac[..., n:, 0] = np.where(worst, safe_inv(d, knee) / (2.0 * c), 0.0)
+            jac[..., :n, 0] = np.where(worst, -(v / two_c) * dinv, 0.0)
+            jac[..., n:, 0] = np.where(worst, inv / two_c, 0.0)
             return jac
 
         return CompositionalProblem(

@@ -9,7 +9,9 @@ budget multiplier.  A fourth variant adds general linear inequalities
 
 ``project`` takes one point (n,) or a stack of points (S, n), one per row;
 each row of a stacked projection is bitwise equal to projecting it alone.
-``contains`` and ``midpoint`` work on single points.
+It raises ``FeasibleSetError`` on non-finite input, which is the solver
+step's only finiteness check.  ``contains`` and ``midpoint`` work on
+single points.
 """
 
 from __future__ import annotations
@@ -116,14 +118,16 @@ class BoxWithSumCap:
         u = v.clip(self.lower, self.upper)
         if v.ndim == 1:
             return self._onto_cap(v) if u.sum() > self.cap else u
-        for i in np.flatnonzero(u.sum(axis=-1) > self.cap):
-            u[i] = self._onto_cap(v[i])
+        over = u.sum(axis=-1) > self.cap
+        if over.any():
+            for i in np.flatnonzero(over):
+                u[i] = self._onto_cap(v[i])
         return u
 
     def _onto_cap(self, v: np.ndarray) -> np.ndarray:
         """Project one point v whose box clip exceeds the cap."""
         bps = np.sort(np.concatenate((v - self.upper, v - self.lower)))
-        s = np.clip(v - bps[:, None], self.lower, self.upper).sum(axis=1)
+        s = (v - bps[:, None]).clip(self.lower, self.upper).sum(axis=1)
         # argmax, not searchsorted: the first index with s <= cap gives
         # s[k-1] > cap >= s[k] even where rounding breaks monotonicity by an ulp.
         below = s <= self.cap
@@ -138,7 +142,7 @@ class BoxWithSumCap:
         else:
             frac = (s[k - 1] - self.cap) / (s[k - 1] - s[k])
             nu = bps[k - 1] + frac * (bps[k] - bps[k - 1])
-        return np.clip(v - nu, self.lower, self.upper)
+        return (v - nu).clip(self.lower, self.upper)
 
     def contains(self, v: np.ndarray, slack: float = MEMBERSHIP_SLACK) -> bool:
         v = np.asarray(v, dtype=float)
@@ -270,10 +274,12 @@ class ProductSet:
             [b.project(part) for b, part in zip(self.blocks, self._split(v))], axis=-1
         )
 
-    def contains(self, v: np.ndarray, slack: float = MEMBERSHIP_SLACK) -> bool:
+    def contains(self, v: np.ndarray, slack: float | None = None) -> bool:
+        """Every block contains its part; with no ``slack``, each block's own default."""
         v = np.asarray(v, dtype=float)
         return all(
-            b.contains(part, slack) for b, part in zip(self.blocks, self._split(v))
+            b.contains(part) if slack is None else b.contains(part, slack)
+            for b, part in zip(self.blocks, self._split(v))
         )
 
     def midpoint(self) -> np.ndarray:

@@ -149,6 +149,11 @@ def cscgd_step(
     assembly.  ``alpha = delta = 0`` gives pure tracking at a frozen x.
     Returns the constraint estimates q(z) at the updated trackers, (S, J)
     (J = 0 for an unconstrained problem).
+
+    The map outputs are used as they come, so they must be float ndarrays
+    (:func:`run` checks each map's first output once per run).  A
+    non-finite step is caught by the projection, which rejects non-finite
+    input, and raised as :class:`NonFiniteGradientError`.
     """
     t = state.t
     x = state.x
@@ -156,25 +161,22 @@ def cscgd_step(
         state.tail_sum += x
         state.tail_count += 1
 
-    gval = np.asarray(problem.inner_g(x, zeta), dtype=float)
+    gval = problem.inner_g(x, zeta)
     state.y *= 1.0 - beta
     state.y += beta * gval
 
     constrained = problem.constrained
     if constrained:
-        if problem.inner_h is problem.inner_g:
-            hval = gval
-        else:
-            hval = np.asarray(problem.inner_h(x, zeta), dtype=float)
+        hval = gval if problem.inner_h is problem.inner_g else problem.inner_h(x, zeta)
         state.z *= 1.0 - beta
         state.z += beta * hval
 
-    fgrad = np.asarray(problem.outer_f_gradient(state.y), dtype=float)
-    jac_g = np.asarray(problem.inner_g_jacobian(x, zeta), dtype=float)
+    fgrad = problem.outer_f_gradient(state.y)
+    jac_g = problem.inner_g_jacobian(x, zeta)
     direction = alpha * _matvec(jac_g, fgrad)
 
     if constrained:
-        qval = np.asarray(problem.outer_q(state.z), dtype=float)
+        qval = problem.outer_q(state.z)
         try:
             lgrad = penalty_gradient(qval, penalty_params)
         except ValueError:  # non-finite q(z); checking here first would cost every step
@@ -184,19 +186,22 @@ def cscgd_step(
             # elsewhere could turn -0.0 into +0.0, or inf * 0 into NaN.
             active = lgrad.any(axis=-1)
             rows = slice(None) if active.all() else active
-            jac_q = np.asarray(problem.outer_q_jacobian(state.z[rows]), dtype=float)
+            jac_q = problem.outer_q_jacobian(state.z[rows])
             if problem.inner_h_jacobian is problem.inner_g_jacobian:
                 jac_h = jac_g[rows]
             else:
-                jac_h = np.asarray(problem.inner_h_jacobian(x[rows], zeta[rows]), dtype=float)
+                jac_h = problem.inner_h_jacobian(x[rows], zeta[rows])
             direction[rows] += delta * _matvec(jac_h, _matvec(jac_q, lgrad[rows]))
     else:
-        qval = np.zeros((len(x), 0))
+        qval = state.z  # (S, 0): no constraints
 
-    if not np.isfinite(direction).all():
-        raise _non_finite(problem, state, x, zeta, direction)
-
-    state.x = problem.feasible_set.project(x - direction)
+    v = x - direction
+    try:
+        state.x = problem.feasible_set.project(v)
+    except ValueError:  # the projection's own scan is the step's finiteness check
+        if not np.isfinite(v).all():
+            raise _non_finite(problem, state, x, zeta, v) from None
+        raise
     state.t = t + 1
     return qval
 
@@ -258,11 +263,15 @@ def run(problem: CompositionalProblem, config: SolverConfig) -> tuple[np.ndarray
     ``obj`` (f at the tracker y), ``viol`` (L x J constraint estimates
     q(z)), ``step_sq`` (squared step norm) and ``x`` (L x n iterates after
     the step).  ``obj`` comes from one ``outer_f`` call on the logged
-    trackers after the loop.
+    trackers after the loop, and ``step_sq`` from the logged iterates and
+    the ones before them.  The first output of every map is checked to be
+    a float ndarray, once per run; a map that returns anything else raises
+    ValueError naming it.
     """
     T = int(config.horizon)
     if T < 2:
         raise ValueError("horizon must be at least 2")
+    problem = problem.with_output_checks()
     seeds = config.seeds
     n_seeds = len(seeds)
     rngs = seed_streams(seeds)
@@ -274,11 +283,12 @@ def run(problem: CompositionalProblem, config: SolverConfig) -> tuple[np.ndarray
     rows = log_ts.size
     ys = np.empty((rows, n_seeds, problem.dim_g))
     viol = np.empty((rows, n_seeds, problem.num_constraints))
-    step_sq = np.empty((rows, n_seeds))
     xs = np.empty((rows, n_seeds, problem.dim_x))
+    xs_before = np.empty_like(xs)  # iterates before each logged step
     log_list = log_ts.tolist() + [0]  # trailing sentinel matches no t
     i = 0
-    steps = zip(alphas, betas, deltas)
+    # Python floats: scalar step-size arithmetic costs less than on numpy scalars.
+    steps = zip(alphas.tolist(), betas.tolist(), deltas.tolist())
     for start in range(0, T, ZETA_BLOCK_ROWS):
         block = draw_zeta(problem, rngs, min(ZETA_BLOCK_ROWS, T - start))
         # block first: zip stops on its end without taking a step size
@@ -289,10 +299,11 @@ def run(problem: CompositionalProblem, config: SolverConfig) -> tuple[np.ndarray
             if t == log_list[i]:
                 ys[i] = state.y
                 viol[i] = qval
-                step_sq[i] = ((state.x - x) ** 2).sum(axis=-1)
+                xs_before[i] = x
                 xs[i] = state.x
                 i += 1
-    obj = np.asarray(problem.outer_f(ys), dtype=float)
+    obj = problem.outer_f(ys)
+    step_sq = ((xs - xs_before) ** 2).sum(axis=-1)
 
     shared = {"t": log_ts, "alpha": alphas[log_ts - 1], "beta": betas[log_ts - 1],
               "delta": deltas[log_ts - 1]}

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import cscgd
 from cscgd.harness import (
     ExperimentConfig,
     compute_oracle,
@@ -240,6 +244,29 @@ class TestStatistics:
             rate_fit({10: [1.0] * 10, 100: [1.0] * 10})
         with pytest.raises(ValueError, match="seeds"):
             rate_fit({T: [1.0] * 3 for T in (10, 100, 1000, 10_000)})
+
+    def test_rate_fit_matches_linregress_and_its_t_band(self, rng):
+        from scipy import stats
+
+        horizons = (10, 30, 100, 300, 1000, 3000)
+        ladder = {T: list(T**-0.4 * np.exp(rng.normal(scale=0.3, size=10)))
+                  for T in horizons}
+        fit = rate_fit(ladder)
+        ref = stats.linregress(np.log(horizons), np.log([np.mean(ladder[T]) for T in horizons]))
+        assert fit.slope == pytest.approx(ref.slope, rel=1e-12, abs=1e-15)
+        assert fit.intercept == pytest.approx(ref.intercept, rel=1e-12, abs=1e-15)
+        assert fit.std_err == pytest.approx(ref.stderr, rel=1e-10)
+        # the two-sided 95% band: t quantile 0.975 at n - 2 degrees of freedom
+        tq = stats.t.ppf(0.975, len(horizons) - 2)
+        assert fit.ci_low == pytest.approx(ref.slope - tq * ref.stderr, rel=1e-10)
+        assert fit.ci_high == pytest.approx(ref.slope + tq * ref.stderr, rel=1e-10)
+
+    def test_harness_import_leaves_scipy_stats_unloaded(self):
+        src = os.path.dirname(os.path.dirname(cscgd.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = "import sys, cscgd.harness; assert 'scipy.stats' not in sys.modules"
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     def test_mann_kendall_directions(self):
         down = mann_kendall(np.linspace(5.0, 1.0, 40))

@@ -105,6 +105,21 @@ def test_shape_check_catches_maps_written_for_one_point(rng, name, overrides):
         make_problem(**overrides).check_shapes(rng)
 
 
+@pytest.mark.parametrize("name, overrides, got", [
+    ("inner_g", {"inner_g": lambda x, z: inner_linear(x, z).tolist()}, "type list"),
+    ("inner_g_jacobian", {"inner_g_jacobian": lambda x, z: linear_jacobian(x, z).astype(int)},
+     "dtype int64"),
+    ("outer_f_gradient", {"outer_f_gradient": lambda y: (2.0 * y).astype(np.float32)},
+     "dtype float32"),
+    ("outer_q", constrained(outer_q=lambda z: list(z - 1.0)), "type list"),
+    ("outer_q_jacobian", constrained(outer_q_jacobian=lambda z: np.ones(z.shape + (1,), int)),
+     "dtype int64"),
+])
+def test_shape_check_names_a_map_that_returns_no_float_ndarray(rng, name, overrides, got):
+    with pytest.raises(ValueError, match=f"^{name} returned {got}, expected a float ndarray"):
+        make_problem(**overrides).check_shapes(rng)
+
+
 def test_constrained_requires_all_constraint_maps():
     with pytest.raises(ValueError, match="inner_h"):
         make_problem(dim_h=1, num_constraints=1)

@@ -2,8 +2,9 @@
 
 One ``run`` call steps every seed of a batch through the kernel on (S, n)
 arrays.  Each seed's row must equal that seed run alone, bit for bit, in
-x_hat and in every trajectory column.  On a problem whose penalty is active
-and on one whose budget binds, each seed must also equal a one-point,
+x_hat and in every trajectory column.  On problems whose penalty is active
+(including one whose constraint map differs from its objective map) and on
+one whose budget binds, each seed must also equal a one-point,
 one-draw-per-step loop: the single-seed solver the batched kernel replaced.
 """
 
@@ -107,6 +108,9 @@ def scalar_reference(problem, config: SolverConfig, seed: int):
     ("paper-ex2-k5", 300, {}),
     # a delay cap that binds for some seeds at some iterations only
     ("paper-ex1", 300, {"instance_overrides": {"d_max": 0.02}}),
+    # the one design whose constraint map differs from its objective map;
+    # gamma lifts the rate floor's q = -16.6 into the penalty's active range
+    ("paper-ex2-k5", 300, {"c_ell": 40.0, "gamma": 20.0}),
 ])
 def test_batch_equals_scalar_single_seed_loop(name, horizon, kw):
     problem, solver_config = solver_setup(name, horizon, **kw)
@@ -125,6 +129,10 @@ def test_batch_equals_scalar_single_seed_loop(name, horizon, kw):
         assert active.any(), "penalty never active"
     elif name == "paper-ex1":
         assert np.any(active.any(axis=1) & ~active.all(axis=1)), "penalty never mixed"
+    elif "gamma" in kw:
+        assert problem.inner_h_jacobian is not problem.inner_g_jacobian
+        assert active.any(axis=1).all(), "an iteration without an active penalty"
+        assert active.all(axis=1).mean() > 0.9, "penalty rarely active on every seed"
     else:
         blocks = problem.feasible_set.blocks
         xs = np.concatenate([t["x"] for t in trajectories])

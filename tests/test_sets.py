@@ -184,6 +184,25 @@ def test_linear_inequalities_criterion_7_set_agrees_with_dykstra_oracle(rng):
     _assert_agrees_with_dykstra(kw, inside)
 
 
+def test_product_contains_its_projections_onto_a_scaled_ladder(rng):
+    # Rounding in the ladder's projection grows with its coordinates; with no
+    # slack given, each block judges membership by its own default slack.
+    ladder = BoxWithLinearInequalities(
+        lower=1e3 * np.array([0.5, 0.5, 0.5, 5.0]), upper=1e3 * np.array([10.0, 10.0, 10.0, 50.0]),
+        a_mat=[[1.0, -1.0, 0.0, 0.0], [-1.0, 1.0, 0.0, 0.0],
+               [0.0, 1.0, -1.0, 0.0], [0.0, -1.0, 1.0, 0.0]],
+        b_vec=1e3 * np.array([-0.5, 2.0, -1.0, 4.0]),
+    )
+    s = ProductSet(blocks=(Box(lower=[0.0], upper=[1.0]), ladder))
+    mid = s.midpoint()
+    span = 3.0 * (np.abs(mid) + 1.0)
+    for _ in range(500):
+        p = s.project(mid + span * rng.standard_normal(s.dim))
+        assert s.contains(p)
+        assert ladder.contains(p[1:])
+    assert not s.contains(np.concatenate(([0.5], ladder.upper)))  # ladder rows violated
+
+
 def test_linear_inequalities_nnls_iteration_limit_raises(monkeypatch):
     s = BoxWithLinearInequalities(lower=[0.0, 0.0], upper=[2.0, 2.0], a_mat=[[1.0, -1.0]],
                                   b_vec=[0.0])

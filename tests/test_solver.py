@@ -6,6 +6,7 @@ import pytest
 from cscgd import (
     Box,
     CompositionalProblem,
+    FeasibleSetError,
     NonFiniteGradientError,
     SolverConfig,
     StepSchedule,
@@ -269,6 +270,53 @@ def test_non_finite_outer_q_names_the_seed_in_a_batch():
     assert exc.value.source == "outer_q"
     assert exc.value.t == 21
     assert exc.value.seed == 7
+
+
+def unconstrained(**maps):
+    return identity_problem(dim_h=0, num_constraints=0, inner_h=None, inner_h_jacobian=None,
+                            outer_q=None, outer_q_jacobian=None, **maps)
+
+
+def test_overflowing_projection_input_is_named():
+    # Every map stays finite; only x - direction overflows to inf.
+    problem = unconstrained(outer_f_gradient=lambda y: -y,
+                            feasible_set=Box(lower=[-1.5e308], upper=[1.5e308]))
+    cfg = SolverConfig(a=0.75, b=0.5, c=0.75, horizon=100, seeds=(0,), x0=(1e308,))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteGradientError) as exc:
+        run(problem, cfg)
+    assert exc.value.source == "projection input"
+    assert exc.value.t == 1
+    assert exc.value.seed == 0
+
+
+def test_projection_error_on_finite_input_passes_through():
+    class RefusesStacks(Box):
+        def project(self, v):
+            if np.ndim(v) == 2:
+                raise FeasibleSetError("refused")
+            return super().project(v)
+
+    problem = unconstrained(feasible_set=RefusesStacks(lower=[-1.0], upper=[1.0]))
+    cfg = SolverConfig(a=0.75, b=0.5, c=0.75, horizon=100, seeds=(0,))
+    with pytest.raises(FeasibleSetError, match="^refused$"):
+        run(problem, cfg)
+
+
+@pytest.mark.parametrize("name, maps, gamma, got", [
+    ("outer_f_gradient", {"outer_f_gradient": lambda y: y.tolist()}, 0.0, "type list"),
+    ("inner_g_jacobian", {"inner_g_jacobian": lambda x, z: np.ones(x.shape + (1,), dtype=int)},
+     0.0, "dtype int64"),
+    ("inner_g", {"inner_g": lambda x, z: x.tolist()}, 0.0, "type list"),
+    # called only once the penalty is active, which gamma = 1.5 makes it at x = 0
+    ("outer_q_jacobian", {"outer_q_jacobian": lambda z: np.ones(z.shape + (1,), dtype=int)},
+     1.5, "dtype int64"),
+])
+def test_run_names_a_map_that_returns_no_float_ndarray(name, maps, gamma, got):
+    problem = identity_problem(**maps)
+    cfg = SolverConfig(a=0.75, b=0.5, c=0.75, horizon=100, seeds=(0, 1), gamma=gamma,
+                       c_ell=2.0)
+    with pytest.raises(ValueError, match=f"^{name} returned {got}, expected a float ndarray"):
+        run(problem, cfg)
 
 
 def test_logged_iterations_policy():
