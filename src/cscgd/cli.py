@@ -10,19 +10,19 @@ from __future__ import annotations
 
 import argparse
 import os
+import shutil
 import sys
 
 import numpy as np
 
-from .checks import gradient_suite, penalty_suite, projection_suite
 from .harness import (
     ExperimentConfig,
     load_oracle_cache,
+    oracle_cache_path,
     rate_fit,
     run_experiment,
     write_oracle_cache,
 )
-from .oracles import hessian_psd_scan, make_delay_utility_surface
 from .penalty import PenaltyParams
 from .problems import PRESETS, get_preset
 
@@ -118,7 +118,7 @@ def cmd_ratefit(args) -> int:
     horizons = [int(h) for h in args.horizons.split(",")]
     seeds = _parse_seeds(args.seeds) if args.seeds else tuple(range(10))
     base = _config_from_args(args)
-    ladder = {}
+    ladder, oracle_path = {}, None
     for T in horizons:
         cfg = ExperimentConfig.from_dict({
             **base.to_dict(),
@@ -127,7 +127,13 @@ def cmd_ratefit(args) -> int:
             "out_dir": os.path.join(base.out_dir, f"T{T}"),
             "oracle_gap": True,
         })
-        write_oracle_cache(cfg)
+        # The baseline does not depend on the horizon: compute it once, copy it after.
+        path = oracle_cache_path(cfg.out_dir, cfg.preset)
+        if oracle_path is None:
+            oracle_path = write_oracle_cache(cfg)
+        elif path != oracle_path:
+            os.makedirs(cfg.out_dir, exist_ok=True)
+            shutil.copyfile(oracle_path, path)
         summaries, _ = run_experiment(cfg)
         ladder[T] = [abs(s.gap) for s in summaries]
     fit = rate_fit(ladder)
@@ -139,6 +145,8 @@ def cmd_ratefit(args) -> int:
 
 
 def cmd_scan_hessian(args) -> int:
+    from .oracles import hessian_psd_scan, make_delay_utility_surface
+
     surface = make_delay_utility_surface(antennas=args.antennas)
     lam_axis = np.linspace(0.1, 15.0, args.grid)
     p_axis = np.linspace(14.0, 100.0, args.grid)
@@ -153,6 +161,8 @@ def cmd_scan_hessian(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .checks import gradient_suite, penalty_suite, projection_suite
+
     results = []
     presets = args.presets.split(",") if args.presets else sorted(PRESETS)
     for name in presets:

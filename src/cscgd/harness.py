@@ -24,7 +24,6 @@ import numpy as np
 from scipy import special
 
 from .distributions import make_rng
-from .oracles import ergodic_fstar, sample_average_baseline, wired_fstar
 from .problems import constrained_quadratic_problem, get_preset, quadratic_problem
 from .solver import SolverConfig, run
 
@@ -264,6 +263,9 @@ def oracle_params(preset: str) -> dict:
 
 def compute_oracle(config: ExperimentConfig, instance=None) -> dict:
     """Deterministic or brute-force baseline value for the configured preset."""
+    # deferred: the oracles load scipy.integrate, which no solve or evaluation needs
+    from .oracles import ergodic_fstar, sample_average_baseline, wired_fstar
+
     name = config.preset
     params = oracle_params(name)
     if name in TOY_TARGETS:

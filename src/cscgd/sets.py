@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 MEMBERSHIP_SLACK = 1e-12
 
@@ -217,6 +216,7 @@ class BoxWithLinearInequalities:
         slack[(slack < 0.0) & (slack >= -MEMBERSHIP_SLACK * scale)] = 0.0
         if np.all(slack >= 0.0):
             return x
+        from scipy import optimize  # deferred: slow to import, and only this branch needs it
         # LDP min ||u|| s.t. G u <= slack as NNLS, E = [-G^T; -slack^T] and f = e_{k+1};
         # slack scaled to unit size keeps NNLS's internal tolerance relative.
         g_free = g[:, free]

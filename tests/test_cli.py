@@ -1,7 +1,8 @@
 import json
 
+from cscgd import harness
 from cscgd.cli import main
-from cscgd.harness import read_trajectory_csv
+from cscgd.harness import ExperimentConfig, load_oracle_cache, read_trajectory_csv
 
 
 def test_run_smoke(tmp_path, capsys):
@@ -70,6 +71,32 @@ def test_ratefit_synthetic(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "slope" in out
+
+
+def test_ratefit_computes_the_oracle_once_per_ladder(tmp_path, monkeypatch):
+    calls = []
+    compute_oracle = harness.compute_oracle
+
+    def counting_compute_oracle(config, instance=None):
+        calls.append(config.horizon)
+        return compute_oracle(config, instance)
+
+    monkeypatch.setattr("cscgd.harness.compute_oracle", counting_compute_oracle)
+    horizons = (100, 200, 400, 800)
+    rc = main([
+        "ratefit", "--preset", "quadratic-toy", "--horizons", ",".join(map(str, horizons)),
+        "--seeds", "0:10", "--abc", "0.75,0.5,0.75", "--regime", "constant",
+        "--out", str(tmp_path / "ladder"), "--eval-samples", "500",
+    ])
+    assert rc == 0
+    assert calls == [100]
+    payloads = [
+        load_oracle_cache(ExperimentConfig(preset="quadratic-toy", horizon=T,
+                                           out_dir=str(tmp_path / "ladder" / f"T{T}")))
+        for T in horizons
+    ]
+    assert [p["f_star"] for p in payloads] == [0.0] * len(horizons)
+    assert all(p == payloads[0] for p in payloads)
 
 
 def test_scan_hessian(tmp_path, capsys):

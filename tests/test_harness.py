@@ -166,7 +166,7 @@ class TestRunExperiment:
             return SimpleNamespace(best_value=-1.0, best_point=np.zeros(10),
                                    best_std_err=0.0)
 
-        monkeypatch.setattr(harness, "ergodic_fstar", fake_ergodic_fstar)
+        monkeypatch.setattr("cscgd.oracles.ergodic_fstar", fake_ergodic_fstar)
         cfg = ExperimentConfig(preset="paper-ex2-k5", horizon=100, seeds=(0,),
                                out_dir=str(tmp_path / "ex2"))
         path = write_oracle_cache(cfg)
@@ -267,6 +267,31 @@ class TestStatistics:
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
         code = "import sys, cscgd.harness; assert 'scipy.stats' not in sys.modules"
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    @pytest.mark.parametrize("code", [
+        "import cscgd",
+        "import cscgd.cli",
+        "from cscgd.harness import ExperimentConfig, run_experiment; "
+        "run_experiment(ExperimentConfig(preset='paper-ex2-k5', horizon=200, "
+        "eval_samples=200, out_dir=sys.argv[1]))",
+    ], ids=["import-cscgd", "import-cli", "run-paper-ex2-k5"])
+    def test_solve_path_leaves_oracles_and_optional_scipy_unloaded(self, code, tmp_path):
+        src = os.path.dirname(os.path.dirname(cscgd.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        unused = ("scipy.optimize", "scipy.integrate", "cscgd.oracles", "cscgd.checks")
+        check = f"loaded = set({unused!r}) & set(sys.modules); assert not loaded, loaded"
+        subprocess.run([sys.executable, "-c", f"import sys; {code}; {check}", str(tmp_path)],
+                       env=env, check=True)
+
+    def test_mann_kendall_continuity_correction(self):
+        # S = 8 and Var S = n (n - 1) (2n + 5) / 18 = 50/3; z = (S - 1) / sqrt(Var S)
+        # = 1.71464, where the uncorrected S / sqrt(Var S) would be 1.95959
+        up = mann_kendall([1.0, 3.0, 2.0, 4.0, 5.0])
+        down = mann_kendall([-1.0, -3.0, -2.0, -4.0, -5.0])
+        assert up["s"] == 8 and down["s"] == -8
+        assert up["z"] == pytest.approx(7.0 / math.sqrt(50.0 / 3.0), rel=1e-12)
+        assert down["z"] == pytest.approx(-7.0 / math.sqrt(50.0 / 3.0), rel=1e-12)
 
     def test_mann_kendall_directions(self):
         down = mann_kendall(np.linspace(5.0, 1.0, 40))

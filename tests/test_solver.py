@@ -19,7 +19,7 @@ from cscgd import (
     step_bound_diagnostic,
     zero_violation_gamma,
 )
-from cscgd.solver import logged_iterations, tracking_weights
+from cscgd.solver import convergence_bound_terms, logged_iterations, tracking_weights
 from cscgd.problems import (
     constrained_quadratic_problem,
     get_preset,
@@ -380,6 +380,44 @@ def test_step_bound_flags_when_constants_shrunk():
         trajectories.append(traj)
     report = step_bound_diagnostic(trajectories, shrunk)
     assert report.violation_count > 0
+
+
+def test_step_bound_flag_sits_at_three_standard_errors():
+    # bound = 2 a^2 C_f C_g + 2 d^2 J C_ell^2 C_q C_h = 1.0 + 0.5; two seeds at
+    # m +- 0.25 have se = 0.25, so a point is flagged iff m - 0.75 > 1.5
+    constants = {"C_f": 1.0, "C_g": 2.0, "C_q": 1.0, "C_h": 1.0, "C_ell": 1.0, "J": 1}
+    means = np.array([2.26, 2.24])
+    trajectories = [
+        {"t": np.array([1, 2]), "alpha": np.array([0.5, 0.5]),
+         "delta": np.array([0.5, 0.5]), "step_sq": means + shift}
+        for shift in (0.25, -0.25)
+    ]
+    report = step_bound_diagnostic(trajectories, constants)
+    np.testing.assert_array_equal(report.bound, [1.5, 1.5])
+    np.testing.assert_allclose(report.mean_step_sq, means, rtol=1e-15)
+    np.testing.assert_allclose(report.std_err, [0.25, 0.25], rtol=1e-12)
+    np.testing.assert_array_equal(report.flagged, [True, False])
+    assert report.violation_count == 1
+
+
+@pytest.mark.parametrize("v_g, v_h, d_1, d_2", [
+    # D_1 = D_x + 3 V_g + 2 C_g (C_f C_g + pen) + 3 V_h + 2 C_h (C_f C_g + pen), pen = 0.5;
+    # D_2 = max(4 (C_g + C_h)(C_f C_g + pen) + (L_f C_g + L_q C_h C_ell + C_h C_q) D_x,
+    #           2 (C_f C_g + pen), 4 (V_g + V_h))
+    (0.25, 0.5, 4.0 + 10.75 + 6.5, 48.0),
+    (10.0, 5.0, 4.0 + 40.0 + 20.0, 60.0),
+])
+def test_convergence_bound_terms_hand_computed(v_g, v_h, d_1, d_2):
+    constants = {"C_f": 1.0, "C_g": 2.0, "C_h": 1.0, "C_q": 0.5, "V_g": v_g, "V_h": v_h,
+                 "L_f": 1.0, "L_q": 2.0, "C_ell": 1.0, "J": 1, "D_x": 4.0}
+    sched = StepSchedule(a=0.5, b=0.5, c=0.5, regime="diminishing", horizon=4)
+    terms = convergence_bound_terms(constants, sched)
+    # alpha = beta = delta = t^-1/2, so each tail term is 2 t^-1/2 + 1, summed over t = 2..4
+    tail = 3.0 + 2.0 * (2.0**-0.5 + 3.0**-0.5 + 0.5)
+    assert terms["D_1"] == pytest.approx(d_1, rel=1e-15)
+    assert terms["D_2"] == pytest.approx(d_2, rel=1e-15)
+    assert terms["omega"] == pytest.approx(2.0 * d_1 / (4 * 0.5) + 2.0 * d_2 * tail / 4,
+                                           rel=1e-12)
 
 
 def test_zero_violation_margin_positive_for_constrained_problem():
