@@ -1,12 +1,17 @@
 """Independent ground-truth machinery for the acceptance checks.
 
 Everything here deliberately avoids the solver's code paths: moments come
-from adaptive quadrature, optima from deterministic reformulations solved
-by line-searched projected gradient descent or brute-force grids, and the
+from quadrature, optima from deterministic reformulations solved by
+line-searched projected gradient descent or brute-force grids, and the
 budgeted-box projection has two references of its own, a sorted-breakpoint
 scan and a bisection on the budget multiplier, and the box with linear
 inequalities has Dykstra's alternating projections; none of them calls
 ``sets``.  Gradient claims are checked by centered differences.
+
+The wired baseline takes its length moments from a composite Gauss-Legendre
+rule on numpy alone, certified by the agreement of two rule orders; the
+other moments and expectations use scipy's adaptive quadrature, which is
+imported on first use, so the wired baseline never loads ``scipy.integrate``.
 """
 
 from __future__ import annotations
@@ -15,13 +20,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .distributions import make_rng
 from .problems.safeguards import safe_inv
 from .sets import FeasibleSetError
 
 QUAD_OPTS = {"epsabs": 1e-13, "epsrel": 1e-13, "limit": 400}
+# Orders of the two Gauss-Legendre rules whose agreement certifies a wired
+# length moment, and the relative difference they may show.
+LEGENDRE_POINTS = (12, 16)
+LEGENDRE_RTOL = 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +52,8 @@ class QuadratureMoments:
 
 def quadrature_moments(dist, orders, component: int = 0) -> QuadratureMoments:
     """E[X^k] of one marginal of ``dist`` by adaptive quadrature."""
+    from scipy import integrate
+
     lo, hi = dist.support(component)
     values, errors = {}, {}
     for k in orders:
@@ -55,8 +65,48 @@ def quadrature_moments(dist, orders, component: int = 0) -> QuadratureMoments:
     return QuadratureMoments(tuple(int(k) for k in orders), values, errors)
 
 
+def legendre_moment(dist, k: int, component: int, points: int) -> float:
+    """E[X^k] of one truncated-exponential marginal by composite Gauss-Legendre.
+
+    The support is cut into equal panels no wider than the parent
+    exponential's scale, so each panel sees the density fall by at most a
+    factor e and a fixed rule order stays accurate at any upper/scale ratio.
+    """
+    lo, hi = dist.support(component)
+    panels = max(1, math.ceil((hi - lo) / dist.mean_param[component]))
+    edges = np.linspace(lo, hi, panels + 1)
+    nodes, weights = np.polynomial.legendre.leggauss(points)
+    half = 0.5 * np.diff(edges)[:, None]
+    x = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * nodes
+    return float(np.sum(half * weights * x**k * dist.pdf(x, component)))
+
+
+def certified_length_moments(dist):
+    """(E[X], E[X^2]) per component from the two ``LEGENDRE_POINTS`` rules.
+
+    Returns the higher-order values; raises ``ValueError`` naming the queue
+    when the two orders differ by more than ``LEGENDRE_RTOL`` relative.
+    """
+    low, high = LEGENDRE_POINTS
+    moments = np.empty((2, dist.dim))
+    for i in range(dist.dim):
+        for k in (1, 2):
+            coarse = legendre_moment(dist, k, i, low)
+            fine = legendre_moment(dist, k, i, high)
+            if not abs(fine - coarse) <= LEGENDRE_RTOL * abs(fine):
+                raise ValueError(
+                    f"E[X^{k}] of queue {i}: the {low}- and {high}-point "
+                    f"Gauss-Legendre rules give {coarse!r} and {fine!r}, more "
+                    f"than {LEGENDRE_RTOL:g} apart relative"
+                )
+            moments[k - 1, i] = fine
+    return moments[0], moments[1]
+
+
 def expectation(fn, dist, component: int = 0) -> float:
     """E[fn(X)] for one marginal, by adaptive quadrature."""
+    from scipy import integrate
+
     lo, hi = dist.support(component)
     val, _ = integrate.quad(
         lambda x: fn(x) * dist.pdf(x, component), lo, hi, **QUAD_OPTS
@@ -342,16 +392,15 @@ class WiredBaseline:
 
 
 def wired_fstar(instance, tol: float = 1e-10, grid_radius: float = 0.02) -> WiredBaseline:
-    """Deterministic optimum of the wired design from quadrature moments.
+    """Deterministic optimum of the wired design from certified length moments.
 
-    The delay cap is equivalent to a per-queue upper bound on the arrival
-    rate, so the feasible region is a budgeted box; the convex objective is
-    minimized by projected descent and cross-checked on local grids.
+    The moments come from :func:`certified_length_moments`.  The delay cap
+    is equivalent to a per-queue upper bound on the arrival rate, so the
+    feasible region is a budgeted box; the convex objective is minimized by
+    projected descent and cross-checked on local grids.
     """
-    dist = instance.length_distribution()
     n = instance.n_queues
-    m1 = np.array([quadrature_moments(dist, (1,), i)[1] for i in range(n)])
-    m2 = np.array([quadrature_moments(dist, (2,), i)[2] for i in range(n)])
+    m1, m2 = certified_length_moments(instance.length_distribution())
     c = instance.capacities
     psi, phi = instance.psi_weights, instance.phi_weights
     d_max = instance.d_max
@@ -361,9 +410,12 @@ def wired_fstar(instance, tol: float = 1e-10, grid_radius: float = 0.02) -> Wire
     if np.any(lower > upper) or lower.sum() > instance.lambda_cap:
         raise ValueError("infeasible instance: delay cap excludes the whole box")
 
-    def value(lam):
+    def values(lam):  # one objective per row of lam
         delay = lam * m2 / (2.0 * c * (c - lam * m1))
-        return float(np.sum(phi * delay - psi * np.log(lam * m1)))
+        return np.sum(phi * delay - psi * np.log(lam * m1), axis=-1)
+
+    def value(lam):
+        return float(values(lam))
 
     def grad(lam):
         return phi * m2 / (2.0 * (c - lam * m1) ** 2) - psi / lam
@@ -380,14 +432,10 @@ def wired_fstar(instance, tol: float = 1e-10, grid_radius: float = 0.02) -> Wire
             np.linspace(res.x[i] - span[i], res.x[i] + span[i], points)
             for i in range(n)
         ]
-        best = np.inf
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-        for cand in mesh:
-            cand = np.clip(cand, lower, upper)
-            if cand.sum() > instance.lambda_cap:
-                continue
-            best = min(best, value(cand))
-        return best
+        cand = np.clip(mesh, lower, upper)
+        cand = cand[cand.sum(axis=1) <= instance.lambda_cap]
+        return float(values(cand).min(initial=np.inf))
 
     coarse = local_grid_best(grid_radius, 5)
     fine = local_grid_best(grid_radius, 9)

@@ -1,4 +1,7 @@
+import csv
 import json
+
+import numpy as np
 
 from cscgd import harness
 from cscgd.cli import main
@@ -97,6 +100,27 @@ def test_ratefit_computes_the_oracle_once_per_ladder(tmp_path, monkeypatch):
     ]
     assert [p["f_star"] for p in payloads] == [0.0] * len(horizons)
     assert all(p == payloads[0] for p in payloads)
+
+
+def test_ratefit_paper_ex1_prints_the_fit_of_its_ladder(tmp_path, capsys):
+    horizons = [100, 200, 400, 800]
+    rc = main([
+        "ratefit", "--preset", "paper-ex1", "--horizons", ",".join(map(str, horizons)),
+        "--seeds", "0:10", "--out", str(tmp_path / "ladder"), "--eval-samples", "500",
+    ])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"horizons: {horizons}"
+    ladder = {}
+    for T in horizons:
+        with open(tmp_path / "ladder" / f"T{T}" / "summary.csv", encoding="utf-8") as fh:
+            ladder[T] = [abs(float(row["gap"])) for row in csv.DictReader(fh)]
+    means = [float(np.mean(ladder[T])) for T in horizons]
+    assert lines[1] == f"gap means: {means}"
+    assert len(set(means)) == len(means)
+    fit = harness.rate_fit(ladder)
+    assert lines[2] == (f"slope = {fit.slope:.4f} (95% CI [{fit.ci_low:.4f}, "
+                        f"{fit.ci_high:.4f}])" + (" [clipped]" if fit.clipped else ""))
 
 
 def test_scan_hessian(tmp_path, capsys):

@@ -186,6 +186,21 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=r"oracle_params nothing, this config has \{"):
             load_oracle_cache(cfg)
 
+    def test_oracle_cache_refuses_a_wired_cache_from_another_moment_rule(self, tmp_path):
+        from cscgd import harness
+
+        cfg = small_config(tmp_path, oracle_gap=True)
+        path = write_oracle_cache(cfg)
+        assert load_oracle_cache(cfg)["oracle_params"] == harness.WIRED_ORACLE
+        # a cache from the adaptive-quadrature oracle recorded no parameters
+        payload = json.loads(open(path, encoding="utf-8").read())
+        payload["oracle_params"] = {}
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        with pytest.raises(ValueError, match=r'oracle_params \{\}, this config has '
+                                             r'\{"moments": "composite-gauss-legendre"\}'):
+            run_experiment(cfg)
+
     def test_toy_target_oracle(self, tmp_path):
         cfg = ExperimentConfig(preset="quadratic-toy", horizon=100, seeds=(0,),
                                out_dir=str(tmp_path / "toy"))
@@ -283,6 +298,27 @@ class TestStatistics:
         check = f"loaded = set({unused!r}) & set(sys.modules); assert not loaded, loaded"
         subprocess.run([sys.executable, "-c", f"import sys; {code}; {check}", str(tmp_path)],
                        env=env, check=True)
+
+    def test_wired_oracle_path_leaves_scipy_integrate_and_optimize_unloaded(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(cscgd.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        unused = ("scipy.integrate", "scipy.optimize")
+        check = f"loaded = set({unused!r}) & set(sys.modules); assert not loaded, loaded"
+        # in order: the gap run reads the cache the oracle command writes
+        for code in (
+            "from cscgd.oracles import wired_fstar; from cscgd.problems import paper_ex1; "
+            "wired_fstar(paper_ex1())",
+            "from cscgd.cli import main; "
+            "assert main(['oracle', '--preset', 'paper-ex1', '--out', sys.argv[1]]) == 0",
+            "from cscgd.harness import ExperimentConfig, run_experiment; "
+            "s, _ = run_experiment(ExperimentConfig(preset='paper-ex1', horizon=200, "
+            "eval_samples=200, out_dir=sys.argv[1], oracle_gap=True)); "
+            "assert s[0].gap is not None",
+        ):
+            subprocess.run([sys.executable, "-W", "ignore", "-c",
+                            f"import sys; {code}; {check}", str(tmp_path)],
+                           env=env, check=True)
 
     def test_mann_kendall_continuity_correction(self):
         # S = 8 and Var S = n (n - 1) (2n + 5) / 18 = 50/3; z = (S - 1) / sqrt(Var S)

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from cscgd import ExponentialMean, PenaltyParams, penalty_value
+from cscgd import ExponentialMean, PenaltyParams, TruncatedExponential, penalty_value
 from cscgd.oracles import (
+    LEGENDRE_POINTS,
+    certified_length_moments,
     enumerate_blocking_probability,
     ergodic_fstar,
     finite_difference_check,
@@ -14,6 +16,7 @@ from cscgd.oracles import (
     wired_fstar,
 )
 from cscgd.problems import Mg1WiredInstance, paper_ex1, paper_ex2, quadratic_problem
+from cscgd.problems.wired import _trunc_exp_second_moment
 
 
 class TestQuadrature:
@@ -32,6 +35,60 @@ class TestQuadrature:
             q = quadrature_moments(dist, (1, 2))
             assert q.relative_error(1) < 1e-10
             assert q.relative_error(2) < 1e-10
+
+
+def _trunc_exp_moment_series(m, b, k):
+    # E[X^k] of an exponential (scale m) on [0, b] = b^k times the ratio of
+    # the power series in t = b / m of int_0^1 u^k e^(-t u) du and of
+    # int_0^1 e^(-t u) du: no cancellation at small t.
+    t = b / m
+    num = sum((-t) ** j / (math.factorial(j) * (k + j + 1)) for j in range(30))
+    den = sum((-t) ** j / (math.factorial(j) * (j + 1)) for j in range(30))
+    return b**k * num / den
+
+
+class TestCertifiedLengthMoments:
+    LAWS = {
+        "paper-ex1": lambda: paper_ex1().length_distribution(),
+        "corner-queue": lambda: TruncatedExponential(mean=10.0, upper=40.0),
+        "upper/mean=60": lambda: TruncatedExponential(mean=0.5, upper=30.0),
+        "upper/mean=1e-3": lambda: TruncatedExponential(mean=15.0, upper=0.015),
+    }
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_match_adaptive_quadrature_and_closed_forms(self, law):
+        dist = self.LAWS[law]()
+        m1, m2 = certified_length_moments(dist)
+        assert m1.shape == m2.shape == (dist.dim,)
+        for i, (m, b) in enumerate(zip(dist.mean_param, dist.upper)):
+            quad = quadrature_moments(dist, (1, 2), i)
+            if b / m >= 0.1:
+                closed = (dist.mean()[i], _trunc_exp_second_moment(m, b))
+            else:
+                # the closed forms cancel to ~1e-7 relative at b / m = 1e-3
+                closed = tuple(_trunc_exp_moment_series(m, b, k) for k in (1, 2))
+            for k, value in ((1, m1[i]), (2, m2[i])):
+                assert value == pytest.approx(quad[k], rel=1e-14, abs=0.0)
+                assert value == pytest.approx(closed[k - 1], rel=1e-14, abs=0.0)
+
+    def test_disagreeing_rule_orders_raise_naming_the_queue(self, monkeypatch):
+        from cscgd import oracles
+
+        exact = oracles.legendre_moment
+        low, high = LEGENDRE_POINTS
+
+        def skewed(dist, k, component, points):
+            value = exact(dist, k, component, points)
+            if (k, component, points) == (2, 1, low):
+                value *= 1.0 + 1e-12
+            return value
+
+        monkeypatch.setattr(oracles, "legendre_moment", skewed)
+        dist = paper_ex1().length_distribution()
+        coarse, fine = skewed(dist, 2, 1, low), exact(dist, 2, 1, high)
+        with pytest.raises(ValueError, match=rf"E\[X\^2\] of queue 1: .*"
+                                             rf"{coarse!r} and {fine!r}"):
+            wired_fstar(paper_ex1())
 
 
 class TestFiniteDifference:
