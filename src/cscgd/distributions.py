@@ -8,8 +8,14 @@ parameter values.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import special
+
+# Terms of the power series behind truncated_exponential_moments below t = 1.
+_SERIES_J = np.arange(20)
+_SERIES_FACT = np.array([math.factorial(j) for j in range(20)], dtype=float)
 
 
 def make_rng(seed: int, stream_id: int = 0) -> np.random.Generator:
@@ -23,6 +29,28 @@ def _param_array(value, name: str) -> np.ndarray:
     if arr.ndim != 1:
         raise ValueError(f"{name} must be scalar or 1-d")
     return arr
+
+
+def truncated_exponential_moments(m, w):
+    """E[Y] and E[Y^2] of an exponential of scale m restricted to [0, w].
+
+    The closed forms m - w / expm1(t) and 2 m^2 - (w + 2 m) w / expm1(t),
+    t = w / m, subtract nearly equal terms as t -> 0.  Below t = 1 both
+    moments are w^k times the ratio of the power series in t of
+    int_0^1 u^k e^(-t u) du and int_0^1 e^(-t u) du, whose terms
+    (-t)^j / (j! (k + j + 1)) fall off without cancellation.
+    """
+    m, w = np.broadcast_arrays(np.asarray(m, dtype=float), np.asarray(w, dtype=float))
+    t = w / m
+    terms = (-np.minimum(t, 1.0))[..., None] ** _SERIES_J / _SERIES_FACT
+    den = np.sum(terms / (_SERIES_J + 1), axis=-1)
+    w = np.where(np.isinf(w), 0.0, w)  # w / expm1(t) -> 0 as w -> inf
+    tail = w / np.expm1(t)
+    small = t < 1.0
+    first = np.where(small, w * np.sum(terms / (_SERIES_J + 2), axis=-1) / den, m - tail)
+    second = np.where(small, w**2 * np.sum(terms / (_SERIES_J + 3), axis=-1) / den,
+                      2.0 * m * m - (w + 2.0 * m) * tail)
+    return first, second
 
 
 class ConstantVec:
@@ -98,9 +126,9 @@ class TruncatedExponential:
         return -self.mean_param * np.log1p(-u)
 
     def mean(self) -> np.ndarray:
-        m, a, b = self.mean_param, self.lower, self.upper
-        num = (a + m) * np.exp(-a / m) - (b + m) * np.exp(-b / m)
-        return num / (self._cdf_hi - self._cdf_lo)
+        # Memoryless: X - lower is the law restricted to [0, upper - lower].
+        first, _ = truncated_exponential_moments(self.mean_param, self.upper - self.lower)
+        return self.lower + first
 
     def pdf(self, x, i: int = 0):
         m = self.mean_param[i]

@@ -17,7 +17,7 @@ import numpy as np
 from ..distributions import ExponentialMean
 from ..problem import CompositionalProblem
 from ..sets import BoxWithSumCap
-from .safeguards import EPS_DEN, safe_inv, safe_inv_and_deriv
+from .safeguards import EPS_DEN, diagonals, safe_inv, safe_inv_and_deriv
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,6 @@ class EffectiveCapacityInstance:
         w_target = self.delay_target
         knee = self.eps_den * var_a
         dist = self.channel_distribution()
-        idx = np.arange(n)
 
         def inner_g(p, zeta):
             b = bw * np.log1p(zeta * p)
@@ -94,10 +93,8 @@ class EffectiveCapacityInstance:
         def inner_g_jacobian(p, zeta):
             b = bw * np.log1p(zeta * p)
             bp = bw * zeta / (1.0 + zeta * p)
-            jac = np.zeros(b.shape[:-1] + (n, 2 * n))
-            jac[..., idx, idx] = bp
-            jac[..., idx, n + idx] = 2.0 * b * bp
-            return jac
+            # columns b, b^2
+            return diagonals(b.shape[:-1] + (n, 2 * n), n, (((0, 0), bp), ((0, n), 2.0 * b * bp)))
 
         def outer_f(y):
             u, v = y[..., :n], y[..., n:]

@@ -18,7 +18,7 @@ import numpy as np
 from ..distributions import TruncatedChiSquared
 from ..problem import CompositionalProblem
 from ..sets import BoxWithSumCap, ProductSet
-from .safeguards import first_argmax_mask, safe_inv, safe_inv_and_deriv
+from .safeguards import diagonals, first_argmax_mask, safe_inv, safe_inv_and_deriv
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,6 @@ class Mg1ErgodicInstance:
         r_min = self.r_min
         neg_bw, neg_psi, neg_phi = -bw, -psi, -phi
         dist = self.channel_distribution()
-        idx = np.arange(n)
 
         def inner_g(x, zeta):
             lam, p = x[..., :n], x[..., n:]
@@ -101,13 +100,11 @@ class Mg1ErgodicInstance:
             lam, p = x[..., :n], x[..., n:]
             b = bw * np.log1p(zeta * p)
             bp = bw * zeta / (1.0 + zeta * p)
-            jac = np.zeros(b.shape[:-1] + (2 * n, 3 * n))
-            jac[..., idx, idx] = 1.0
-            jac[..., idx, n + idx] = 1.0 / b
-            jac[..., idx, 2 * n + idx] = 1.0 / b**2
-            jac[..., n + idx, n + idx] = -lam * bp / b**2
-            jac[..., n + idx, 2 * n + idx] = -2.0 * lam * bp / b**3
-            return jac
+            b2 = b**2
+            # rows lam, p; columns lam, lam / b, lam / b^2
+            return diagonals(b.shape[:-1] + (2 * n, 3 * n), n, (
+                ((0, 0), 1.0), ((0, n), 1.0 / b), ((0, 2 * n), 1.0 / b2),
+                ((n, n), -(lam * bp) / b2), ((n, 2 * n), -2.0 * lam * bp / b**3)))
 
         def inner_h(x, zeta):
             p = x[..., n:]

@@ -17,7 +17,7 @@ import numpy as np
 from ..distributions import TruncatedExponential
 from ..problem import CompositionalProblem
 from ..sets import BoxWithSumCap, ProductSet
-from .safeguards import EPS_DEN, safe_inv, safe_inv_and_deriv, sigmoid, sigmoid_deriv
+from .safeguards import EPS_DEN, diagonals, safe_inv, safe_inv_and_deriv, sigmoid, sigmoid_deriv
 
 
 @dataclass(frozen=True)
@@ -102,7 +102,6 @@ class OutageInstance:
         eta = self.sharpness
         knee = self.eps_den * r
         dist = self.channel_distribution()
-        idx = np.arange(n)
 
         def inner_g(x, zeta):
             lam, p = x[..., :n], x[..., n:]
@@ -115,10 +114,9 @@ class OutageInstance:
             p = x[..., n:]
             b = bw * np.log1p(zeta * p)
             bp = bw * zeta / (1.0 + zeta * p)
-            jac = np.zeros(b.shape[:-1] + (2 * n, 2 * n))
-            jac[..., n + idx, idx] = -eta * sigmoid_deriv(eta * (r - b)) * bp
-            jac[..., idx, n + idx] = 1.0
-            return jac
+            # rows lam, p; columns outage level, lam
+            return diagonals(b.shape[:-1] + (2 * n, 2 * n), n, (
+                ((n, 0), -eta * sigmoid_deriv(eta * (r - b)) * bp), ((0, n), 1.0)))
 
         def outer_f(y):
             u, v = y[..., :n], y[..., n:]

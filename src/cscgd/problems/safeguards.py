@@ -4,7 +4,7 @@ Ratio-type outer maps (queuing delays, blocking ratios, QoS quotients) blow
 up when a tracked denominator approaches zero.  Below the knee the
 reciprocal is continued by its tangent line, so value and first derivative
 stay continuous and bounded; on the safe side both match the exact formula
-bit for bit.
+bit for bit.  :func:`diagonals` builds the diagonal-structured Jacobians.
 """
 
 from __future__ import annotations
@@ -39,6 +39,16 @@ def first_argmax_mask(values):
     """One-hot mask of each row's first maximizer (ties go to the lowest index)."""
     i = values.argmax(axis=-1)
     return np.arange(values.shape[-1]) == i[..., None]
+
+
+def diagonals(shape, n, entries):
+    """Zeros of ``shape`` (..., rows, cols) but for the n-long diagonal (row + i, col + i)
+    of each ((row, col), values) entry, written through strided slices of a flat view."""
+    flat = np.zeros(shape[:-2] + (shape[-2] * shape[-1],))
+    for (row, col), values in entries:
+        start, step = row * shape[-1] + col, shape[-1] + 1
+        flat[..., start:start + n * step:step] = values
+    return flat.reshape(shape)
 
 
 def sigmoid(s):

@@ -14,10 +14,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..distributions import TruncatedExponential
+from ..distributions import TruncatedExponential, truncated_exponential_moments
 from ..problem import CompositionalProblem
 from ..sets import BoxWithSumCap
-from .safeguards import EPS_DEN, first_argmax_mask, safe_inv, safe_inv_and_deriv
+from .safeguards import EPS_DEN, diagonals, first_argmax_mask, safe_inv, safe_inv_and_deriv
 
 
 @dataclass(frozen=True)
@@ -91,16 +91,14 @@ class Mg1WiredInstance:
         knee = self.eps_den * c
         two_c, neg_phi, d_max = 2.0 * c, -phi, self.d_max
         dist = self.length_distribution()
-        idx = np.arange(n)
 
         def inner_g(lam, lengths):
             return np.concatenate([lam * lengths, lam * lengths**2], axis=-1)
 
         def inner_g_jacobian(lam, lengths):
-            jac = np.zeros(lengths.shape[:-1] + (n, 2 * n))
-            jac[..., idx, idx] = lengths
-            jac[..., idx, n + idx] = lengths**2
-            return jac
+            # columns lam * length, lam * length^2
+            return diagonals(lengths.shape[:-1] + (n, 2 * n), n,
+                             (((0, 0), lengths), ((0, n), lengths**2)))
 
         def outer_f(y):
             u, v = y[..., :n], y[..., n:]
@@ -176,6 +174,5 @@ class Mg1WiredInstance:
 
 
 def _trunc_exp_second_moment(m: float, b: float) -> float:
-    # Closed form for E[X^2] of an exponential(scale m) restricted to [0, b].
-    mass = -np.expm1(-b / m)
-    return (2.0 * m**2 - np.exp(-b / m) * (b**2 + 2.0 * m * b + 2.0 * m**2)) / mass
+    # E[X^2] of an exponential(scale m) restricted to [0, b].
+    return float(truncated_exponential_moments(m, b)[1])

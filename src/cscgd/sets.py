@@ -3,15 +3,15 @@
 Three set variants cover everything the queuing designs need: plain boxes,
 boxes intersected with a total-budget halfspace (arrival-rate and power
 budgets), and products of such sets over disjoint coordinate blocks.  The
-budgeted box is projected exactly by a vectorised breakpoint search on the
-budget multiplier.  A fourth variant adds general linear inequalities
-(service-tier ladders), projected by one finite NNLS active-set solve.
+budgeted box is projected exactly by one breakpoint search on the budget
+multiplier for all binding rows.  A fourth variant adds general linear
+inequalities (service-tier ladders), projected by one finite NNLS solve.
 
 ``project`` takes one point (n,) or a stack of points (S, n), one per row;
 each row of a stacked projection is bitwise equal to projecting it alone.
-It raises ``FeasibleSetError`` on non-finite input, which is the solver
-step's only finiteness check.  ``contains`` and ``midpoint`` work on
-single points.
+It raises ``FeasibleSetError`` on non-finite input, the solver step's only
+finiteness check, scanned once per call: a product projects its blocks
+unchecked (``_project``).  ``contains`` and ``midpoint`` work on points.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MEMBERSHIP_SLACK = 1e-12
+_PREV_AND_AT = np.array([[-1], [0]])  # flat offsets of s[k - 1] and s[k] from row start + k
 
 
 class FeasibleSetError(ValueError):
@@ -44,8 +45,13 @@ def _as_points(v, dim: int) -> np.ndarray:
     return v
 
 
+class _Projectable:
+    def project(self, v: np.ndarray) -> np.ndarray:
+        return self._project(_as_points(v, self.dim))
+
+
 @dataclass(frozen=True)
-class Box:
+class Box(_Projectable):
     """Axis-aligned box {x : lower <= x <= upper}."""
 
     lower: np.ndarray
@@ -63,8 +69,8 @@ class Box:
     def dim(self) -> int:
         return self.lower.size
 
-    def project(self, v: np.ndarray) -> np.ndarray:
-        return _as_points(v, self.dim).clip(self.lower, self.upper)
+    def _project(self, v: np.ndarray) -> np.ndarray:
+        return v.clip(self.lower, self.upper)
 
     def contains(self, v: np.ndarray, slack: float = MEMBERSHIP_SLACK) -> bool:
         v = np.asarray(v, dtype=float)
@@ -80,7 +86,7 @@ class Box:
 
 
 @dataclass(frozen=True)
-class BoxWithSumCap:
+class BoxWithSumCap(_Projectable):
     """Box intersected with the budget halfspace {x : sum(x) <= cap}.
 
     Projection is exact: clip(v - nu, lower, upper) with nu = 0 when the
@@ -89,8 +95,9 @@ class BoxWithSumCap:
     Its kinks are the 2n breakpoints v - upper and v - lower; the root is
     interpolated on the segment where s first drops to the cap (Kiwiel
     2008, "Breakpoint searching algorithms for the continuous quadratic
-    knapsack problem").  A fixed number of array operations per point whose
-    budget binds, no iteration.
+    knapsack problem").  All binding rows of a stack, or a single point,
+    share one sort, one (R, 2n, n) evaluation of s and one argmax; only the
+    interpolation runs per row, on Python floats, rounded as numpy's are.
     """
 
     lower: np.ndarray
@@ -107,41 +114,40 @@ class BoxWithSumCap:
             raise FeasibleSetError("empty box: lower > upper")
         if np.sum(self.lower) > self.cap:
             raise FeasibleSetError("empty set: sum(lower) exceeds cap")
+        object.__setattr__(self, "_bounds", np.stack((self.upper, self.lower)))
 
     @property
     def dim(self) -> int:
         return self.lower.size
 
-    def project(self, v: np.ndarray) -> np.ndarray:
-        v = _as_points(v, self.dim)
+    def _project(self, v: np.ndarray) -> np.ndarray:
         u = v.clip(self.lower, self.upper)
-        if v.ndim == 1:
-            return self._onto_cap(v) if u.sum() > self.cap else u
         over = u.sum(axis=-1) > self.cap
+        if v.ndim == 1:
+            return self._search(v[None])[0] if over else u
+        if over.all():
+            return self._search(v)
         if over.any():
-            for i in np.flatnonzero(over):
-                u[i] = self._onto_cap(v[i])
+            u[over] = self._search(v[over])
         return u
 
-    def _onto_cap(self, v: np.ndarray) -> np.ndarray:
-        """Project one point v whose box clip exceeds the cap."""
-        bps = np.sort(np.concatenate((v - self.upper, v - self.lower)))
-        s = (v - bps[:, None]).clip(self.lower, self.upper).sum(axis=1)
+    def _search(self, v: np.ndarray) -> np.ndarray:
+        """Project the rows of v (R, n), each of whose box clip exceeds the cap."""
+        cap = self.cap
+        bps = (v[:, None, :] - self._bounds).reshape(len(v), -1)
+        bps.sort(axis=-1)
+        s = (v[:, None, :] - bps[:, :, None]).clip(self.lower, self.upper).sum(axis=-1)
         # argmax, not searchsorted: the first index with s <= cap gives
         # s[k-1] > cap >= s[k] even where rounding breaks monotonicity by an ulp.
-        below = s <= self.cap
-        k = int(np.argmax(below))
-        if not below[k]:
-            # Past the last breakpoint every coordinate sits at its lower
-            # bound; only rounding kept s above a cap equal to sum(lower).
-            return self.lower.copy()
-        if k == 0:
-            # s(bps[0]) = sum(upper) > cap unless rounding says otherwise.
-            nu = bps[0]
-        else:
-            frac = (s[k - 1] - self.cap) / (s[k - 1] - s[k])
-            nu = bps[k - 1] + frac * (bps[k] - bps[k - 1])
-        return (v - nu).clip(self.lower, self.upper)
+        ks = (s <= cap).argmax(axis=-1)
+        at = ks + np.arange(0, s.size, s.shape[1]) + _PREV_AND_AT
+        (s_lo, s_hi), (b_lo, b_hi) = s.ravel()[at].tolist(), bps.ravel()[at].tolist()
+        # s[k] > cap: past the last breakpoint every coordinate sits at its lower bound
+        # (v - inf clips to it); only rounding kept s above a cap equal to sum(lower).
+        # k = 0: s(bps[0]) = sum(upper) > cap unless rounding says otherwise.
+        nus = [np.inf if s1 > cap else b1 if k == 0 else b0 + (s0 - cap) / (s0 - s1) * (b1 - b0)
+               for k, s0, s1, b0, b1 in zip(ks.tolist(), s_lo, s_hi, b_lo, b_hi)]
+        return (v - np.array(nus)[:, None]).clip(self.lower, self.upper)
 
     def contains(self, v: np.ndarray, slack: float = MEMBERSHIP_SLACK) -> bool:
         v = np.asarray(v, dtype=float)
@@ -161,7 +167,7 @@ class BoxWithSumCap:
 
 
 @dataclass(frozen=True)
-class BoxWithLinearInequalities:
+class BoxWithLinearInequalities(_Projectable):
     """Box intersected with halfspaces {x : A x <= b}, stacked as G x <= h
     with G = [A; I; -I] and h = [b; upper; -lower].
 
@@ -198,8 +204,7 @@ class BoxWithLinearInequalities:
     def dim(self) -> int:
         return self.lower.size
 
-    def project(self, v: np.ndarray) -> np.ndarray:
-        v = _as_points(v, self.dim)
+    def _project(self, v: np.ndarray) -> np.ndarray:
         if v.ndim == 2:
             return np.stack([self._project_one(row) for row in v])
         return self._project_one(v)
@@ -245,7 +250,7 @@ class BoxWithLinearInequalities:
 
 
 @dataclass(frozen=True)
-class ProductSet:
+class ProductSet(_Projectable):
     """Cartesian product of feasible sets over consecutive coordinate blocks."""
 
     blocks: tuple = field(default=())
@@ -266,13 +271,8 @@ class ProductSet:
             k += b.dim
         return out
 
-    def project(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.ndim not in (1, 2) or v.shape[-1] != self.dim:
-            raise FeasibleSetError(f"point has dim {v.shape}, set has dim {self.dim}")
-        return np.concatenate(
-            [b.project(part) for b, part in zip(self.blocks, self._split(v))], axis=-1
-        )
+    def _project(self, v: np.ndarray) -> np.ndarray:
+        return np.concatenate([b._project(p) for b, p in zip(self.blocks, self._split(v))], -1)
 
     def contains(self, v: np.ndarray, slack: float | None = None) -> bool:
         """Every block contains its part; with no ``slack``, each block's own default."""

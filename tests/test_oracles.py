@@ -71,6 +71,23 @@ class TestCertifiedLengthMoments:
                 assert value == pytest.approx(quad[k], rel=1e-14, abs=0.0)
                 assert value == pytest.approx(closed[k - 1], rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("ratio", [1e-3, 1e-2, 0.1, 1.0, 10.0])
+    def test_closed_forms_free_of_cancellation(self, ratio):
+        dist = TruncatedExponential(mean=[15.0, 0.5], upper=[15.0 * ratio, 0.5 * ratio])
+        m1, m2 = certified_length_moments(dist)
+        assert dist.mean() == pytest.approx(m1, rel=1e-13, abs=0.0)
+        for i, (m, b) in enumerate(zip(dist.mean_param, dist.upper)):
+            assert _trunc_exp_second_moment(m, b) == pytest.approx(m2[i], rel=1e-13, abs=0.0)
+
+    def test_closed_form_mean_shifts_by_lower_and_takes_an_open_support(self):
+        shifted = TruncatedExponential(mean=2.0, upper=2.3, lower=0.3)
+        plain = TruncatedExponential(mean=2.0, upper=2.0)
+        assert shifted.mean()[0] == pytest.approx(0.3 + plain.mean()[0], rel=1e-15)
+        assert TruncatedExponential(mean=2.0, upper=np.inf, lower=0.3).mean()[0] == 2.3
+
+    def test_ex1_penalty_knee_stays_at_its_floor(self):
+        assert paper_ex1().default_c_ell() == 1.0
+
     def test_disagreeing_rule_orders_raise_naming_the_queue(self, monkeypatch):
         from cscgd import oracles
 

@@ -115,6 +115,78 @@ def test_sumcap_degenerate_cases(lower, upper, cap, v, want):
     )
 
 
+def _search_kind(s, v):
+    """The branch of the breakpoint search that row v takes, re-derived from
+    s(nu) one breakpoint at a time."""
+    if np.clip(v, s.lower, s.upper).sum() <= s.cap:
+        return "free"
+    bps = np.sort(np.concatenate((v - s.upper, v - s.lower)))
+    vals = np.array([np.clip(v - nu, s.lower, s.upper).sum() for nu in bps])
+    k = int(np.argmax(vals <= s.cap))
+    if vals[k] > s.cap:
+        return "lower"
+    return "k=0" if k == 0 else "interpolated"
+
+
+def test_sumcap_stack_mixing_every_row_kind():
+    # Bounds one ulp apart and cap == sum(lower): the rounding of v - nu then
+    # sends short decimal rows down every branch of the search.
+    lower = np.array([0.1, 0.1])
+    s = BoxWithSumCap(lower=lower, upper=np.nextafter(lower, np.inf), cap=0.2)
+    rows = np.array([[0.05, 2.9], [0.3, 0.7], [0.9, 2.9], [1.1, 1.1], [2.9, 2.9], [7.7, 0.2]])
+    kinds = ["free", "interpolated", "k=0", "lower", "lower", "interpolated"]
+    assert [_search_kind(s, row) for row in rows] == kinds
+    v = np.concatenate((rows, rows[::-1], rows[[2, 0, 4, 1, 5, 3]]))
+    stacked = s.project(v)
+    for i, row in enumerate(v):
+        assert stacked[i].tobytes() == s.project(row).tobytes(), f"row {i}"
+        assert np.allclose(stacked[i], project_box_sumcap_sorted(row, s.lower, s.upper, s.cap),
+                           rtol=0.0, atol=1e-9), f"row {i}"
+        assert s.contains(stacked[i])
+    assert np.array_equal(stacked[3], lower) and np.array_equal(stacked[4], lower)
+
+
+class _IsfiniteCounter:
+    """Stands in for numpy inside ``cscgd.sets`` and counts isfinite calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def isfinite(self, *args, **kwargs):
+        self.calls += 1
+        return np.isfinite(*args, **kwargs)
+
+
+def test_one_search_per_stack_and_one_finiteness_scan_per_product(monkeypatch):
+    from cscgd import sets
+
+    searched = []
+    search = BoxWithSumCap._search
+    monkeypatch.setattr(BoxWithSumCap, "_search",
+                        lambda self, v: searched.append(v.shape) or search(self, v))
+    counter = _IsfiniteCounter()
+    monkeypatch.setattr(sets, "np", counter)
+    capped = BoxWithSumCap(lower=np.zeros(5), upper=np.ones(5), cap=1.0)
+    v = np.random.default_rng(0).uniform(0.3, 2.0, size=(64, 5))
+    capped.project(v)
+    assert searched == [(64, 5)]
+    v[::2] = 0.1  # half the rows inside the budget: one search for the rest
+    searched.clear()
+    capped.project(v)
+    assert searched == [(32, 5)]
+    product = ProductSet(blocks=(capped, Box(lower=[0.0], upper=[1.0]), capped))
+    searched.clear()
+    counter.calls = 0
+    product.project(np.full((64, 11), 0.5))
+    assert searched == [(64, 5), (64, 5)]
+    assert counter.calls == 1
+    with pytest.raises(FeasibleSetError, match="non-finite"):
+        product.project(np.r_[np.zeros(10), np.nan])
+
+
 def test_product_blockwise():
     s = ProductSet(blocks=(
         Box(lower=[0.0], upper=[1.0]),

@@ -7,7 +7,8 @@ the cap met with equality whenever nu > 0.  ``BoxWithLinearInequalities``
 must do the same for its stacked rows G x <= h: v - p == G^T mu with
 mu >= 0 and mu zero on every row inactive at p.  ``Box`` and ``ProductSet``
 must return feasible points and be idempotent.  For every set, each row of a
-stacked (S, n) projection must equal projecting that row alone, bit for bit.
+stacked (S, n) projection must equal projecting that row alone, bit for bit;
+for budgeted boxes and products of two of them, on stacks of up to 64 rows.
 """
 
 import numpy as np
@@ -169,6 +170,28 @@ def test_linear_projection_satisfies_kkt(data, s):
        st.integers(1, 5))
 def test_stacked_projection_rows_equal_single_projections(data, s, rows):
     v = points(data.draw, s, rows)
+    stacked = s.project(v)
+    assert stacked.shape == v.shape
+    for i in range(rows):
+        assert stacked[i].tobytes() == s.project(v[i]).tobytes(), f"row {i}"
+
+
+@st.composite
+def budgeted_products(draw):
+    """Two budgeted boxes side by side (the wireless designs' set)."""
+    return ProductSet(blocks=(draw(sumcap_instances())[0], draw(sumcap_instances())[0]))
+
+
+@PROPERTY_SETTINGS
+@given(st.data(), st.one_of(sumcap_instances().map(lambda i: i[0]), budgeted_products()),
+       st.integers(1, 64), st.integers(0, 2**32 - 1))
+def test_large_stacked_projection_rows_equal_single_projections(data, s, rows, seed):
+    # A few drawn rows, repeated and perturbed at three scales, so free and
+    # binding rows of every magnitude share one breakpoint search.
+    drawn = points(data.draw, s, min(rows, 4))
+    rng = np.random.default_rng(seed)
+    v = drawn[rng.integers(0, len(drawn), rows)]
+    v = v + rng.choice([0.0, 1e-9, 1.0, 1e3], (rows, 1)) * rng.normal(size=v.shape)
     stacked = s.project(v)
     assert stacked.shape == v.shape
     for i in range(rows):
