@@ -51,8 +51,8 @@ def penalty_gradient(w, params: PenaltyParams) -> np.ndarray:
     Equals x on the quadratic branch, saturates at c_ell on the linear
     branch and vanishes for satisfied constraints.
     """
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    if not np.isfinite(w).all():
+    w = np.array(w, dtype=float, ndmin=1, copy=None)
+    if np.count_nonzero(np.isfinite(w)) != w.size:
         raise ValueError("non-finite penalty argument")
     x = w + params.gamma
     return np.minimum(np.maximum(x, 0.0), params.c_ell)

@@ -109,7 +109,7 @@ class Mg1ErgodicInstance:
         def inner_h(x, zeta):
             p = x[..., n:]
             b = bw * np.log1p(zeta * p)
-            return -b.min(axis=-1, keepdims=True)
+            return -np.minimum.reduce(b, -1, keepdims=True)
 
         def inner_h_jacobian(x, zeta):
             p = x[..., n:]
@@ -128,9 +128,11 @@ class Mg1ErgodicInstance:
             lam_t, rho, m2 = y[..., :n], y[..., n:2 * n], y[..., 2 * n:]
             inv, dinv = safe_inv_and_deriv(1.0 - rho, eps)
             grad = np.empty(y.shape)
-            grad[..., :n] = neg_psi / lam_t
-            grad[..., n:2 * n] = neg_phi * (m2 / 2.0) * dinv
-            grad[..., 2 * n:] = phi * inv / 2.0
+            np.divide(neg_psi, lam_t, out=grad[..., :n])
+            d_rho = np.multiply(neg_phi, m2 / 2.0, out=grad[..., n:2 * n])
+            d_rho *= dinv
+            d_m2 = np.multiply(phi, inv, out=grad[..., 2 * n:])
+            d_m2 /= 2.0
             return grad
 
         def outer_q(z):

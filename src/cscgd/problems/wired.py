@@ -109,14 +109,17 @@ class Mg1WiredInstance:
             u, v = y[..., :n], y[..., n:]
             inv, dinv = safe_inv_and_deriv(c - u, knee)
             grad = np.empty(y.shape)
-            grad[..., :n] = neg_phi * (v / two_c) * dinv - psi / u
-            grad[..., n:] = phi * inv / two_c
+            d_u = np.multiply(neg_phi, v / two_c, out=grad[..., :n])
+            d_u *= dinv
+            d_u -= psi / u
+            d_v = np.multiply(phi, inv, out=grad[..., n:])
+            d_v /= two_c
             return grad
 
         def outer_q(z):
             u, v = z[..., :n], z[..., n:]
             delays = (v / two_c) * safe_inv(c - u, knee)
-            return delays.max(axis=-1, keepdims=True) - d_max
+            return np.maximum.reduce(delays, -1, keepdims=True) - d_max
 
         def outer_q_jacobian(z):
             u, v = z[..., :n], z[..., n:]

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 MEMBERSHIP_SLACK = 1e-12
-_PREV_AND_AT = np.array([[-1], [0]])  # flat offsets of s[k - 1] and s[k] from row start + k
 
 
 class FeasibleSetError(ValueError):
@@ -40,7 +39,7 @@ def _as_points(v, dim: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2) or v.shape[-1] != dim:
         raise FeasibleSetError(f"point has dim {v.shape}, set has dim {dim}")
-    if not np.isfinite(v).all():
+    if np.count_nonzero(np.isfinite(v)) != v.size:
         raise FeasibleSetError("cannot project non-finite point")
     return v
 
@@ -122,31 +121,32 @@ class BoxWithSumCap(_Projectable):
 
     def _project(self, v: np.ndarray) -> np.ndarray:
         u = v.clip(self.lower, self.upper)
-        over = u.sum(axis=-1) > self.cap
+        over = np.add.reduce(u, -1) > self.cap
+        binding = np.count_nonzero(over)
+        if not binding:
+            return u
         if v.ndim == 1:
-            return self._search(v[None])[0] if over else u
-        if over.all():
+            return self._search(v[None])[0]
+        if binding == len(v):
             return self._search(v)
-        if over.any():
-            u[over] = self._search(v[over])
+        u[over] = self._search(v[over])
         return u
 
     def _search(self, v: np.ndarray) -> np.ndarray:
         """Project the rows of v (R, n), each of whose box clip exceeds the cap."""
-        cap = self.cap
-        bps = (v[:, None, :] - self._bounds).reshape(len(v), -1)
+        cap, v3 = self.cap, v[:, None, :]
+        bps = (v3 - self._bounds).reshape(len(v), -1)
         bps.sort(axis=-1)
-        s = (v[:, None, :] - bps[:, :, None]).clip(self.lower, self.upper).sum(axis=-1)
+        s = np.add.reduce((v3 - bps[:, :, None]).clip(self.lower, self.upper), -1)
         # argmax, not searchsorted: the first index with s <= cap gives
         # s[k-1] > cap >= s[k] even where rounding breaks monotonicity by an ulp.
         ks = (s <= cap).argmax(axis=-1)
-        at = ks + np.arange(0, s.size, s.shape[1]) + _PREV_AND_AT
-        (s_lo, s_hi), (b_lo, b_hi) = s.ravel()[at].tolist(), bps.ravel()[at].tolist()
         # s[k] > cap: past the last breakpoint every coordinate sits at its lower bound
         # (v - inf clips to it); only rounding kept s above a cap equal to sum(lower).
         # k = 0: s(bps[0]) = sum(upper) > cap unless rounding says otherwise.
-        nus = [np.inf if s1 > cap else b1 if k == 0 else b0 + (s0 - cap) / (s0 - s1) * (b1 - b0)
-               for k, s0, s1, b0, b1 in zip(ks.tolist(), s_lo, s_hi, b_lo, b_hi)]
+        nus = [np.inf if sr[k] > cap else br[k] if k == 0
+               else br[k - 1] + (sr[k - 1] - cap) / (sr[k - 1] - sr[k]) * (br[k] - br[k - 1])
+               for k, sr, br in zip(ks.tolist(), s.tolist(), bps.tolist())]
         return (v - np.array(nus)[:, None]).clip(self.lower, self.upper)
 
     def contains(self, v: np.ndarray, slack: float = MEMBERSHIP_SLACK) -> bool:

@@ -70,7 +70,9 @@ class SolverConfig:
 
 @dataclass
 class SolverState:
-    """One row per seed: x (S, n), y (S, dim_g), z (S, dim_h), tail_sum (S, n)."""
+    """One row per seed: x (S, n), y (S, dim_g), z (S, dim_h), tail_sum (S, n).
+
+    z may be the very array y (see :func:`init_state`), or a separate one."""
 
     x: np.ndarray
     y: np.ndarray
@@ -106,6 +108,7 @@ def init_state(problem: CompositionalProblem, config: SolverConfig, zeta0) -> So
     """x1 = projected box midpoint (or configured point); y1, z1 from one extra sample.
 
     ``zeta0`` holds that extra sample, one row per seed of ``config.seeds``.
+    When ``inner_h is inner_g``, z1 is y1 itself: the two would stay bitwise equal.
     """
     if config.x0 is not None:
         x1 = problem.feasible_set.project(np.asarray(config.x0, dtype=float))
@@ -117,10 +120,12 @@ def init_state(problem: CompositionalProblem, config: SolverConfig, zeta0) -> So
         raise ValueError(f"zeta0 has {len(zeta0)} rows for {len(seeds)} seeds")
     x1 = np.tile(x1, (len(seeds), 1))
     y1 = np.array(problem.inner_g(x1, zeta0), dtype=float, copy=True)
-    if problem.constrained:
-        z1 = np.array(problem.inner_h(x1, zeta0), dtype=float, copy=True)
-    else:
+    if not problem.constrained:
         z1 = np.zeros((len(seeds), 0))
+    elif problem.inner_h is problem.inner_g:
+        z1 = y1
+    else:
+        z1 = np.array(problem.inner_h(x1, zeta0), dtype=float, copy=True)
     tail_start = math.ceil(config.horizon / 2)
     return SolverState(x=x1, y=y1, z=z1, seeds=seeds, t=1, tail_start=tail_start)
 
@@ -143,12 +148,12 @@ def cscgd_step(
     """One sample, one tracking update, one projected quasi-gradient step per seed.
 
     ``zeta`` holds one sample per row of the state, (S, dim_zeta).  Updates
-    ``state`` in place: the trackers y and z (step ``beta``), the tail sum
-    and count, the iterate x (steps ``alpha`` and ``delta``) and the
-    iteration counter.  Trackers are updated before they feed the gradient
-    assembly.  ``alpha = delta = 0`` gives pure tracking at a frozen x.
-    Returns the constraint estimates q(z) at the updated trackers, (S, J)
-    (J = 0 for an unconstrained problem).
+    ``state`` in place: the trackers y and z (step ``beta``; once when z is
+    y), the tail sum and count, the iterate x (steps ``alpha`` and
+    ``delta``) and the iteration counter.  Trackers are updated before they
+    feed the gradient assembly.  ``alpha = delta = 0`` gives pure tracking
+    at a frozen x.  Returns the constraint estimates q(z) at the updated
+    trackers, (S, J) (J = 0 for an unconstrained problem).
 
     The map outputs are used as they come, so they must be float ndarrays
     (:func:`run` checks each map's first output once per run).  A
@@ -166,7 +171,7 @@ def cscgd_step(
     state.y += beta * gval
 
     constrained = problem.constrained
-    if constrained:
+    if constrained and state.z is not state.y:
         hval = gval if problem.inner_h is problem.inner_g else problem.inner_h(x, zeta)
         state.z *= 1.0 - beta
         state.z += beta * hval
@@ -181,11 +186,11 @@ def cscgd_step(
             lgrad = penalty_gradient(qval, penalty_params)
         except ValueError:  # non-finite q(z); checking here first would cost every step
             raise _non_finite(problem, state, x, zeta, qval) from None
-        if delta != 0.0 and lgrad.any():
+        if delta != 0.0 and np.count_nonzero(lgrad):
             # Only rows with an active penalty move: adding a zero pull
             # elsewhere could turn -0.0 into +0.0, or inf * 0 into NaN.
-            active = lgrad.any(axis=-1)
-            rows = slice(None) if active.all() else active
+            active = np.logical_or.reduce(lgrad, -1)
+            rows = slice(None) if np.count_nonzero(active) == len(active) else active
             jac_q = problem.outer_q_jacobian(state.z[rows])
             if problem.inner_h_jacobian is problem.inner_g_jacobian:
                 jac_h = jac_g[rows]

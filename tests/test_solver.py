@@ -9,6 +9,7 @@ from cscgd import (
     FeasibleSetError,
     NonFiniteGradientError,
     SolverConfig,
+    SolverState,
     StepSchedule,
     cscgd_step,
     draw_zeta,
@@ -19,6 +20,8 @@ from cscgd import (
     step_bound_diagnostic,
     zero_violation_gamma,
 )
+from cscgd.harness import ExperimentConfig, resolve_problem
+from cscgd.penalty import penalty_gradient
 from cscgd.solver import convergence_bound_terms, logged_iterations, tracking_weights
 from cscgd.problems import (
     constrained_quadratic_problem,
@@ -458,3 +461,43 @@ def test_init_state_projects_configured_point():
     assert state.x[0, 0] == 1.0  # clamped to the box
     assert state.y[0, 0] == 1.0  # one extra sample at x1: g = x1
     assert state.tail_start == 5
+
+
+def preset_state(name, seeds=(0,), **kw):
+    config = ExperimentConfig(preset=name, horizon=300, seeds=seeds, **kw)
+    problem, c_ell = resolve_problem(config)
+    cfg = config.solver_config(seeds, c_ell)
+    rngs = seed_streams(cfg.seeds)
+    return problem, cfg, rngs, init_state(problem, cfg, draw_zeta(problem, rngs))
+
+
+@pytest.mark.parametrize("name, shared", [
+    ("paper-ex1", True), ("constrained-quadratic-toy", True),  # both alias inner_h to inner_g
+    ("paper-ex2-k5", False), ("quadratic-toy", False)])  # its own h; no constraint
+def test_init_state_shares_the_tracker_only_when_h_is_g(name, shared):
+    problem, _, _, state = preset_state(name)
+    assert (problem.constrained and problem.inner_h is problem.inner_g) is shared
+    assert (state.z is state.y) is shared
+
+
+@pytest.mark.parametrize("kw", [{}, {"instance_overrides": {"d_max": 0.02}}])
+def test_separate_tracker_steps_bitwise_equal_to_shared_one(kw):
+    problem, cfg, rngs, shared = preset_state("paper-ex1", seeds=(3, 5), **kw)
+    separate = SolverState(x=shared.x.copy(), y=shared.y.copy(), z=shared.y.copy(),
+                           seeds=shared.seeds, tail_start=shared.tail_start)
+    params, schedule = cfg.penalty_params(), cfg.schedule()
+    active = 0
+    for t in range(1, cfg.horizon + 1):
+        zeta = draw_zeta(problem, rngs)
+        q_shared = cscgd_step(problem, shared, *schedule.step_sizes(t), params, zeta)
+        q_separate = cscgd_step(problem, separate, *schedule.step_sizes(t), params, zeta)
+        assert q_shared.tobytes() == q_separate.tobytes(), f"q(z) at t = {t}"
+        for name in ("x", "y", "z", "tail_sum"):
+            assert getattr(shared, name).tobytes() == getattr(separate, name).tobytes(), \
+                f"{name} at t = {t}"
+        active += bool(penalty_gradient(q_shared, params).any())
+    assert shared.z is shared.y and separate.z is not separate.y
+    if kw:
+        assert 0 < active < cfg.horizon, "the delay cap never or always binds"
+    else:
+        assert active == 0

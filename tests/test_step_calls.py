@@ -1,0 +1,61 @@
+"""Python-level calls made by one warm solver step, counted with sys.setprofile.
+
+On the paper's small designs a step works on arrays of 3 to 9 entries, so
+per-call overhead is the cost of a step.  The step therefore reaches numpy's
+C reductions directly (``np.count_nonzero``, ``ufunc.reduce``) and never
+the Python wrappers behind ``ndarray.all``, ``.any``, ``.sum``, ``.max`` and
+``.min`` in ``numpy/_core/_methods.py``.  These are counts of profile
+events, not timings, so they repeat exactly from run to run.
+"""
+
+import os
+import sys
+from collections import Counter
+
+import pytest
+
+from cscgd import cscgd_step, draw_zeta, init_state, seed_streams
+from cscgd.harness import ExperimentConfig, resolve_problem
+from cscgd.penalty import penalty_gradient
+
+REDUCTION_WRAPPERS = {"_all", "_any", "_sum", "_amax", "_amin"}
+
+
+def count_calls(fn, *args):
+    """``fn(*args)`` and its Python-level calls, ``fn`` included, by (file, function)."""
+    calls = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            calls[(frame.f_code.co_filename, frame.f_code.co_name)] += 1
+
+    sys.setprofile(profile)
+    try:
+        out = fn(*args)
+    finally:
+        sys.setprofile(None)
+    return out, calls
+
+
+# The largest counts left by the last change to the step: paper-ex1 at S = 1
+# makes 29 calls (12 of them the Python dispatcher and body of six
+# count_nonzero calls), paper-ex2-k5 at S = 2 makes 51 (seven of them
+# ProductSet.dim and its blocks' dim, four ndarray.clip wrappers).
+@pytest.mark.parametrize("name, n_seeds, most", [("paper-ex1", 1, 29), ("paper-ex2-k5", 2, 51)])
+def test_warm_step_calls_no_reduction_wrapper(name, n_seeds, most):
+    config = ExperimentConfig(preset=name, horizon=100, seeds=tuple(range(n_seeds)))
+    problem, c_ell = resolve_problem(config)
+    solver_config = config.solver_config(config.seeds, c_ell)
+    params, schedule = solver_config.penalty_params(), solver_config.schedule()
+    rngs = seed_streams(solver_config.seeds)
+    state = init_state(problem, solver_config, draw_zeta(problem, rngs))
+    for t in range(1, 6):
+        cscgd_step(problem, state, *schedule.step_sizes(t), params, draw_zeta(problem, rngs))
+    qval, calls = count_calls(cscgd_step, problem, state, *schedule.step_sizes(6), params,
+                              draw_zeta(problem, rngs))
+    assert not penalty_gradient(qval, params).any(), "the counted step has an active penalty"
+    wrappers = {(f, fn): n for (f, fn), n in calls.items()
+                if os.path.basename(f) == "_methods.py" and fn in REDUCTION_WRAPPERS}
+    assert not wrappers, f"reduction wrappers on the step path: {wrappers}"
+    total = sum(calls.values())
+    assert total <= most, f"{total} Python-level calls, at most {most}: {calls.most_common()}"
