@@ -4,7 +4,8 @@ Each of N queues receives Poisson traffic at a tunable rate and serves
 packets with random lengths over a fixed-capacity link.  The objective
 trades log-utility of throughput against the mean waiting delay from the
 Pollaczek-Khinchin formula; the single expectation constraint caps the
-worst per-queue delay.
+worst per-queue delay.  The three outer maps that take a tracker share one
+evaluation of the delay terms per tracker value (see ``build``).
 """
 
 from __future__ import annotations
@@ -105,28 +106,37 @@ class Mg1WiredInstance:
             delay = (v / two_c) * safe_inv(c - u, knee)
             return (phi * delay - psi * np.log(u)).sum(axis=-1)
 
+        last = None, None  # key and delay terms of the latest tracker
+
+        def delay_terms(y):
+            # safe_inv(c - u), its derivative and v / 2c, evaluated once per tracker
+            # value: the key holds dtype, shape and bytes, so an in-place update of y
+            # misses, and so does a (1, 2n) stack of a (2n,) point.
+            nonlocal last
+            key = y.dtype, y.shape, y.tobytes()
+            if last[0] != key:
+                last = key, (*safe_inv_and_deriv(c - y[..., :n], knee), y[..., n:] / two_c)
+            return last[1]
+
         def outer_f_gradient(y):
-            u, v = y[..., :n], y[..., n:]
-            inv, dinv = safe_inv_and_deriv(c - u, knee)
+            inv, dinv, v_2c = delay_terms(y)
             grad = np.empty(y.shape)
-            d_u = np.multiply(neg_phi, v / two_c, out=grad[..., :n])
+            d_u = np.multiply(neg_phi, v_2c, out=grad[..., :n])
             d_u *= dinv
-            d_u -= psi / u
+            d_u -= psi / y[..., :n]
             d_v = np.multiply(phi, inv, out=grad[..., n:])
             d_v /= two_c
             return grad
 
         def outer_q(z):
-            u, v = z[..., :n], z[..., n:]
-            delays = (v / two_c) * safe_inv(c - u, knee)
-            return np.maximum.reduce(delays, -1, keepdims=True) - d_max
+            inv, _, v_2c = delay_terms(z)
+            return np.maximum.reduce(v_2c * inv, -1, keepdims=True) - d_max
 
         def outer_q_jacobian(z):
-            u, v = z[..., :n], z[..., n:]
-            inv, dinv = safe_inv_and_deriv(c - u, knee)
-            worst = first_argmax_mask((v / two_c) * inv)
+            inv, dinv, v_2c = delay_terms(z)
+            worst = first_argmax_mask(v_2c * inv)
             jac = np.zeros(z.shape[:-1] + (2 * n, 1))
-            jac[..., :n, 0] = np.where(worst, -(v / two_c) * dinv, 0.0)
+            jac[..., :n, 0] = np.where(worst, -v_2c * dinv, 0.0)
             jac[..., n:, 0] = np.where(worst, inv / two_c, 0.0)
             return jac
 

@@ -11,7 +11,9 @@ inequalities (service-tier ladders), projected by one finite NNLS solve.
 each row of a stacked projection is bitwise equal to projecting it alone.
 It raises ``FeasibleSetError`` on non-finite input, the solver step's only
 finiteness check, scanned once per call: a product projects its blocks
-unchecked (``_project``).  ``contains`` and ``midpoint`` work on points.
+unchecked (``_project``), through a layout (its ``dim`` and block slices)
+fixed at construction.  Clips call the ``clip`` ufunc that ``ndarray.clip``
+wraps, for the same bits.  ``contains`` and ``midpoint`` work on points.
 """
 
 from __future__ import annotations
@@ -19,6 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+try:  # the ufunc behind ndarray.clip, without its Python wrapper
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
 
 MEMBERSHIP_SLACK = 1e-12
 
@@ -69,7 +76,7 @@ class Box(_Projectable):
         return self.lower.size
 
     def _project(self, v: np.ndarray) -> np.ndarray:
-        return v.clip(self.lower, self.upper)
+        return _clip(v, self.lower, self.upper)
 
     def contains(self, v: np.ndarray, slack: float = MEMBERSHIP_SLACK) -> bool:
         v = np.asarray(v, dtype=float)
@@ -120,7 +127,7 @@ class BoxWithSumCap(_Projectable):
         return self.lower.size
 
     def _project(self, v: np.ndarray) -> np.ndarray:
-        u = v.clip(self.lower, self.upper)
+        u = _clip(v, self.lower, self.upper)
         over = np.add.reduce(u, -1) > self.cap
         binding = np.count_nonzero(over)
         if not binding:
@@ -137,7 +144,7 @@ class BoxWithSumCap(_Projectable):
         cap, v3 = self.cap, v[:, None, :]
         bps = (v3 - self._bounds).reshape(len(v), -1)
         bps.sort(axis=-1)
-        s = np.add.reduce((v3 - bps[:, :, None]).clip(self.lower, self.upper), -1)
+        s = np.add.reduce(_clip(v3 - bps[:, :, None], self.lower, self.upper), -1)
         # argmax, not searchsorted: the first index with s <= cap gives
         # s[k-1] > cap >= s[k] even where rounding breaks monotonicity by an ulp.
         ks = (s <= cap).argmax(axis=-1)
@@ -147,7 +154,7 @@ class BoxWithSumCap(_Projectable):
         nus = [np.inf if sr[k] > cap else br[k] if k == 0
                else br[k - 1] + (sr[k - 1] - cap) / (sr[k - 1] - sr[k]) * (br[k] - br[k - 1])
                for k, sr, br in zip(ks.tolist(), s.tolist(), bps.tolist())]
-        return (v - np.array(nus)[:, None]).clip(self.lower, self.upper)
+        return _clip(v - np.array(nus)[:, None], self.lower, self.upper)
 
     def contains(self, v: np.ndarray, slack: float = MEMBERSHIP_SLACK) -> bool:
         v = np.asarray(v, dtype=float)
@@ -259,27 +266,20 @@ class ProductSet(_Projectable):
         object.__setattr__(self, "blocks", tuple(self.blocks))
         if not self.blocks:
             raise FeasibleSetError("product of zero sets")
-
-    @property
-    def dim(self) -> int:
-        return sum(b.dim for b in self.blocks)
-
-    def _split(self, v: np.ndarray):
-        out, k = [], 0
-        for b in self.blocks:
-            out.append(v[..., k:k + b.dim])
-            k += b.dim
-        return out
+        ends = np.cumsum([b.dim for b in self.blocks]).tolist()
+        object.__setattr__(self, "dim", ends[-1])
+        object.__setattr__(self, "_parts", tuple((..., slice(k - b.dim, k))
+                                                 for b, k in zip(self.blocks, ends)))
 
     def _project(self, v: np.ndarray) -> np.ndarray:
-        return np.concatenate([b._project(p) for b, p in zip(self.blocks, self._split(v))], -1)
+        return np.concatenate([b._project(v[p]) for b, p in zip(self.blocks, self._parts)], -1)
 
     def contains(self, v: np.ndarray, slack: float | None = None) -> bool:
         """Every block contains its part; with no ``slack``, each block's own default."""
         v = np.asarray(v, dtype=float)
         return all(
-            b.contains(part) if slack is None else b.contains(part, slack)
-            for b, part in zip(self.blocks, self._split(v))
+            b.contains(v[p]) if slack is None else b.contains(v[p], slack)
+            for b, p in zip(self.blocks, self._parts)
         )
 
     def midpoint(self) -> np.ndarray:

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -185,6 +189,52 @@ def test_one_search_per_stack_and_one_finiteness_scan_per_product(monkeypatch):
     assert counter.calls == 1
     with pytest.raises(FeasibleSetError, match="non-finite"):
         product.project(np.r_[np.zeros(10), np.nan])
+
+
+@pytest.mark.parametrize("v, lower, upper", [
+    ([-0.0, 0.0, -0.0, -1.0, 0.0], [0.0, -0.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, -0.0, -0.0]),
+    ([np.inf, -np.inf, np.inf, -np.inf, np.nan], [0.0, 0.0, -np.inf, -np.inf, 0.0],
+     [1.0, 1.0, np.inf, np.inf, 1.0]),
+    ([3.0, -3.0, 0.5, -0.0, np.inf], [0.5, -0.0, 0.5, 0.0, 2.0], [0.5, -0.0, 0.5, 0.0, 2.0]),
+], ids=["signed-zeros", "infinities", "equal-bounds"])
+def test_clip_ufunc_matches_ndarray_clip(v, lower, upper):
+    from cscgd.sets import _clip
+
+    v, lower, upper = (np.array(a, dtype=float) for a in (v, lower, upper))
+    assert isinstance(_clip, np.ufunc) and _clip.__name__ == "clip"
+    got, want = _clip(v, lower, upper), v.clip(lower, upper)
+    assert (got.shape, got.dtype, got.tobytes()) == (want.shape, want.dtype, want.tobytes())
+
+
+def test_clip_ufunc_matches_ndarray_clip_on_breakpoint_broadcast(rng):
+    # The (R, 2n, n) evaluation of s(nu) in BoxWithSumCap._search, with signed
+    # zeros and infinities among the entries.
+    from cscgd.sets import _clip
+
+    r, n = 4, 5
+    lower, upper = np.array([0.0, -0.0, 1.0, 2.0, 0.0]), np.array([0.0, 1.0, 1.0, 3.0, np.inf])
+    v = rng.normal(0.0, 2.0, size=(r, 1, n))
+    bps = rng.normal(0.0, 2.0, size=(r, 2 * n, 1))
+    bps[0, :3, 0] = [np.inf, -np.inf, 0.0]
+    v[1, 0, :2] = [-0.0, 0.0]
+    got, want = _clip(v - bps, lower, upper), (v - bps).clip(lower, upper)
+    assert got.shape == (r, 2 * n, n)
+    assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+
+
+def test_clip_ufunc_resolves_without_numpy_core_private_module():
+    # numpy < 2 has no numpy._core.umath: the import falls back to numpy.core.umath,
+    # which must name the same ufunc.
+    import cscgd
+
+    src = os.path.dirname(os.path.dirname(cscgd.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import importlib, sys, warnings; import numpy as np; from cscgd import sets; "
+            "clip = sets._clip; sys.modules['numpy._core.umath'] = None; "
+            "warnings.simplefilter('ignore', DeprecationWarning); importlib.reload(sets); "
+            "assert sets._clip is clip and clip.__name__ == 'clip', sets._clip")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 def test_product_blockwise():
