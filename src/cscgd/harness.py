@@ -32,7 +32,6 @@ EPS_PLOT = 1e-12
 EVAL_CHUNK_ROWS = 16_384
 # Parameters of the oracle baselines.  The cache records the ones its
 # baseline was computed with and refuses to serve any other.
-ERGODIC_ORACLE = {"lambda_points": 7, "p_points": 7, "mc_samples": 100_000, "seed": 99}
 # The wired baseline has no knobs: its entry names the rule behind its
 # length moments, so a cache computed by another rule is refused.
 WIRED_ORACLE = {"moments": "composite-gauss-legendre"}
@@ -257,8 +256,6 @@ def oracle_cache_path(out_dir: str, preset: str) -> str:
 
 def oracle_params(preset: str) -> dict:
     """Parameters of the baseline method used for ``preset`` ({} when it has none)."""
-    if preset.startswith("paper-ex2"):
-        return dict(ERGODIC_ORACLE)
     if preset == "paper-ex1":
         return dict(WIRED_ORACLE)
     if preset in TOY_TARGETS:
@@ -267,7 +264,7 @@ def oracle_params(preset: str) -> dict:
 
 
 def compute_oracle(config: ExperimentConfig, instance=None) -> dict:
-    """Deterministic or brute-force baseline value for the configured preset."""
+    """Deterministic or sample-average baseline value for the configured preset."""
     # deferred: no solve or evaluation needs the oracles
     from .oracles import ergodic_fstar, sample_average_baseline, wired_fstar
 
@@ -289,18 +286,14 @@ def compute_oracle(config: ExperimentConfig, instance=None) -> dict:
             "x_star": base.x_star.tolist(),
             "grad_map_norm": base.grad_map_norm,
         }
-    elif name.startswith("paper-ex2"):
-        res = ergodic_fstar(instance, **params)
-        payload = {
-            "method": "grid-search-crn",
-            "f_star": res.best_value,
-            "x_star": res.best_point.tolist(),
-            "f_star_std_err": res.best_std_err,
-        }
     else:
-        res = sample_average_baseline(instance.build(), **params)
+        if name.startswith("paper-ex2"):
+            method, res = "sample-average-exact-pk", ergodic_fstar(instance, **params)
+        else:
+            method = "sample-average-local"
+            res = sample_average_baseline(instance.build(), **params)
         payload = {
-            "method": "sample-average-local",
+            "method": method,
             "f_star": res.value,
             "x_star": res.x.tolist(),
             "grad_map_norm": res.grad_map_norm,

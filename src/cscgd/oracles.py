@@ -1,28 +1,29 @@
 """Independent ground-truth machinery for the acceptance checks.
 
 Everything here deliberately avoids the solver's code paths: moments come
-from quadrature, optima from deterministic reformulations solved by
-line-searched projected gradient descent or brute-force grids, and the
-budgeted-box projection has two references of its own, a sorted-breakpoint
-scan and a bisection on the budget multiplier, and the box with linear
-inequalities has Dykstra's alternating projections; none of them calls
-``sets``.  Gradient claims are checked by centered differences.
+from quadrature, optima from deterministic reformulations or from sample
+averages over one frozen sample block, solved by line-searched projected
+gradient descent, and the budgeted-box projection has two references of
+its own, a sorted-breakpoint scan and a bisection on the budget multiplier,
+and the box with linear inequalities has Dykstra's alternating projections;
+none of them calls ``sets``.  Gradient claims are checked by centered
+differences.
 
 The wired baseline takes its length moments from a composite Gauss-Legendre
-rule on numpy alone, certified by the agreement of two rule orders; the
-other moments and expectations use scipy's adaptive quadrature, which is
-imported on first use, so the wired baseline never loads ``scipy.integrate``.
+rule on numpy alone, certified by the agreement of two rule orders, and the
+ergodic baseline writes out its own exact PK value and gradient; the other
+moments and expectations use scipy's adaptive quadrature, which is imported
+on first use, so neither baseline loads ``scipy.integrate``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .distributions import make_rng
-from .problems.safeguards import safe_inv
 from .sets import FeasibleSetError
 
 QUAD_OPTS = {"epsabs": 1e-13, "epsrel": 1e-13, "limit": 400}
@@ -453,140 +454,66 @@ def wired_fstar(instance, tol: float = 1e-10, grid_radius: float = 0.02) -> Wire
 
 
 # ---------------------------------------------------------------------------
-# Brute-force baseline for the ergodic design
+# Sample-average baselines: one frozen sample block, projected descent
 # ---------------------------------------------------------------------------
 
-@dataclass
-class GridSearchResult:
-    best_point: np.ndarray
-    best_value: float
-    best_std_err: float
-    constraint_estimate: float
-    constraint_std_err: float
-    n_feasible: int
-    n_evaluated: int
-    grid_spec: dict = field(default_factory=dict)
+def ergodic_fstar(instance, n_samples: int, seed: int) -> DescentResult:
+    """Sample-average optimum of the ergodic design from the exact PK delay.
 
-
-def ergodic_fstar(
-    instance,
-    lambda_points: int = 7,
-    p_points: int = 7,
-    mc_samples: int = 100_000,
-    seed: int = 0,
-    n_batches: int = 10,
-    lambda_axis=None,
-    p_axis=None,
-) -> GridSearchResult:
-    """Grid search over (rates, powers) with common random numbers.
-
-    The same fixed fading sample matrix prices every grid point, making the
-    comparison a paired test; per-queue moment vectors are cached per power
-    value and the rate coordinates are swept vectorized.
+    Freezes one block of fading draws and minimizes, by projected descent
+    over the rate and power budgets, sum(phi lam m2 / (2 (1 - lam m1)) -
+    psi log lam) with m1 = mean(1/b), m2 = mean(1/b^2) and b = B log(1 +
+    zeta p).  Value and gradient are written out here and each budget block
+    is projected by :func:`project_box_sumcap_sorted`, so nothing is shared
+    with the design's maps or its safeguards.  The utilization lam m1 stays
+    below 1 wherever lambda_max is below the slowest rate B log(1 + p_min G).
+    The rate floor is not a constraint of the descent: a ``ValueError``
+    naming the slack is raised when the mean worst-user rate at the solution
+    does not clear r_min.
     """
-    if mc_samples < 2:
-        raise ValueError("mc_samples must be at least 2")
+    if n_samples < 2:
+        raise ValueError("n_samples must be at least 2")
     n = instance.n_queues
-    rng = make_rng(seed, 0)
-    zeta = instance.channel_distribution().draw(rng, mc_samples)  # (S, n)
-    lam_axis = (
-        np.asarray(lambda_axis, dtype=float)
-        if lambda_axis is not None
-        else np.linspace(instance.lambda_min, instance.lambda_max, lambda_points)
-    )
-    p_axis = (
-        np.asarray(p_axis, dtype=float)
-        if p_axis is not None
-        else np.linspace(instance.p_min, instance.p_max, p_points)
-    )
-    psi, phi = instance.psi_weights, instance.phi_weights
-    eps = instance.varsigma_eps
+    zeta = instance.channel_distribution().draw(make_rng(seed, 0), n_samples)
+    bw, psi, phi = instance.bandwidths, instance.psi_weights, instance.phi_weights
+    lam_box = (instance.lambda_min, instance.lambda_max, instance.lambda_cap)
+    p_box = (instance.p_min, instance.p_max, instance.p_max)
 
-    rate_cache: dict = {}
+    def value(x):
+        lam, inv = x[:n], 1.0 / (bw * np.log1p(zeta * x[n:]))
+        m1, m2 = inv.mean(0), (inv * inv).mean(0)
+        return float(np.sum(phi * lam * m2 / (2.0 * (1.0 - lam * m1)) - psi * np.log(lam)))
 
-    def rates_for(i: int, p: float) -> np.ndarray:
-        key = (i, float(p))
-        if key not in rate_cache:
-            rate_cache[key] = instance.bandwidths[i] * np.log1p(zeta[:, i] * p)
-        return rate_cache[key]
+    def grad(x):
+        lam, p = x[:n], x[n:]
+        inv = 1.0 / (bw * np.log1p(zeta * p))
+        inv2 = inv * inv
+        db = bw * zeta / (1.0 + zeta * p)  # d b / d p
+        m1, m2 = inv.mean(0), inv2.mean(0)
+        slack = 1.0 - lam * m1
+        d_m1 = phi * lam * lam * m2 / (2.0 * slack**2)  # d value / d m1
+        d_m2 = phi * lam / (2.0 * slack)  # d value / d m2
+        d_lam = phi * m2 / (2.0 * slack**2) - psi / lam
+        d_p = -d_m1 * (db * inv2).mean(0) - 2.0 * d_m2 * (db * inv2 * inv).mean(0)
+        return np.concatenate([d_lam, d_p])
 
-    lam_mesh = np.stack(
-        np.meshgrid(*([lam_axis] * n), indexing="ij"), axis=-1
-    ).reshape(-1, n)
-    lam_mesh = lam_mesh[lam_mesh.sum(axis=1) <= instance.lambda_cap]
-    if lam_mesh.size == 0:
-        raise ValueError("empty feasible rate grid")
+    def project(v):
+        return np.concatenate([project_box_sumcap_sorted(v[:n], *lam_box),
+                               project_box_sumcap_sorted(v[n:], *p_box)])
 
-    best = None
-    n_feasible = 0
-    n_evaluated = 0
-    batch_edges = np.linspace(0, mc_samples, n_batches + 1).astype(int)
+    x0 = 0.5 * np.repeat([instance.lambda_min + instance.lambda_max,
+                          instance.p_min + instance.p_max], n)
+    res = projected_gradient_descent(value, grad, project, x0, tol=1e-8)
+    worst = (bw * np.log1p(zeta * res.x[n:])).min(axis=1)
+    slack = float(worst.mean()) - instance.r_min
+    if not slack > 0.0:
+        raise ValueError(
+            f"the rate floor binds at the sample-average solution: mean "
+            f"worst-user rate minus r_min is {slack:.6g}, so the unconstrained "
+            f"descent is no reference for this instance"
+        )
+    return res
 
-    p_mesh = np.stack(
-        np.meshgrid(*([p_axis] * n), indexing="ij"), axis=-1
-    ).reshape(-1, n)
-    p_mesh = p_mesh[p_mesh.sum(axis=1) <= instance.p_max]
-    if p_mesh.size == 0:
-        raise ValueError("empty feasible power grid")
-
-    for p in p_mesh:
-        b = np.stack([rates_for(i, p[i]) for i in range(n)], axis=1)  # (S, n)
-        worst = b.min(axis=1)
-        min_rate = worst.mean()
-        min_rate_se = worst.std(ddof=1) / math.sqrt(mc_samples)
-        n_evaluated += lam_mesh.shape[0]
-        if min_rate < instance.r_min:
-            continue
-        m1 = (1.0 / b).mean(axis=0)
-        m2 = (1.0 / b**2).mean(axis=0)
-        rho = lam_mesh * m1
-        delay = (lam_mesh * m2 / 2.0) * safe_inv(1.0 - rho, eps)
-        values = (phi * delay - psi * np.log(lam_mesh)).sum(axis=1)
-        n_feasible += values.size
-        k = int(np.argmin(values))
-        if best is None or values[k] < best[0]:
-            best = (
-                float(values[k]),
-                np.concatenate([lam_mesh[k], p]),
-                b,
-                float(min_rate),
-                float(min_rate_se),
-            )
-
-    if best is None:
-        raise ValueError("no feasible grid point satisfies the rate floor")
-
-    value, point, b, min_rate, min_rate_se = best
-    lam_best = point[:n]
-    batch_vals = []
-    for lo, hi in zip(batch_edges[:-1], batch_edges[1:]):
-        bb = b[lo:hi]
-        m1 = (1.0 / bb).mean(axis=0)
-        m2 = (1.0 / bb**2).mean(axis=0)
-        delay = (lam_best * m2 / 2.0) * safe_inv(1.0 - lam_best * m1, eps)
-        batch_vals.append(float(np.sum(phi * delay - psi * np.log(lam_best))))
-    best_se = float(np.std(batch_vals, ddof=1) / math.sqrt(n_batches))
-
-    return GridSearchResult(
-        best_point=point,
-        best_value=value,
-        best_std_err=best_se,
-        constraint_estimate=float(instance.r_min - min_rate),
-        constraint_std_err=min_rate_se,
-        n_feasible=n_feasible,
-        n_evaluated=n_evaluated,
-        grid_spec={
-            "lambda_axis": lam_axis.tolist(),
-            "p_axis": p_axis.tolist(),
-            "mc_samples": mc_samples,
-            "seed": seed,
-        },
-    )
-
-
-# ---------------------------------------------------------------------------
-# Sample-average local baseline (non-convex designs)
-# ---------------------------------------------------------------------------
 
 def sample_average_baseline(
     problem,
@@ -597,29 +524,20 @@ def sample_average_baseline(
 ) -> DescentResult:
     """Local optimum of the fixed-sample smoothed objective.
 
-    Freezes one large common-random-number batch, then runs deterministic
-    projected descent on x -> f(mean_s g(x, zeta_s)).  For non-convex
-    designs this is a locally optimal reference value, not a certificate.
+    Freezes one common-random-number block, then runs deterministic
+    projected descent on x -> f(mean_s g(x, zeta_s)), mapping the whole
+    block in one call per map.  For non-convex designs this is a locally
+    optimal reference value, not a certificate.
     """
-    rng = make_rng(seed, 0)
-    batch = [problem.sample(rng) for _ in range(n_samples)]
-
-    def mean_g(x):
-        acc = np.asarray(problem.inner_g(x, batch[0]), dtype=float).copy()
-        for zeta in batch[1:]:
-            acc += problem.inner_g(x, zeta)
-        return acc / len(batch)
+    block = problem.sample(make_rng(seed, 0), n_samples)
 
     def value(x):
-        return float(problem.outer_f(mean_g(x)))
+        return float(problem.outer_f(problem.inner_g(x, block).mean(0)))
 
     def grad(x):
-        ybar = mean_g(x)
-        fg = np.asarray(problem.outer_f_gradient(ybar), dtype=float)
-        acc = np.asarray(problem.inner_g_jacobian(x, batch[0]), dtype=float) @ fg
-        for zeta in batch[1:]:
-            acc += problem.inner_g_jacobian(x, zeta) @ fg
-        return acc / len(batch)
+        fg = np.asarray(problem.outer_f_gradient(problem.inner_g(x, block).mean(0)), dtype=float)
+        jac = problem.inner_g_jacobian(np.broadcast_to(x, (n_samples, x.size)), block)
+        return (jac @ fg).mean(0)
 
     x0 = problem.feasible_set.midpoint()
     return projected_gradient_descent(

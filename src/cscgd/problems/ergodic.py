@@ -3,10 +3,11 @@
 Joint design of arrival rates and per-queue transmit powers.  Service rates
 follow the ergodic capacity b_i = B_i log(1 + zeta_i p_i) under chi-squared
 fading with support bounded away from zero.  The delay penalty applies the
-PK formula to the tracked reciprocal-rate moments, with the ratio replaced
-by its tangent-line continuation once the tracked utilization crosses the
-knee.  The quality-of-service constraint keeps the expected worst-user rate
-above a floor: q(z) = r_min + z with z tracking -min_i b_i.
+PK formula to the tracked reciprocal-rate moments, exactly while the tracked
+utilization rho stays below the knee ``varsigma_eps``; above it, 1 / (1 -
+rho) is replaced by its tangent-line continuation.  The quality-of-service
+constraint keeps the expected worst-user rate above a floor: q(z) = r_min +
+z with z tracking -min_i b_i.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ class Mg1ErgodicInstance:
     antennas: int  # K; fading has 2K degrees of freedom
     psi_weights: np.ndarray
     phi_weights: np.ndarray
-    varsigma_eps: float = 0.95  # knee of the utilization safeguard
+    varsigma_eps: float = 0.95  # utilization at the knee of the safeguard
     name: str = "mg1-ergodic"
 
     def __post_init__(self):
@@ -84,7 +85,7 @@ class Mg1ErgodicInstance:
         n = self.n_queues
         bw = self.bandwidths
         psi, phi = self.psi_weights, self.phi_weights
-        eps = self.varsigma_eps
+        knee = 1.0 - self.varsigma_eps  # in 1 - rho, so the PK ratio is exact up to rho = eps
         r_min = self.r_min
         neg_bw, neg_psi, neg_phi = -bw, -psi, -phi
         dist = self.channel_distribution()
@@ -121,12 +122,12 @@ class Mg1ErgodicInstance:
 
         def outer_f(y):
             lam_t, rho, m2 = y[..., :n], y[..., n:2 * n], y[..., 2 * n:]
-            delay = (m2 / 2.0) * safe_inv(1.0 - rho, eps)
+            delay = (m2 / 2.0) * safe_inv(1.0 - rho, knee)
             return (phi * delay - psi * np.log(lam_t)).sum(axis=-1)
 
         def outer_f_gradient(y):
             lam_t, rho, m2 = y[..., :n], y[..., n:2 * n], y[..., 2 * n:]
-            inv, dinv = safe_inv_and_deriv(1.0 - rho, eps)
+            inv, dinv = safe_inv_and_deriv(1.0 - rho, knee)
             grad = np.empty(y.shape)
             np.divide(neg_psi, lam_t, out=grad[..., :n])
             d_rho = np.multiply(neg_phi, m2 / 2.0, out=grad[..., n:2 * n])

@@ -16,6 +16,7 @@ from cscgd.checks import gradient_suite, penalty_suite, projection_suite, tracki
 from cscgd.distributions import ExponentialMean, make_rng
 from cscgd.harness import (
     ExperimentConfig,
+    evaluate_point,
     mann_kendall,
     rate_fit,
     read_trajectory_csv,
@@ -336,8 +337,6 @@ def test_criterion_9_nonconvex_stationarity():
         tail = slice(-(traj["t"].size // 10), None)
         movement = float(np.mean(np.sqrt(traj["step_sq"][tail]) / traj["alpha"][tail]))
         floor = math.sqrt(2.0 * report["C_f"] * report["C_g"])
-        from cscgd.harness import evaluate_point
-
         ev_hat = evaluate_point(problem, x_hat, 20_000, seed=777)
         ev_init = evaluate_point(problem, x_init, 20_000, seed=777)
         improved = ev_hat["f"] < ev_init["f"]
@@ -371,3 +370,30 @@ def test_criterion_10_determinism(wired_experiment, tmp_path_factory):
             == (out3 / f"trajectory-seed{seed}.csv").read_bytes()
         )
     verdict(10, same, "repeated runs with identical config+seed emit byte-identical CSVs")
+
+
+def test_criterion_11_wireless_reaches_its_reference(ex2_reference):
+    # ex2_reference (conftest): the exact-PK sample-average optimum at the
+    # harness's oracle parameters
+    inst = paper_ex2()
+    problem = inst.build()
+    f_star = ex2_reference.value
+
+    def gap_and_worst_q(a, b, c):
+        cfg = SolverConfig(a=a, b=b, c=c, regime="constant", horizon=10_000,
+                           c_ell=inst.default_c_ell(), seeds=(0, 1, 2, 3))
+        x_hats, _ = run(problem, cfg)
+        evs = [evaluate_point(problem, x, 20_000, seed=777) for x in x_hats]
+        gap = np.mean([abs(ev["f"] - f_star) / abs(f_star) for ev in evs])
+        return float(gap), max(float(ev["q"][0]) for ev in evs)
+
+    gap, worst_q = gap_and_worst_q(0.51, 0.5, 0.5)
+    shipped = ExperimentConfig(preset=inst.name)
+    shipped_gap, _ = gap_and_worst_q(shipped.a, shipped.b, shipped.c)
+    ok = gap <= 0.01 and worst_q <= 0.0
+    verdict(11, ok, (
+        f"paper-ex2-k5, 4 seeds, T=1e4, (a, b, c) = (0.51, 0.5, 0.5): mean relative "
+        f"gap {gap:.4f} (<= 0.01) to F* = {f_star:.5f}, worst constraint value "
+        f"{worst_q:.2f} (<= 0); at the shipped ({shipped.a}, {shipped.b}, {shipped.c}) "
+        f"the gap is {shipped_gap:.4f} (not gated)"
+    ))

@@ -61,7 +61,7 @@ def test_utilization_guard_continuous_at_knee():
     inst = paper_ex2()
     problem = inst.build()
     eps = inst.varsigma_eps
-    rho = 1.0 - eps  # knee of the tracked-utilization guard
+    rho = 1.0 - eps  # a smooth point of the exact branch; the knee sits at rho = eps
 
     def f_at(rho_val):
         y = np.concatenate([np.ones(3), np.array([rho_val, 0.02, 0.02]),
@@ -76,6 +76,35 @@ def test_utilization_guard_continuous_at_knee():
     assert x_val * safe_inv(np.array([eps]), eps)[0] == pytest.approx(x_val / eps)
     lin = x_val * (2 * eps - eps) / eps**2
     assert lin == pytest.approx(x_val / eps)
+
+
+def _tracker(rho):
+    lam = np.array([2.0, 3.0, 4.0])
+    return np.concatenate([lam, np.full(3, rho), np.array([1e-3, 2e-3, 4e-3])])
+
+
+@pytest.mark.parametrize("rho", [0.1, 0.5, 0.9])
+def test_outer_maps_equal_the_exact_pk_formula_below_the_knee(rho):
+    inst = paper_ex2()
+    problem = inst.build()
+    psi, phi = inst.psi_weights, inst.phi_weights
+    y = _tracker(rho)
+    lam, m2 = y[:3], y[6:]
+    exact = np.sum(phi * m2 / (2.0 * (1.0 - rho)) - psi * np.log(lam))
+    assert problem.outer_f(y) == pytest.approx(exact, rel=1e-14, abs=0.0)
+    grad = problem.outer_f_gradient(y)
+    assert np.allclose(grad[:3], -psi / lam, rtol=1e-14, atol=0.0)
+    assert np.allclose(grad[3:6], phi * m2 / (2.0 * (1.0 - rho) ** 2), rtol=1e-14, atol=0.0)
+    assert np.allclose(grad[6:], phi / (2.0 * (1.0 - rho)), rtol=1e-14, atol=0.0)
+
+
+def test_outer_maps_continuous_at_utilization_eps():
+    problem = paper_ex2().build()
+    eps = paper_ex2().varsigma_eps
+    below, above = _tracker(eps - 1e-11), _tracker(eps + 1e-11)
+    assert problem.outer_f(below) == pytest.approx(problem.outer_f(above), rel=1e-8)
+    assert np.allclose(problem.outer_f_gradient(below), problem.outer_f_gradient(above),
+                       rtol=1e-6, atol=0.0)
 
 
 def test_gradients_match_finite_differences():

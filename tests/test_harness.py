@@ -163,18 +163,17 @@ class TestRunExperiment:
 
         def fake_ergodic_fstar(instance, **params):
             calls.append(params)
-            return SimpleNamespace(best_value=-1.0, best_point=np.zeros(10),
-                                   best_std_err=0.0)
+            return SimpleNamespace(value=-1.0, x=np.zeros(6), grad_map_norm=0.0)
 
         monkeypatch.setattr("cscgd.oracles.ergodic_fstar", fake_ergodic_fstar)
         cfg = ExperimentConfig(preset="paper-ex2-k5", horizon=100, seeds=(0,),
                                out_dir=str(tmp_path / "ex2"))
         path = write_oracle_cache(cfg)
-        assert calls == [harness.ERGODIC_ORACLE]
-        assert load_oracle_cache(cfg)["oracle_params"] == harness.ERGODIC_ORACLE
-        monkeypatch.setitem(harness.ERGODIC_ORACLE, "mc_samples", 1_000)
-        with pytest.raises(ValueError, match=r'oracle_params \{.*"mc_samples": 100000.*'
-                                             r'\}, this config has \{.*"mc_samples": 1000,'):
+        assert calls == [harness.SAMPLE_AVERAGE_ORACLE]
+        assert load_oracle_cache(cfg)["oracle_params"] == harness.SAMPLE_AVERAGE_ORACLE
+        monkeypatch.setitem(harness.SAMPLE_AVERAGE_ORACLE, "n_samples", 1_000)
+        with pytest.raises(ValueError, match=r'oracle_params \{.*"n_samples": 2000.*'
+                                             r'\}, this config has \{.*"n_samples": 1000,'):
             load_oracle_cache(cfg)
         monkeypatch.undo()
 
@@ -315,6 +314,8 @@ class TestStatistics:
             "s, _ = run_experiment(ExperimentConfig(preset='paper-ex1', horizon=200, "
             "eval_samples=200, out_dir=sys.argv[1], oracle_gap=True)); "
             "assert s[0].gap is not None",
+            "from cscgd.cli import main; "
+            "assert main(['oracle', '--preset', 'paper-ex2-k5', '--out', sys.argv[1]]) == 0",
         ):
             subprocess.run([sys.executable, "-W", "ignore", "-c",
                             f"import sys; {code}; {check}", str(tmp_path)],
