@@ -152,15 +152,28 @@ def trajectory_header(num_constraints: int) -> str:
 
 
 def write_trajectory_csv(path: str, trajectory: dict, num_constraints: int):
-    """One row per logged iteration of a :func:`run` trajectory."""
-    cols = [trajectory[name].tolist() for name in ("t", "alpha", "beta", "delta", "obj")]
-    cols += [trajectory["viol"][:, j].tolist() for j in range(num_constraints)]
-    cols.append(trajectory["step_sq"].tolist())
+    """One row per logged iteration of a :func:`run` trajectory.
+
+    Each entry is the ``repr`` of its Python value, formatted column by
+    column; a float column that holds one value bit for bit (every step
+    size of the constant regime) is formatted once.
+    """
+    cols = [trajectory[name] for name in ("t", "alpha", "beta", "delta", "obj")]
+    cols += [trajectory["viol"][:, j] for j in range(num_constraints)]
+    cols.append(trajectory["step_sq"])
     lines = [trajectory_header(num_constraints)]
-    lines += [",".join(map(repr, row)) for row in zip(*cols)]
+    lines += map(",".join, zip(*map(_column_reprs, cols)))
     payload = "\n".join(lines) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(payload)
+
+
+def _column_reprs(col: np.ndarray):
+    if col.dtype == np.float64 and col.size:
+        bits = col.view(np.int64)
+        if not np.count_nonzero(bits != bits[0]):
+            return [repr(col[0].item())] * col.size
+    return map(repr, col.tolist())
 
 
 def read_trajectory_csv(path: str) -> dict:

@@ -180,9 +180,10 @@ def finite_difference_check(
 def project_box_sumcap_sorted(v, lower, upper, cap) -> np.ndarray:
     """Exact projection onto {lower <= u <= upper, sum(u) <= cap}.
 
-    Scans the piecewise-linear multiplier function over its sorted
-    breakpoints one Python-level evaluation at a time; shares no code with
-    the vectorised search in ``sets.BoxWithSumCap``.
+    Evaluates the piecewise-linear multiplier function at every sorted
+    breakpoint with one (B, n) clip and one row sum, then interpolates on
+    the first segment that reaches the cap; shares no code with the search
+    in ``sets.BoxWithSumCap``.
     """
     v = np.asarray(v, dtype=float)
     lower = np.broadcast_to(np.asarray(lower, dtype=float), v.shape)
@@ -193,14 +194,14 @@ def project_box_sumcap_sorted(v, lower, upper, cap) -> np.ndarray:
     # s(nu) = sum(clip(v - nu, lower, upper)) is piecewise linear and
     # nonincreasing; breakpoints where components enter/leave saturation.
     bps = np.unique(np.concatenate([v - upper, v - lower]))
-    s_vals = np.array([np.clip(v - nu, lower, upper).sum() for nu in bps])
+    s_vals = np.clip(v - bps[:, None], lower, upper).sum(axis=1)
     k = int(np.searchsorted(-s_vals, -cap))  # first index with s <= cap
     if k == 0:
         nu = bps[0]
     else:
-        lo_nu, hi_nu = bps[k - 1], bps[min(k, bps.size - 1)]
-        s_lo = s_vals[k - 1]
-        s_hi = np.clip(v - hi_nu, lower, upper).sum()
+        hi = min(k, bps.size - 1)
+        lo_nu, hi_nu = bps[k - 1], bps[hi]
+        s_lo, s_hi = s_vals[k - 1], s_vals[hi]
         if s_lo == s_hi:
             nu = hi_nu
         else:

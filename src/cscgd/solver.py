@@ -10,7 +10,10 @@ average of the second half of the iterates.
 Independent seeds run side by side: the state holds one row per seed
 (x, y, z and the tail sum are (S, .) arrays) and one kernel call steps
 every row.  Each seed keeps its own generator, and every row is bitwise
-equal to the same seed run alone.
+equal to the same seed run alone.  A one-seed run steps the same kernel
+on single points (x (n,), y (dim_g,), z (dim_h,)), where every ufunc
+takes numpy's same-shape loop instead of broadcasting against a (1, n)
+row; only its output keeps the seed axis.
 """
 
 from __future__ import annotations
@@ -72,6 +75,8 @@ class SolverConfig:
 class SolverState:
     """One row per seed: x (S, n), y (S, dim_g), z (S, dim_h), tail_sum (S, n).
 
+    A one-seed state may instead hold single points (see :func:`drop_seed_axis`).
+
     z may be the very array y (see :func:`init_state`), or a separate one."""
 
     x: np.ndarray
@@ -130,6 +135,17 @@ def init_state(problem: CompositionalProblem, config: SolverConfig, zeta0) -> So
     return SolverState(x=x1, y=y1, z=z1, seeds=seeds, t=1, tail_start=tail_start)
 
 
+def drop_seed_axis(state: SolverState) -> None:
+    """Put a one-seed state on single points: x (n,), y (dim_g,), z (dim_h,).
+
+    On vectors of a few entries a ufunc on (n,) operands costs about half
+    the same ufunc broadcasting (n,) against (1, n).  z stays y when it is y.
+    """
+    y = state.y[0]
+    state.z = y if state.z is state.y else state.z[0]
+    state.x, state.y, state.tail_sum = state.x[0], y, state.tail_sum[0]
+
+
 def _matvec(mats: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     # Stacked matmul runs one gemv per row, bitwise equal to the single
     # ``mat @ vec``; einsum and multiply-then-sum round differently.
@@ -147,13 +163,14 @@ def cscgd_step(
 ) -> np.ndarray:
     """One sample, one tracking update, one projected quasi-gradient step per seed.
 
-    ``zeta`` holds one sample per row of the state, (S, dim_zeta).  Updates
+    ``zeta`` holds one sample per row of the state, (S, dim_zeta), or one
+    (dim_zeta,) sample for a single-point state.  Updates
     ``state`` in place: the trackers y and z (step ``beta``; once when z is
     y), the tail sum and count, the iterate x (steps ``alpha`` and
     ``delta``) and the iteration counter.  Trackers are updated before they
     feed the gradient assembly.  ``alpha = delta = 0`` gives pure tracking
     at a frozen x.  Returns the constraint estimates q(z) at the updated
-    trackers, (S, J) (J = 0 for an unconstrained problem).
+    trackers, (S, J) or (J,) (J = 0 for an unconstrained problem).
 
     The map outputs are used as they come, so they must be float ndarrays
     (:func:`run` checks each map's first output once per run).  A
@@ -190,7 +207,7 @@ def cscgd_step(
             # Only rows with an active penalty move: adding a zero pull
             # elsewhere could turn -0.0 into +0.0, or inf * 0 into NaN.
             active = np.logical_or.reduce(lgrad, -1)
-            rows = slice(None) if np.count_nonzero(active) == len(active) else active
+            rows = slice(None) if np.count_nonzero(active) == active.size else active
             jac_q = problem.outer_q_jacobian(state.z[rows])
             if problem.inner_h_jacobian is problem.inner_g_jacobian:
                 jac_h = jac_g[rows]
@@ -214,10 +231,14 @@ def cscgd_step(
 def _non_finite(problem, state, x, zeta, values) -> NonFiniteGradientError:
     """Name the first seed whose row of ``values`` is non-finite, and its map.
 
-    Only that seed's row is probed, one single-point call per map.
+    Only that seed's row is probed, one single-point call per map.  A
+    single-point state is the row of its one seed.
     """
-    row = int(np.argmin(np.all(np.isfinite(values), axis=-1)))
-    x, zeta, y, z = x[row], zeta[row], state.y[row], state.z[row]
+    row, point = 0, (x, zeta, state.y, state.z)
+    if x.ndim == 2:
+        row = int(np.argmin(np.all(np.isfinite(values), axis=-1)))
+        point = [a[row] for a in point]
+    x, zeta, y, z = point
     probes = [
         ("inner_g", lambda: problem.inner_g(x, zeta)),
         ("inner_g_jacobian", lambda: problem.inner_g_jacobian(x, zeta)),
@@ -261,8 +282,10 @@ def run(problem: CompositionalProblem, config: SolverConfig) -> tuple[np.ndarray
     """Execute the full horizon for every seed; (tail-averaged points, trajectories).
 
     All seeds of ``config.seeds`` step together through :func:`cscgd_step`,
-    each on its own stream 0, drawn in blocks of ``ZETA_BLOCK_ROWS``.  The
-    points are an (S, n) array, row s for ``config.seeds[s]``.  Trajectory
+    each on its own stream 0, drawn in blocks of ``ZETA_BLOCK_ROWS``; one
+    seed steps on single points (:func:`drop_seed_axis`), with the same
+    bits as a one-row stack.  The points are an (S, n) array, row s for
+    ``config.seeds[s]``, at any S.  Trajectory
     s is a dict of column arrays, one row per logged iteration (see
     :func:`logged_iterations`): ``t``, ``alpha``, ``beta``, ``delta``,
     ``obj`` (f at the tracker y), ``viol`` (L x J constraint estimates
@@ -282,6 +305,9 @@ def run(problem: CompositionalProblem, config: SolverConfig) -> tuple[np.ndarray
     rngs = seed_streams(seeds)
     penalty_params = config.penalty_params()
     state = init_state(problem, config, draw_zeta(problem, rngs))
+    single = n_seeds == 1
+    if single:  # same-shape ufuncs skip numpy's broadcasting (see drop_seed_axis)
+        drop_seed_axis(state)
     alphas, betas, deltas = config.schedule().step_arrays()
 
     log_ts = logged_iterations(T, config.log_points)
@@ -296,6 +322,8 @@ def run(problem: CompositionalProblem, config: SolverConfig) -> tuple[np.ndarray
     steps = zip(alphas.tolist(), betas.tolist(), deltas.tolist())
     for start in range(0, T, ZETA_BLOCK_ROWS):
         block = draw_zeta(problem, rngs, min(ZETA_BLOCK_ROWS, T - start))
+        if single:
+            block = block[:, 0]
         # block first: zip stops on its end without taking a step size
         for zeta, (alpha, beta, delta) in zip(block, steps):
             t = state.t
@@ -317,7 +345,7 @@ def run(problem: CompositionalProblem, config: SolverConfig) -> tuple[np.ndarray
          "x": xs[:, s]}
         for s in range(n_seeds)
     ]
-    return state.tail_sum / state.tail_count, trajectories
+    return (state.tail_sum / state.tail_count).reshape(n_seeds, -1), trajectories
 
 
 def tracking_weights(schedule: StepSchedule) -> tuple[np.ndarray, float]:

@@ -80,6 +80,35 @@ class TestTrajectoryCsv:
         raw = path.read_bytes()
         assert b"\r" not in raw
 
+    @staticmethod
+    def row_wise_csv(traj, num_constraints):
+        cols = [traj[name].tolist() for name in ("t", "alpha", "beta", "delta", "obj")]
+        cols += [traj["viol"][:, j].tolist() for j in range(num_constraints)]
+        cols.append(traj["step_sq"].tolist())
+        lines = [trajectory_header(num_constraints)]
+        lines += [",".join(map(repr, row)) for row in zip(*cols)]
+        return ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("regime", ["constant", "diminishing"])
+    def test_columns_equal_row_wise_repr(self, tmp_path, regime):
+        problem = paper_ex1().build()
+        cfg = SolverConfig(a=0.9167, b=0.5, c=0.75, regime=regime,
+                           horizon=300, c_ell=1.0, seeds=(0,))
+        _, (traj,) = run(problem, cfg)
+        assert (np.unique(traj["alpha"]).size == 1) == (regime == "constant")
+        write_trajectory_csv(tmp_path / "traj.csv", traj, problem.num_constraints)
+        assert (tmp_path / "traj.csv").read_bytes() == self.row_wise_csv(traj, 1)
+
+    def test_columns_equal_row_wise_repr_on_edge_values(self, tmp_path):
+        # equal under == but not bit for bit (signed zeros), NaN and inf
+        traj = {"t": np.arange(1, 5), "alpha": np.array([0.0, -0.0, 0.0, 0.0]),
+                "beta": np.full(4, -0.0), "delta": np.full(4, np.nan),
+                "obj": np.array([np.inf, -np.inf, 1e-300, 5e-324]),
+                "viol": np.array([[0.1, 2.0], [0.1, -0.0], [0.1, 0.0], [0.1, 3.0]]),
+                "step_sq": np.full(4, 1 / 3)}
+        write_trajectory_csv(tmp_path / "edge.csv", traj, 2)
+        assert (tmp_path / "edge.csv").read_bytes() == self.row_wise_csv(traj, 2)
+
     def test_determinism_byte_identical(self, tmp_path):
         problem = paper_ex1().build()
         cfg = SolverConfig(a=0.9167, b=0.5, c=0.75, regime="constant",

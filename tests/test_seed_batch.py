@@ -1,13 +1,15 @@
 """The seed-batched solver, pinned to seeds run alone and to a scalar loop.
 
 One ``run`` call steps every seed of a batch through the kernel on (S, n)
-arrays.  Each seed's row must equal that seed run alone, bit for bit, in
-x_hat and in every trajectory column.  On problems whose penalty is active
-(including one whose constraint map differs from its objective map) and on
-one whose budget binds, each seed must also equal a one-point,
-one-draw-per-step loop: the single-seed solver the batched kernel replaced.
+arrays; a one-seed run steps on single points (n,).  Each seed's row must
+equal that seed run alone, bit for bit, in x_hat and in every trajectory
+column.  On problems whose penalty is active (including one whose
+constraint map differs from its objective map) and on one whose budget
+binds, each seed must also equal a one-point, one-draw-per-step loop: the
+single-seed solver the batched kernel replaced.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -34,6 +36,8 @@ def solver_setup(name, horizon, **kw):
 
 @pytest.mark.parametrize("name", sorted(PRESETS) + sorted(TOY_TARGETS))
 def test_batch_rows_equal_seeds_run_alone(name):
+    """A three-seed batch steps on stacked rows and each seed alone on single
+    points, so this compares the two layouts bitwise on every preset and toy."""
     problem, solver_config = solver_setup(name, 300)
     x_hats, trajectories = run(problem, solver_config(SEEDS))
     assert x_hats.shape == (len(SEEDS), problem.dim_x)
@@ -44,6 +48,38 @@ def test_batch_rows_equal_seeds_run_alone(name):
         for column in COLUMNS:
             assert bits(trajectories[i][column]) == bits(alone[column]), \
                 f"{column} of seed {seed}"
+
+
+@pytest.mark.parametrize("seeds", [(0,), (0, 1)], ids=["one-seed", "two-seeds"])
+def test_run_steps_one_seed_on_single_points(seeds):
+    problem, solver_config = solver_setup("paper-ex1", 50)
+    shapes = {"inner_g": [], "outer_f_gradient": [], "project": []}
+
+    def recorded(name, fn):
+        def call(arg, *rest):
+            shapes[name].append(np.shape(arg))
+            return fn(arg, *rest)
+        return call
+
+    class RecordedSet:
+        def __init__(self, inner):
+            self.inner = inner
+            self.project = recorded("project", inner.project)
+
+        def __getattr__(self, name):
+            return getattr(self.inner, name)
+
+    problem = dataclasses.replace(
+        problem, feasible_set=RecordedSet(problem.feasible_set),
+        inner_g=recorded("inner_g", problem.inner_g),
+        outer_f_gradient=recorded("outer_f_gradient", problem.outer_f_gradient))
+    x_hats, _ = run(problem, solver_config(seeds))
+    assert x_hats.shape == (len(seeds), problem.dim_x)
+    lead = () if len(seeds) == 1 else (len(seeds),)
+    # init_state maps and projects once before the 50 steps
+    assert shapes["inner_g"][1:] == [lead + (problem.dim_x,)] * 50
+    assert shapes["outer_f_gradient"] == [lead + (problem.dim_g,)] * 50
+    assert shapes["project"][1:] == [lead + (problem.dim_x,)] * 50
 
 
 def test_sparse_logging_batch_equals_seeds_run_alone():

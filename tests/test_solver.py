@@ -292,15 +292,20 @@ def test_overflowing_projection_input_is_named():
     assert exc.value.seed == 0
 
 
-def test_projection_error_on_finite_input_passes_through():
-    class RefusesStacks(Box):
+# One seed steps on single points, two seeds on stacked rows.
+@pytest.mark.parametrize("seeds", [(0,), (0, 1)], ids=["one-seed", "two-seeds"])
+def test_projection_error_on_finite_input_passes_through(seeds):
+    class RefusesAfterMidpoint(Box):
+        calls = 0
+
         def project(self, v):
-            if np.ndim(v) == 2:
+            self.calls += 1
+            if self.calls > 1:  # the first call projects the initial midpoint
                 raise FeasibleSetError("refused")
             return super().project(v)
 
-    problem = unconstrained(feasible_set=RefusesStacks(lower=[-1.0], upper=[1.0]))
-    cfg = SolverConfig(a=0.75, b=0.5, c=0.75, horizon=100, seeds=(0,))
+    problem = unconstrained(feasible_set=RefusesAfterMidpoint(lower=[-1.0], upper=[1.0]))
+    cfg = SolverConfig(a=0.75, b=0.5, c=0.75, horizon=100, seeds=seeds)
     with pytest.raises(FeasibleSetError, match="^refused$"):
         run(problem, cfg)
 

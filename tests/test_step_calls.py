@@ -18,6 +18,7 @@ import pytest
 from cscgd import cscgd_step, draw_zeta, init_state, seed_streams
 from cscgd.harness import ExperimentConfig, resolve_problem
 from cscgd.penalty import penalty_gradient
+from cscgd.solver import drop_seed_axis
 
 METHOD_WRAPPERS = {"_all", "_any", "_sum", "_amax", "_amin", "_clip"}
 
@@ -38,24 +39,36 @@ def count_calls(fn, *args):
     return out, calls
 
 
-# The largest counts left by the last change to the step: paper-ex1 at S = 1
-# makes 27 calls (10 of them the Python dispatcher and body of five
+# The largest counts left by the last change to the step: paper-ex1 on one
+# stacked row makes 27 calls (10 of them the Python dispatcher and body of five
 # count_nonzero calls, two the wired design's shared delay terms, hit once);
 # paper-ex2-k5 at S = 2 makes 36 (12 of them six count_nonzero calls, two
 # the list comprehensions of ProductSet._project and BoxWithSumCap._search).
-@pytest.mark.parametrize("name, n_seeds, most", [("paper-ex1", 1, 27), ("paper-ex2-k5", 2, 36)],
-                         ids=["paper-ex1", "paper-ex2-k5"])
-def test_warm_step_calls_no_reduction_wrapper(name, n_seeds, most):
+# A one-seed run steps on single points (solver.drop_seed_axis); there
+# paper-ex1 makes the same 27 calls.
+@pytest.mark.parametrize("name, n_seeds, single, most", [
+    ("paper-ex1", 1, False, 27),
+    ("paper-ex2-k5", 2, False, 36),
+    ("paper-ex1", 1, True, 27),
+], ids=["paper-ex1", "paper-ex2-k5", "paper-ex1-single-point"])
+def test_warm_step_calls_no_reduction_wrapper(name, n_seeds, single, most):
     config = ExperimentConfig(preset=name, horizon=100, seeds=tuple(range(n_seeds)))
     problem, c_ell = resolve_problem(config)
     solver_config = config.solver_config(config.seeds, c_ell)
     params, schedule = solver_config.penalty_params(), solver_config.schedule()
     rngs = seed_streams(solver_config.seeds)
     state = init_state(problem, solver_config, draw_zeta(problem, rngs))
+    if single:  # the layout a one-seed run steps on
+        drop_seed_axis(state)
+
+    def zeta():
+        draws = draw_zeta(problem, rngs)
+        return draws[0] if single else draws
+
     for t in range(1, 6):
-        cscgd_step(problem, state, *schedule.step_sizes(t), params, draw_zeta(problem, rngs))
+        cscgd_step(problem, state, *schedule.step_sizes(t), params, zeta())
     qval, calls = count_calls(cscgd_step, problem, state, *schedule.step_sizes(6), params,
-                              draw_zeta(problem, rngs))
+                              zeta())
     assert not penalty_gradient(qval, params).any(), "the counted step has an active penalty"
     wrappers = {(f, fn): n for (f, fn), n in calls.items()
                 if os.path.basename(f) == "_methods.py" and fn in METHOD_WRAPPERS}
