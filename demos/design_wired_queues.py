@@ -42,6 +42,7 @@ print(f"worst delay slack at x_hat: {base.max_constraint(x_hat):.4f} "
       f"(negative = feasible, cap {inst.d_max})")
 
 print("\ngap along the run (tracked-objective estimate):")
-for k in (0, 9, 99, 999, 9_999):
+for t in (1, 10, 100, 1_000, 10_000):
+    k = np.searchsorted(trajectory["t"], t)  # first logged row at or after t
     print(f"  t={trajectory['t'][k]:>6}: F~{trajectory['obj'][k]:8.3f}  "
           f"constraint~{trajectory['viol'][k, 0]:8.4f}")

@@ -28,7 +28,7 @@ for build in (paper_ex3, paper_ex4):
     print(f"F at start  : {ev_init['f']:.4f}")
     print(f"F at output : {ev_hat['f']:.4f}   (improved: {ev_hat['f'] < ev_init['f']})")
 
-    tail = slice(-(trajectory["t"].size // 10), None)
+    tail = trajectory["t"] > 0.9 * config.horizon  # the last tenth of the run
     movement = np.mean(np.sqrt(trajectory["step_sq"][tail]) / trajectory["alpha"][tail])
     print(f"late-run movement per unit step: {movement:.3g}")
 

@@ -84,8 +84,9 @@ def _add_run_options(p: argparse.ArgumentParser):
     p.add_argument("--gap", action="store_true", help="report gap vs cached oracle")
     p.add_argument("--eval-samples", dest="eval_samples", type=int)
     p.add_argument("--log-points", dest="log_points", type=int,
-                   help="trajectory points for long horizons (set to the "
-                        "horizon for raw full logging)")
+                   help="trajectory rows: every iteration when the horizon "
+                        "is at most this (default 1000), else this many "
+                        "log-spaced ones; set to the horizon for full logging")
 
 
 def cmd_run(args) -> int:

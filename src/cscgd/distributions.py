@@ -118,12 +118,20 @@ class TruncatedExponential:
         self.dim = self.mean_param.size
         self._cdf_lo = -np.expm1(-self.lower / self.mean_param)
         self._cdf_hi = -np.expm1(-self.upper / self.mean_param)
+        self._mass = self._cdf_hi - self._cdf_lo
+        self._neg_mean = -self.mean_param
 
     def draw(self, rng, size: int | None = None):
         shape = (self.dim,) if size is None else (size, self.dim)
         u = rng.random(shape)
-        u = self._cdf_lo + u * (self._cdf_hi - self._cdf_lo)
-        return -self.mean_param * np.log1p(-u)
+        # -mean * log1p(-(cdf_lo + u * mass)), worked in place on u with
+        # the same operations in the same order: no temporaries per block.
+        u *= self._mass
+        u += self._cdf_lo
+        np.negative(u, u)
+        np.log1p(u, u)
+        u *= self._neg_mean
+        return u
 
     def mean(self) -> np.ndarray:
         # Memoryless: X - lower is the law restricted to [0, upper - lower].
@@ -134,7 +142,7 @@ class TruncatedExponential:
         m = self.mean_param[i]
         a, b = self.lower[i], self.upper[i]
         x = np.asarray(x, dtype=float)
-        mass = self._cdf_hi[i] - self._cdf_lo[i]
+        mass = self._mass[i]
         inside = (x >= a) & (x <= b)
         return np.where(inside, np.exp(-x / m) / (m * mass), 0.0)
 

@@ -28,8 +28,8 @@ from .problems import constrained_quadratic_problem, get_preset, quadratic_probl
 from .solver import SolverConfig, run
 
 EPS_PLOT = 1e-12
-# Rows drawn and mapped at once by evaluate_point; bounds its memory.
-EVAL_CHUNK_ROWS = 16_384
+# Rows drawn and mapped at once by evaluate_point (its docstring says why so few).
+EVAL_CHUNK_ROWS = 2048
 # Parameters of the oracle baselines.  The cache records the ones its
 # baseline was computed with and refuses to serve any other.
 # The wired baseline has no knobs: its entry names the rule behind its
@@ -195,7 +195,12 @@ def evaluate_point(problem, x, n_samples: int, seed: int, n_batches: int = 10):
     sub-batch is drawn and mapped in blocks of at most ``EVAL_CHUNK_ROWS``
     rows; its rows are summed in sample order, with the running sum carried
     across blocks, so the estimates equal a one-sample-at-a-time loop bit
-    for bit.
+    for bit, at any block size.  Blocks are small so that the cost of a
+    call does not depend on what the process ran before: a block's arrays
+    (2048 rows of up to 8 float columns) stay under glibc's default
+    128 KiB mmap threshold and are reused from the heap.  Larger blocks
+    are served by mmap once the allocator's dynamic threshold has dropped,
+    and then every block faults its pages in again.
     """
     rng = make_rng(seed, 1)
     x = np.asarray(x, dtype=float)

@@ -26,6 +26,11 @@ import numpy as np
 from .distributions import make_rng
 from .sets import FeasibleSetError
 
+try:  # the ufunc behind np.clip, without its Python wrapper chain
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+
 QUAD_OPTS = {"epsabs": 1e-13, "epsrel": 1e-13, "limit": 400}
 # Orders of the two Gauss-Legendre rules whose agreement certifies a wired
 # length moment, and the relative difference they may show.
@@ -183,18 +188,24 @@ def project_box_sumcap_sorted(v, lower, upper, cap) -> np.ndarray:
     Evaluates the piecewise-linear multiplier function at every sorted
     breakpoint with one (B, n) clip and one row sum, then interpolates on
     the first segment that reaches the cap; shares no code with the search
-    in ``sets.BoxWithSumCap``.
+    in ``sets.BoxWithSumCap``.  Calls the ufuncs themselves (``clip``,
+    which broadcasts scalar bounds, ``add.reduce``, and a sort and a mask
+    for the distinct breakpoints), with the bits of ``np.clip``, ``sum``
+    and ``np.unique``: a descent projects thousands of 3-entry blocks,
+    where the wrappers cost more than the arithmetic.
     """
     v = np.asarray(v, dtype=float)
-    lower = np.broadcast_to(np.asarray(lower, dtype=float), v.shape)
-    upper = np.broadcast_to(np.asarray(upper, dtype=float), v.shape)
-    u = np.clip(v, lower, upper)
-    if u.sum() <= cap:
+    lower = np.asarray(lower, dtype=float)
+    upper = np.asarray(upper, dtype=float)
+    u = _clip(v, lower, upper)
+    if np.add.reduce(u) <= cap:
         return u
     # s(nu) = sum(clip(v - nu, lower, upper)) is piecewise linear and
     # nonincreasing; breakpoints where components enter/leave saturation.
-    bps = np.unique(np.concatenate([v - upper, v - lower]))
-    s_vals = np.clip(v - bps[:, None], lower, upper).sum(axis=1)
+    bps = np.concatenate([v - upper, v - lower])
+    bps.sort()
+    bps = bps[np.concatenate(([True], bps[1:] != bps[:-1]))]
+    s_vals = np.add.reduce(_clip(v - bps[:, None], lower, upper), 1)
     k = int(np.searchsorted(-s_vals, -cap))  # first index with s <= cap
     if k == 0:
         nu = bps[0]
@@ -208,7 +219,7 @@ def project_box_sumcap_sorted(v, lower, upper, cap) -> np.ndarray:
             # linear interpolation on the active segment
             frac = (s_lo - cap) / (s_lo - s_hi)
             nu = lo_nu + frac * (hi_nu - lo_nu)
-    return np.clip(v - nu, lower, upper)
+    return _clip(v - nu, lower, upper)
 
 
 def project_box_sumcap_bisect(v, lower, upper, cap, tol=1e-12, max_iter=200) -> np.ndarray:
@@ -480,22 +491,25 @@ def ergodic_fstar(instance, n_samples: int, seed: int) -> DescentResult:
     lam_box = (instance.lambda_min, instance.lambda_max, instance.lambda_cap)
     p_box = (instance.p_min, instance.p_max, instance.p_max)
 
+    def mean(a):  # the bits of a.mean(0), without its wrapper
+        return np.add.reduce(a, 0) / n_samples
+
     def value(x):
         lam, inv = x[:n], 1.0 / (bw * np.log1p(zeta * x[n:]))
-        m1, m2 = inv.mean(0), (inv * inv).mean(0)
-        return float(np.sum(phi * lam * m2 / (2.0 * (1.0 - lam * m1)) - psi * np.log(lam)))
+        m1, m2 = mean(inv), mean(inv * inv)
+        return float(np.add.reduce(phi * lam * m2 / (2.0 * (1.0 - lam * m1)) - psi * np.log(lam)))
 
     def grad(x):
         lam, p = x[:n], x[n:]
         inv = 1.0 / (bw * np.log1p(zeta * p))
         inv2 = inv * inv
         db = bw * zeta / (1.0 + zeta * p)  # d b / d p
-        m1, m2 = inv.mean(0), inv2.mean(0)
+        m1, m2 = mean(inv), mean(inv2)
         slack = 1.0 - lam * m1
         d_m1 = phi * lam * lam * m2 / (2.0 * slack**2)  # d value / d m1
         d_m2 = phi * lam / (2.0 * slack)  # d value / d m2
         d_lam = phi * m2 / (2.0 * slack**2) - psi / lam
-        d_p = -d_m1 * (db * inv2).mean(0) - 2.0 * d_m2 * (db * inv2 * inv).mean(0)
+        d_p = -d_m1 * mean(db * inv2) - 2.0 * d_m2 * mean(db * inv2 * inv)
         return np.concatenate([d_lam, d_p])
 
     def project(v):

@@ -28,8 +28,7 @@ from .penalty import PenaltyParams, penalty_gradient
 from .problem import CompositionalProblem
 from .schedule import DIMINISHING, StepSchedule
 
-FULL_LOG_MAX_HORIZON = 10_000
-SPARSE_LOG_POINTS = 1_000
+DEFAULT_LOG_POINTS = 1_000
 # Rows of zeta drawn at once per seed by run; a block consumes a seed's
 # stream exactly as that many single draws.
 ZETA_BLOCK_ROWS = 1024
@@ -265,12 +264,14 @@ def _finite(fn) -> bool:
 def logged_iterations(horizon: int, log_points: int | None = None) -> np.ndarray:
     """Iterations at which the trajectory is recorded.
 
-    Every iteration up to FULL_LOG_MAX_HORIZON, otherwise log-spaced points
-    that always include t = 1 and t = horizon.
+    Every iteration when the horizon is at most ``log_points`` (default
+    ``DEFAULT_LOG_POINTS``), otherwise at most that many log-spaced points
+    that always include t = 1 and t = horizon.  The grid only observes the
+    run: the iterates and the tail average do not depend on it.
     """
     if log_points is None:
-        log_points = SPARSE_LOG_POINTS
-    if horizon <= max(FULL_LOG_MAX_HORIZON, log_points):
+        log_points = DEFAULT_LOG_POINTS
+    if horizon <= log_points:
         return np.arange(1, horizon + 1)
     pts = np.unique(
         np.round(np.logspace(0.0, np.log10(horizon), log_points)).astype(int)
@@ -285,9 +286,11 @@ def run(problem: CompositionalProblem, config: SolverConfig) -> tuple[np.ndarray
     each on its own stream 0, drawn in blocks of ``ZETA_BLOCK_ROWS``; one
     seed steps on single points (:func:`drop_seed_axis`), with the same
     bits as a one-row stack.  The points are an (S, n) array, row s for
-    ``config.seeds[s]``, at any S.  Trajectory
-    s is a dict of column arrays, one row per logged iteration (see
-    :func:`logged_iterations`): ``t``, ``alpha``, ``beta``, ``delta``,
+    ``config.seeds[s]``, at any S.  Trajectory s is a dict of column
+    arrays, one row per logged iteration (see :func:`logged_iterations`:
+    every iteration when T is at most ``config.log_points``, else
+    log-spaced ones, 599 at T = 1e4 by default); the log buffers hold only
+    those rows.  The columns are ``t``, ``alpha``, ``beta``, ``delta``,
     ``obj`` (f at the tracker y), ``viol`` (L x J constraint estimates
     q(z)), ``step_sq`` (squared step norm) and ``x`` (L x n iterates after
     the step).  ``obj`` comes from one ``outer_f`` call on the logged

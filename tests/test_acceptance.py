@@ -53,7 +53,7 @@ def wired_experiment(tmp_path_factory):
     config = ExperimentConfig(
         preset="paper-ex1", a=0.9167, b=0.5, c=0.75, regime="constant",
         horizon=10_000, gamma=0.0, seeds=tuple(range(50)),
-        eval_samples=4_000, out_dir=str(out), workers=2,
+        eval_samples=4_000, out_dir=str(out), workers=2, log_points=10_000,
     )
     t0 = time.perf_counter()
     summaries, curves = run_experiment(config)
@@ -131,7 +131,7 @@ def test_criterion_3_rate_order(tmp_path_factory):
         preset="constrained-quadratic-toy", a=0.9167, b=0.5, c=0.75,
         regime="constant", horizon=10_000, gamma=0.0, c_ell=1.0,
         seeds=tuple(range(10)), eval_samples=100,
-        out_dir=str(out / "mk"), workers=2,
+        out_dir=str(out / "mk"), workers=2, log_points=10_000,
     )
     _, mk_curves = run_experiment(mk_cfg)
     idx = subsample_log(mk_curves["t"], 150)
@@ -331,7 +331,7 @@ def test_criterion_9_nonconvex_stationarity():
         problem = inst.build()
         report = constant_report(inst)
         cfg = SolverConfig(a=0.9167, b=0.5, c=0.75, regime="constant",
-                           horizon=10_000, seeds=(0,))
+                           horizon=10_000, seeds=(0,), log_points=10_000)
         (x_hat,), (traj,) = run(problem, cfg)
         x_init = problem.feasible_set.project(problem.feasible_set.midpoint())
         tail = slice(-(traj["t"].size // 10), None)
@@ -385,15 +385,21 @@ def test_criterion_11_wireless_reaches_its_reference(ex2_reference):
         x_hats, _ = run(problem, cfg)
         evs = [evaluate_point(problem, x, 20_000, seed=777) for x in x_hats]
         gap = np.mean([abs(ev["f"] - f_star) / abs(f_star) for ev in evs])
-        return float(gap), max(float(ev["q"][0]) for ev in evs)
+        return float(gap), max(float(ev["q"][0]) for ev in evs), x_hats
 
-    gap, worst_q = gap_and_worst_q(0.51, 0.5, 0.5)
+    gap, worst_q, x_hats = gap_and_worst_q(0.51, 0.5, 0.5)
     shipped = ExperimentConfig(preset=inst.name)
-    shipped_gap, _ = gap_and_worst_q(shipped.a, shipped.b, shipped.c)
+    shipped_gap, _, _ = gap_and_worst_q(shipped.a, shipped.b, shipped.c)
+    # Where x_hat lands, printed and not gated: the objective is flat enough
+    # along the powers that the gap alone cannot tell whether they moved
+    # off the equal split.  A gate on it waits for ROADMAP item 1.
+    miss = np.abs(x_hats - ex2_reference.x).max(axis=0)
+    n = inst.n_queues
     ok = gap <= 0.01 and worst_q <= 0.0
     verdict(11, ok, (
         f"paper-ex2-k5, 4 seeds, T=1e4, (a, b, c) = (0.51, 0.5, 0.5): mean relative "
         f"gap {gap:.4f} (<= 0.01) to F* = {f_star:.5f}, worst constraint value "
-        f"{worst_q:.2f} (<= 0); at the shipped ({shipped.a}, {shipped.b}, {shipped.c}) "
-        f"the gap is {shipped_gap:.4f} (not gated)"
+        f"{worst_q:.2f} (<= 0), max |x_hat - x*| rates {miss[:n].max():.3g}, powers "
+        f"{miss[n:].max():.3g} (not gated); at the shipped ({shipped.a}, {shipped.b}, "
+        f"{shipped.c}) the gap is {shipped_gap:.4f} (not gated)"
     ))

@@ -49,6 +49,33 @@ def test_truncated_exponential_lower_truncation(rng):
     assert m_quad == pytest.approx(1.25, rel=1e-10)
 
 
+class FixedUniforms:
+    """Stands in for a generator: ``random`` hands out a copy of fixed uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, shape):
+        assert self.u.shape == shape
+        return self.u.copy()
+
+
+@pytest.mark.parametrize("lower", [0.0, [0.0, 2.0, 0.1]])
+def test_truncated_exponential_draw_equals_the_plain_expression(lower):
+    mean, upper = np.array([15.0, 20.0, 0.3]), np.array([20.0, np.inf, 5.0])
+    d = TruncatedExponential(mean=mean, upper=upper, lower=lower)
+    lo = -np.expm1(-np.broadcast_to(lower, (3,)) / mean)
+    hi = -np.expm1(-upper / mean)
+    edges = np.array([[0.0, 0.0, 0.0], [0.5, 0.25, 0.75],
+                      [1.0 - 2.0**-53] * 3, [2.0**-60, 1e-300, 0.0]])
+    block = np.concatenate([edges, make_rng(5).random((257, 3))])
+    for u in [block, *edges, block[-1]]:  # one block, then single draws
+        expected = -mean * np.log1p(-(lo + u * (hi - lo)))
+        got = d.draw(FixedUniforms(u), None if u.ndim == 1 else u.shape[0])
+        assert got.shape == u.shape
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_truncated_chi_squared_mean_vs_quadrature(rng):
     d = TruncatedChiSquared(dof=10, lower=0.25)
     n = 1_000_000

@@ -20,7 +20,7 @@ from cscgd import (
     step_bound_diagnostic,
     zero_violation_gamma,
 )
-from cscgd.harness import ExperimentConfig, resolve_problem
+from cscgd.harness import ExperimentConfig, evaluate_point, resolve_problem
 from cscgd.penalty import penalty_gradient
 from cscgd.solver import convergence_bound_terms, logged_iterations, tracking_weights
 from cscgd.problems import (
@@ -328,12 +328,40 @@ def test_run_names_a_map_that_returns_no_float_ndarray(name, maps, gamma, got):
 
 
 def test_logged_iterations_policy():
-    full = logged_iterations(10_000)
-    assert full.size == 10_000 and full[0] == 1 and full[-1] == 10_000
+    for horizon, log_points in ((1_000, None), (10_000, 10_000), (2, 5)):
+        assert np.array_equal(logged_iterations(horizon, log_points),
+                              np.arange(1, horizon + 1))
+    grid = logged_iterations(10_000)  # past the default 1000 log points
+    assert 1 < grid.size <= 1000 and grid[0] == 1 and grid[-1] == 10_000
+    assert np.all(np.diff(grid) > 0)
+    assert np.all(np.isin(grid, np.arange(1, 10_001)))
+    assert logged_iterations(1_001).size <= 1000
     sparse = logged_iterations(1_000_000)
     assert sparse.size <= 1000
     assert sparse[0] == 1 and sparse[-1] == 1_000_000
     assert np.all(np.diff(sparse) > 0)
+
+
+@pytest.mark.parametrize("name, horizon, seeds", [
+    ("paper-ex1", 10_000, (0,)), ("paper-ex2-k5", 2_000, (0, 1)),
+    ("quadratic-toy", 5_000, (0,))])
+def test_log_grid_rows_equal_the_full_log(name, horizon, seeds):
+    config = ExperimentConfig(preset=name, horizon=horizon, seeds=seeds)
+    problem, c_ell = resolve_problem(config)
+    cfg = config.solver_config(seeds, c_ell)
+    x_grid, grid = run(problem, cfg)
+    cfg.log_points = horizon
+    x_full, full = run(problem, cfg)
+    assert x_grid.tobytes() == x_full.tobytes()
+    for traj_grid, traj_full in zip(grid, full):
+        ts = traj_grid["t"]
+        assert ts.size < horizon and np.array_equal(traj_full["t"], np.arange(1, horizon + 1))
+        for col in ("t", "alpha", "beta", "delta", "obj", "viol", "step_sq", "x"):
+            assert traj_grid[col].tobytes() == traj_full[col][ts - 1].tobytes(), col
+    ev_grid = evaluate_point(problem, x_grid[0], 5_001, seed=seeds[0])
+    ev_full = evaluate_point(problem, x_full[0], 5_001, seed=seeds[0])
+    for key in ev_full:
+        assert np.asarray(ev_grid[key]).tobytes() == np.asarray(ev_full[key]).tobytes(), key
 
 
 def test_horizon_must_be_at_least_two():
