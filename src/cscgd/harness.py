@@ -196,11 +196,12 @@ def evaluate_point(problem, x, n_samples: int, seed: int, n_batches: int = 10):
     rows; its rows are summed in sample order, with the running sum carried
     across blocks, so the estimates equal a one-sample-at-a-time loop bit
     for bit, at any block size.  Blocks are small so that the cost of a
-    call does not depend on what the process ran before: a block's arrays
-    (2048 rows of up to 8 float columns) stay under glibc's default
-    128 KiB mmap threshold and are reused from the heap.  Larger blocks
-    are served by mmap once the allocator's dynamic threshold has dropped,
-    and then every block faults its pages in again.
+    call does not depend on what the process ran before: paper-ex1's block
+    arrays (2048 rows of 6 float columns) stay under glibc's default
+    128 KiB mmap threshold and are reused from the heap.  Wider problems
+    such as paper-ex2-k5 (15 columns) exceed it and stay on the heap only
+    because glibc's dynamic threshold has risen past them.  Blocks served
+    by mmap fault their pages in again on every block.
     """
     rng = make_rng(seed, 1)
     x = np.asarray(x, dtype=float)

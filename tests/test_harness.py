@@ -397,7 +397,8 @@ class TestPlotData:
         trajs = []
         for seed in range(10):
             cfg = SolverConfig(a=0.9167, b=0.5, c=0.75, regime="constant",
-                               horizon=2_000, c_ell=1.0, seeds=(seed,))
+                               horizon=2_000, c_ell=1.0, seeds=(seed,),
+                               log_points=2_000)
             _, (traj,) = run(problem, cfg)
             trajs.append(traj)
         curves = emit_plot_data(trajs, f_star=base.f_star)

@@ -20,7 +20,7 @@ from cscgd import (
     step_bound_diagnostic,
     zero_violation_gamma,
 )
-from cscgd.harness import ExperimentConfig, evaluate_point, resolve_problem
+from cscgd.harness import ExperimentConfig, resolve_problem
 from cscgd.penalty import penalty_gradient
 from cscgd.solver import convergence_bound_terms, logged_iterations, tracking_weights
 from cscgd.problems import (
@@ -63,7 +63,7 @@ def test_toy_run_matches_scalar_reference():
 def test_toy_constant_regime_monotone_to_zero():
     problem = quadratic_problem()
     cfg = SolverConfig(a=0.75, b=0.5, c=0.75, regime="constant", horizon=10_000,
-                       seeds=(0,), x0=np.array([1.0]))
+                       seeds=(0,), x0=np.array([1.0]), log_points=10_000)
     (x_hat,), (traj,) = run(problem, cfg)
     xs = traj["x"][:, 0]
     assert np.all(np.diff(xs) <= 1e-15)
@@ -358,10 +358,6 @@ def test_log_grid_rows_equal_the_full_log(name, horizon, seeds):
         assert ts.size < horizon and np.array_equal(traj_full["t"], np.arange(1, horizon + 1))
         for col in ("t", "alpha", "beta", "delta", "obj", "viol", "step_sq", "x"):
             assert traj_grid[col].tobytes() == traj_full[col][ts - 1].tobytes(), col
-    ev_grid = evaluate_point(problem, x_grid[0], 5_001, seed=seeds[0])
-    ev_full = evaluate_point(problem, x_full[0], 5_001, seed=seeds[0])
-    for key in ev_full:
-        assert np.asarray(ev_grid[key]).tobytes() == np.asarray(ev_full[key]).tobytes(), key
 
 
 def test_horizon_must_be_at_least_two():
