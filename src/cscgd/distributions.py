@@ -4,18 +4,53 @@ Every family draws by inverse-CDF restriction (never rejection) so that a
 single sample always consumes a fixed number of uniforms: runs indexed by
 (seed, stream_id) stay reproducible and mutually independent regardless of
 parameter values.
+
+The exponential families invert in closed form.  The truncated chi-squared
+law has no closed-form quantile, so it inverts by table (Hoermann & Leydold
+2003, "Continuous random variate generation by fast numerical inversion",
+ACM TOMACS 13(4)): :func:`chi_squared_quantile_table` tabulates the
+quantile once per (dof, lower) as a cubic Hermite interpolant on a uniform
+grid in the log-odds w of the parent CDF, and a draw is one uniform, one
+logarithm and one cubic.  For dof 2 to 20 at lower 0.25 the draws are
+within 2e-13 relative of the exact quantile from u = 0 to u = 1 - 2^-53
+(the tests gate 1e-12 against mpmath at 40 digits).  The previous sampler,
+``scipy.special.gammaincinv`` of cdf_lo + u (1 - cdf_lo), inverts a
+probability already rounded near 1: it is off by 6.5e-9 at u = 1 - 1e-12
+on dof 10 and returns inf at u = 1 - 2^-53 on dof 2.  The table takes
+each tail from its own probability instead.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
 
+try:  # the ufunc behind ndarray.clip, without its Python wrapper
+    from numpy._core.umath import clip as _clip
+except ImportError:  # numpy < 2
+    from numpy.core.umath import clip as _clip
+
 # Terms of the power series behind truncated_exponential_moments below t = 1.
 _SERIES_J = np.arange(20)
 _SERIES_FACT = np.array([math.factorial(j) for j in range(20)], dtype=float)
+
+# Grid spacing in w of the chi-squared quantile tables (a power of two, so
+# 1 / QUANTILE_STEP is exact), and the name of that rule for the records
+# whose values depend on the draws (the ex2 oracle caches).  At 2^-8 the
+# interpolation error is at most 1.9e-13 relative on dof 2 and falls with
+# dof (1.4e-14 on dof 20); at 2^-7 it is 3.0e-12 on dof 2.
+QUANTILE_STEP = 2.0**-8
+QUANTILE_RULE = "cubic-hermite-logit-2^-8"
+# Largest double below 1: the largest uniform a Generator returns.
+_U_TOP = 1.0 - 2.0**-53
+# A table starts at the truncation point unless its odds are below this
+# (lower = 0, or nearly); then it starts here, below the odds of every
+# positive uniform a Generator returns (2^-53 and up).
+_ODDS_FLOOR = 2.0**-60
 
 
 def make_rng(seed: int, stream_id: int = 0) -> np.random.Generator:
@@ -150,11 +185,74 @@ class TruncatedExponential:
         return float(self.lower[i]), float(self.upper[i])
 
 
+class ChiSquaredQuantileTable(NamedTuple):
+    """Quantile of chi-squared(dof) truncated to [lower, inf) as a function of w.
+
+    With p = cdf_lo + u (1 - cdf_lo) and q = (1 - u) Q(dof/2, lower/2) the
+    parent's CDF and survival at the quantile of u, w = log(p / q) =
+    log((odds + u) / (1 - u)).  Cell j covers [w_start + j h, w_start +
+    (j + 1) h), h = QUANTILE_STEP, and the quantile at t in [0, 1) of it is
+    a[j] + t (b[j] + t (c[j] + t d[j])).  The last cell is a spare that
+    only the clip at its left node reaches.
+    """
+
+    odds: float  # cdf_lo / (1 - cdf_lo), computed as P / Q, at least 2^-1074
+    w_start: float
+    coef: tuple  # (a, b, c, d), read-only float arrays, one entry per cell
+
+
+@functools.lru_cache(maxsize=8)
+def chi_squared_quantile_table(dof: float, lower: float) -> ChiSquaredQuantileTable:
+    """Cubic Hermite table of the truncated chi-squared quantile in w.
+
+    Nodes sit on a uniform grid in w from the truncation point (or from
+    ``_ODDS_FLOOR`` when its odds are below that) to one cell past u = 1 -
+    2^-53.  A node's quantile comes from ``gammaincinv`` of p = expit(w)
+    on the lower half and from ``gammainccinv`` of q = expit(-w) on the
+    upper half, so each tail is inverted from its own probability; its
+    slope is dx/dw = 2 p q / f(x/2), f the Gamma(dof/2) density.  The
+    first node is ``lower`` itself when the table starts there.  Pure in
+    its arguments, so tables are shared: the arrays are read-only.
+    """
+    k, g_lo = 0.5 * dof, 0.5 * lower
+    q_lo = float(special.gammaincc(k, g_lo))
+    if not q_lo > 0.0:
+        raise ValueError(f"lower = {lower} leaves chi-squared({dof}) no mass in double precision")
+    # floored at the least double, so that u = 0 keeps w finite when lower = 0
+    odds = max(float(special.gammainc(k, g_lo)) / q_lo, 2.0**-1074)
+    # the draw's own expression at u = 0 and u = 1 - 2^-53
+    u = np.array([0.0, _U_TOP])
+    w_lo, w_top = np.log((max(odds, _ODDS_FLOOR) + u) / (1.0 - u)).tolist()
+    n_cells = math.ceil((w_top - w_lo) / QUANTILE_STEP) + 2
+    w = w_lo + QUANTILE_STEP * np.arange(n_cells + 1)
+    upper_half = w >= 0.0
+    g = np.empty_like(w)
+    g[~upper_half] = special.gammaincinv(k, special.expit(w[~upper_half]))
+    g[upper_half] = special.gammainccinv(k, special.expit(-w[upper_half]))
+    if odds >= _ODDS_FLOOR:
+        g[0] = g_lo
+    # log(p q) - log f(g), with log p = -log(1 + e^-w), log q = -log(1 + e^w)
+    log_slope = -np.logaddexp(0.0, -w) - np.logaddexp(0.0, w) \
+        - ((k - 1.0) * np.log(g) - g - special.gammaln(k))
+    x, m = 2.0 * g, 2.0 * QUANTILE_STEP * np.exp(log_slope)
+    step = x[1:] - x[:-1]
+    coef = (x[:-1], m[:-1], 3.0 * step - 2.0 * m[:-1] - m[1:], m[:-1] + m[1:] - 2.0 * step)
+    for arr in coef:
+        arr.flags.writeable = False
+    return ChiSquaredQuantileTable(odds, w_lo, coef)
+
+
 class TruncatedChiSquared:
     """Chi-squared with even dof, restricted to [lower, inf).
 
-    Inversion uses the regularized incomplete-gamma inverse, exact to
-    machine precision, so each draw costs exactly one uniform.
+    Each draw inverts one uniform u through the cubic Hermite table of
+    :func:`chi_squared_quantile_table` for its column's (dof, lower):
+    within 2e-13 relative of the exact quantile for dof 2 to 20, and never
+    below ``lower``; u = 0 draws ``lower`` itself.  Every step is
+    elementwise, so a block equals its single draws bit for bit.  Columns
+    with equal (dof, lower) share one table.  Where the truncation odds are
+    below 2^-60, a u below 2^-60 (from a Generator, only u = 0) draws the
+    quantile at odds 2^-60, the table's first node.
     """
 
     def __init__(self, dof, lower=0.0):
@@ -170,12 +268,45 @@ class TruncatedChiSquared:
         self.dim = self.dof.size
         self._k = self.dof / 2.0
         self._cdf_lo = special.gammainc(self._k, self.lower / 2.0)
+        columns = list(zip(self.dof.tolist(), self.lower.tolist()))
+        tables = {col: chi_squared_quantile_table(*col) for col in columns}
+        offset, cells = {}, 0
+        for col, table in tables.items():
+            offset[col] = cells
+            cells += table.coef[0].size
+        self._odds = np.array([tables[col].odds for col in columns])
+        self._w_start = np.array([tables[col].w_start for col in columns])
+        self._offset = np.array([offset[col] for col in columns], dtype=np.intp)
+        self._last_cell = np.array([tables[col].coef[0].size - 1 for col in columns], dtype=float)
+        if len(tables) == 1:
+            self._coef = next(iter(tables.values())).coef
+        else:
+            self._coef = tuple(np.concatenate(parts)
+                               for parts in zip(*(t.coef for t in tables.values())))
 
     def draw(self, rng, size: int | None = None):
         shape = (self.dim,) if size is None else (size, self.dim)
         u = rng.random(shape)
-        u = self._cdf_lo + u * (1.0 - self._cdf_lo)
-        return 2.0 * special.gammaincinv(self._k, u)
+        # s = (w - w_start) / h, w = log((odds + u) / (1 - u)), in place
+        s = u + self._odds
+        np.subtract(1.0, u, out=u)
+        s /= u
+        np.log(s, out=s)
+        s -= self._w_start
+        s *= 1.0 / QUANTILE_STEP
+        _clip(s, 0.0, self._last_cell, out=s)
+        cell = s.astype(np.intp)
+        s -= cell  # t, the position within the cell
+        cell += self._offset
+        a, b, c, d = self._coef
+        x = d[cell]
+        x *= s
+        x += c[cell]
+        x *= s
+        x += b[cell]
+        x *= s
+        x += a[cell]
+        return np.maximum(x, self.lower, out=x)
 
     def mean(self) -> np.ndarray:
         k, g = self._k, self.lower / 2.0

@@ -23,7 +23,7 @@ import numpy as np
 
 from scipy import special
 
-from .distributions import make_rng
+from .distributions import QUANTILE_RULE, make_rng
 from .problems import constrained_quadratic_problem, get_preset, quadratic_problem
 from .solver import SolverConfig, run
 
@@ -210,13 +210,18 @@ def evaluate_point(problem, x, n_samples: int, seed: int, n_batches: int = 10):
     f_vals, q_vals = [], []
     g_total = None
     h_total = None
+    # a carried sum only arises when a sub-batch spans several blocks
+    g_buf = h_buf = None
+    if per_batch > EVAL_CHUNK_ROWS:
+        g_buf = np.empty((EVAL_CHUNK_ROWS + 1, problem.dim_g))
+        h_buf = np.empty((EVAL_CHUNK_ROWS + 1, problem.dim_h))
     for _ in range(n_batches):
         g_sum = h_sum = None
         for start in range(0, per_batch, EVAL_CHUNK_ROWS):
             zeta = problem.sample(rng, min(EVAL_CHUNK_ROWS, per_batch - start))
-            g_sum = _row_sum(problem.inner_g(x, zeta), g_sum)
+            g_sum = _row_sum(problem.inner_g(x, zeta), g_sum, g_buf)
             if problem.constrained and not h_is_g:
-                h_sum = _row_sum(problem.inner_h(x, zeta), h_sum)
+                h_sum = _row_sum(problem.inner_h(x, zeta), h_sum, h_buf)
         g_mean = g_sum / per_batch
         f_vals.append(float(problem.outer_f(g_mean)))
         g_total = g_mean if g_total is None else g_total + g_mean
@@ -241,14 +246,27 @@ def evaluate_point(problem, x, n_samples: int, seed: int, n_batches: int = 10):
     return out
 
 
-def _row_sum(rows, carry=None) -> np.ndarray:
-    # cumsum adds strictly in row order; .sum(axis=0) switches to pairwise
-    # summation on a single column and would move the last bits.  A carried
-    # sum enters as row 0, so chunked sums equal one left fold.
-    rows = np.asarray(rows, dtype=float)
+def _row_sum(rows, carry=None, buf=None) -> np.ndarray:
+    """Sum of ``rows`` (k, dim) added strictly in row order, after ``carry``.
+
+    Equal bit for bit to a left fold, so chunked sums equal one fold over
+    all rows.  On a C-contiguous block of two or more columns,
+    ``np.add.reduce`` along axis 0 adds row after row into one accumulator
+    row.  On a single column it goes pairwise, so that case keeps
+    ``cumsum``.  A carried sum enters as row 0 of ``buf``, an
+    (at least k + 1, dim) array reused across blocks.
+    """
+    rows = np.ascontiguousarray(rows, dtype=float)
+    if rows.shape[1] == 1:
+        if carry is not None:
+            rows = np.concatenate((carry[None], rows))
+        return np.cumsum(rows, axis=0)[-1]
     if carry is not None:
-        rows = np.concatenate((carry[None], rows))
-    return np.cumsum(rows, axis=0)[-1]
+        k = rows.shape[0]
+        buf[0] = carry
+        buf[1:k + 1] = rows
+        rows = buf[:k + 1]
+    return np.add.reduce(rows, 0)
 
 
 @dataclass
@@ -279,6 +297,10 @@ def oracle_params(preset: str) -> dict:
         return dict(WIRED_ORACLE)
     if preset in TOY_TARGETS:
         return {}
+    if preset.startswith("paper-ex2"):
+        # also names the quantile rule of its fading draws, so a cache drawn
+        # by another chi-squared sampler is refused
+        return {**SAMPLE_AVERAGE_ORACLE, "quantiles": QUANTILE_RULE}
     return dict(SAMPLE_AVERAGE_ORACLE)
 
 
@@ -288,7 +310,6 @@ def compute_oracle(config: ExperimentConfig, instance=None) -> dict:
     from .oracles import ergodic_fstar, sample_average_baseline, wired_fstar
 
     name = config.preset
-    params = oracle_params(name)
     if name in TOY_TARGETS:
         problem = TOY_TARGETS[name](**(config.instance_overrides or {}))
         return {
@@ -307,10 +328,11 @@ def compute_oracle(config: ExperimentConfig, instance=None) -> dict:
         }
     else:
         if name.startswith("paper-ex2"):
-            method, res = "sample-average-exact-pk", ergodic_fstar(instance, **params)
+            method = "sample-average-exact-pk"
+            res = ergodic_fstar(instance, **SAMPLE_AVERAGE_ORACLE)
         else:
             method = "sample-average-local"
-            res = sample_average_baseline(instance.build(), **params)
+            res = sample_average_baseline(instance.build(), **SAMPLE_AVERAGE_ORACLE)
         payload = {
             "method": method,
             "f_star": res.value,

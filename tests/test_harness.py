@@ -10,6 +10,7 @@ import pytest
 
 import cscgd
 from cscgd.harness import (
+    EVAL_CHUNK_ROWS,
     ExperimentConfig,
     compute_oracle,
     emit_plot_data,
@@ -24,6 +25,7 @@ from cscgd.harness import (
     write_oracle_cache,
     write_trajectory_csv,
 )
+from cscgd.harness import _row_sum
 from cscgd.oracles import wired_fstar
 from cscgd.problems import paper_ex1
 from cscgd.solver import SolverConfig, run
@@ -199,7 +201,8 @@ class TestRunExperiment:
                                out_dir=str(tmp_path / "ex2"))
         path = write_oracle_cache(cfg)
         assert calls == [harness.SAMPLE_AVERAGE_ORACLE]
-        assert load_oracle_cache(cfg)["oracle_params"] == harness.SAMPLE_AVERAGE_ORACLE
+        assert load_oracle_cache(cfg)["oracle_params"] == {
+            **harness.SAMPLE_AVERAGE_ORACLE, "quantiles": harness.QUANTILE_RULE}
         monkeypatch.setitem(harness.SAMPLE_AVERAGE_ORACLE, "n_samples", 1_000)
         with pytest.raises(ValueError, match=r'oracle_params \{.*"n_samples": 2000.*'
                                              r'\}, this config has \{.*"n_samples": 1000,'):
@@ -228,6 +231,32 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match=r'oracle_params \{\}, this config has '
                                              r'\{"moments": "composite-gauss-legendre"\}'):
             run_experiment(cfg)
+
+    def test_oracle_cache_refuses_an_ergodic_cache_from_another_quantile_rule(
+            self, tmp_path, monkeypatch):
+        from cscgd import harness
+
+        monkeypatch.setattr(
+            "cscgd.oracles.ergodic_fstar",
+            lambda instance, **params: SimpleNamespace(value=-1.0, x=np.zeros(6),
+                                                       grad_map_norm=0.0))
+        cfg = ExperimentConfig(preset="paper-ex2-k10", horizon=100, seeds=(0,),
+                               out_dir=str(tmp_path / "ex2"))
+        path = write_oracle_cache(cfg)
+        assert load_oracle_cache(cfg)["oracle_params"]["quantiles"] == \
+            "cubic-hermite-logit-2^-8"
+        # a cache from the gammaincinv sampler recorded no quantile rule
+        payload = json.loads(open(path, encoding="utf-8").read())
+        payload["oracle_params"] = {"n_samples": 2000, "seed": 99}
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        with pytest.raises(ValueError, match=r'oracle_params \{"n_samples": 2000, "seed": 99\}, '
+                                             r'this config has \{"n_samples": 2000, '
+                                             r'"quantiles": "cubic-hermite-logit-2\^-8"'):
+            run_experiment(ExperimentConfig.from_dict({**cfg.to_dict(), "oracle_gap": True}))
+        # the designs without chi-squared fading keep their parameters
+        for preset in ("paper-ex3", "paper-ex4", "paper-ex5-exponential-load"):
+            assert harness.oracle_params(preset) == {"n_samples": 2000, "seed": 99}
 
     def test_toy_target_oracle(self, tmp_path):
         cfg = ExperimentConfig(preset="quadratic-toy", horizon=100, seeds=(0,),
@@ -260,6 +289,24 @@ class TestEvaluatePoint:
         spread = 3.0 * (np.std([s.f_hat for s in summaries], ddof=1)
                         + np.mean([s.f_std_err for s in summaries]))
         assert abs(finals - fresh) <= spread + 0.05 * abs(fresh)
+
+    @pytest.mark.parametrize("dim", [1, 2, 6, 15])
+    def test_row_sum_equals_the_left_fold(self, dim):
+        rng = np.random.default_rng(dim)
+        buf = np.empty((EVAL_CHUNK_ROWS + 1, dim))
+        for k in (1, 2, 8, 9, 200, EVAL_CHUNK_ROWS):
+            # magnitudes over many decades, so that summation order shows
+            rows = rng.standard_normal((k, dim)) * 10.0 ** rng.integers(-8, 9, (k, dim))
+            carry = rng.standard_normal(dim) * 1e3
+            for block in (rows, np.asfortranarray(rows)):
+                # the cumsum left fold the evaluation used, and a plain loop
+                assert _row_sum(block).tobytes() == np.cumsum(rows, axis=0)[-1].tobytes()
+                folded = np.cumsum(np.concatenate((carry[None], rows)), axis=0)[-1]
+                assert _row_sum(block, carry, buf).tobytes() == folded.tobytes()
+                acc = carry.copy()
+                for row in rows:
+                    acc = acc + row
+                assert acc.tobytes() == folded.tobytes()
 
 
 class TestStatistics:
