@@ -42,20 +42,13 @@ def _interior_x(problem, rng, spread: float = 0.25) -> np.ndarray:
     return fs.project(mid * jitter)
 
 
-def _reachable_y(problem, rng, n_mix: int = 8) -> np.ndarray:
-    """Realistic interior point of the tracked domain: an average of g draws."""
+def _reachable(inner, problem, rng, n_mix: int = 8) -> np.ndarray:
+    """Realistic interior point of a tracked domain: an average of draws of
+    the inner map ``inner`` (``inner_g`` or ``inner_h``) at one interior x."""
     x = _interior_x(problem, rng)
-    acc = np.asarray(problem.inner_g(x, problem.sample(rng)), dtype=float).copy()
+    acc = np.asarray(inner(x, problem.sample(rng)), dtype=float).copy()
     for _ in range(n_mix - 1):
-        acc += problem.inner_g(x, problem.sample(rng))
-    return acc / n_mix
-
-
-def _reachable_z(problem, rng, n_mix: int = 8) -> np.ndarray:
-    x = _interior_x(problem, rng)
-    acc = np.asarray(problem.inner_h(x, problem.sample(rng)), dtype=float).copy()
-    for _ in range(n_mix - 1):
-        acc += problem.inner_h(x, problem.sample(rng))
+        acc += inner(x, problem.sample(rng))
     return acc / n_mix
 
 
@@ -86,7 +79,7 @@ def gradient_suite(
         )
         if rep.max_rel_err > worst:
             worst, worst_map = rep.max_rel_err, "inner_g"
-        y = _reachable_y(problem, rng)
+        y = _reachable(problem.inner_g, problem, rng)
         rep = finite_difference_check(
             problem.outer_f, problem.outer_f_gradient(y), y, h
         )
@@ -99,11 +92,11 @@ def gradient_suite(
             )
             if rep.max_rel_err > worst:
                 worst, worst_map = rep.max_rel_err, "inner_h"
-            z = _reachable_z(problem, rng)
+            z = _reachable(problem.inner_h, problem, rng)
             for _ in range(50):
                 if _q_kink_distance(problem, z) > z_kink_gap:
                     break
-                z = _reachable_z(problem, rng)
+                z = _reachable(problem.inner_h, problem, rng)
             rep = finite_difference_check(
                 problem.outer_q, problem.outer_q_jacobian(z), z, h
             )

@@ -520,13 +520,12 @@ def subsample_log(ts: np.ndarray, max_points: int = 200) -> np.ndarray:
 
 def write_plot_csv(path: str, curves: dict, max_points: int = 200):
     idx = subsample_log(curves["t"], max_points)
-    lines = ["t,mean_gap,std_gap,mean_violation,std_violation"]
-    for i in idx:
-        lines.append(
-            f"{int(curves['t'][i])},{curves['mean_gap'][i]!r},"
-            f"{curves['std_gap'][i]!r},{curves['mean_violation'][i]!r},"
-            f"{curves['std_violation'][i]!r}"
-        )
+    names = ("mean_gap", "std_gap", "mean_violation", "std_violation")
+    # Python floats, whose repr is the plain shortest round-trip number
+    columns = [curves[name][idx].tolist() for name in names]
+    lines = ["t," + ",".join(names)]
+    for t, *values in zip(curves["t"][idx].tolist(), *columns):
+        lines.append(f"{int(t)}," + ",".join(map(repr, values)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 

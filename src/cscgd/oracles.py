@@ -9,21 +9,25 @@ and the box with linear inequalities has Dykstra's alternating projections;
 none of them calls ``sets``.  Gradient claims are checked by centered
 differences.
 
-The wired baseline takes its length moments from a composite Gauss-Legendre
-rule on numpy alone, certified by the agreement of two rule orders, and the
-ergodic baseline writes out its own exact PK value and gradient; the other
-moments and expectations use scipy's adaptive quadrature, which is imported
-on first use, so neither baseline loads ``scipy.integrate``.
+Every moment (the wired length moments, the reciprocal-rate moments of the
+convexity scan) comes from one composite Gauss-Legendre rule, certified by
+the agreement of two rule orders; no ``scipy.integrate``.  A fixed Gauss
+rule converges geometrically on an integrand analytic in a Bernstein
+ellipse around each panel (Trefethen, SIAM Review 50(1), 2008), so the
+panels only have to keep away from the integrand's poles.  The ergodic
+baseline writes out its own exact PK value and gradient.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
-from .distributions import make_rng
+from .distributions import TruncatedChiSquared, make_rng
 from .sets import FeasibleSetError
 
 try:  # the ufunc behind np.clip, without its Python wrapper chain
@@ -31,93 +35,87 @@ try:  # the ufunc behind np.clip, without its Python wrapper chain
 except ImportError:  # numpy < 2
     from numpy.core.umath import clip as _clip
 
-QUAD_OPTS = {"epsabs": 1e-13, "epsrel": 1e-13, "limit": 400}
-# Orders of the two Gauss-Legendre rules whose agreement certifies a wired
-# length moment, and the relative difference they may show.
+# Orders of the two Gauss-Legendre rules whose agreement certifies a
+# moment, and the relative difference they may show.
 LEGENDRE_POINTS = (12, 16)
 LEGENDRE_RTOL = 1e-13
+# The moment panels end where the parent law's survival mass falls below
+# this fraction of the truncated law's mass.
+TAIL_MASS = 2.0**-60
 
 
 # ---------------------------------------------------------------------------
-# Quadrature moments
+# Certified moments: one composite Gauss-Legendre rule at two orders
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadratureMoments:
-    orders: tuple
-    values: dict
-    abs_errors: dict
+def moment_panels(dist, component: int = 0) -> np.ndarray:
+    """Panel edges of the moment rule on one marginal of ``dist``.
 
-    def __getitem__(self, order: int) -> float:
-        return self.values[order]
-
-    def relative_error(self, order: int) -> float:
-        v = abs(self.values[order])
-        return self.abs_errors[order] / max(v, 1e-300)
-
-
-def quadrature_moments(dist, orders, component: int = 0) -> QuadratureMoments:
-    """E[X^k] of one marginal of ``dist`` by adaptive quadrature."""
-    from scipy import integrate
-
-    lo, hi = dist.support(component)
-    values, errors = {}, {}
-    for k in orders:
-        val, err = integrate.quad(
-            lambda x, k=k: x**k * dist.pdf(x, component), lo, hi, **QUAD_OPTS
-        )
-        values[int(k)] = val
-        errors[int(k)] = err
-    return QuadratureMoments(tuple(int(k) for k in orders), values, errors)
-
-
-def legendre_moment(dist, k: int, component: int, points: int) -> float:
-    """E[X^k] of one truncated-exponential marginal by composite Gauss-Legendre.
-
-    The support is cut into equal panels no wider than the parent
-    exponential's scale, so each panel sees the density fall by at most a
-    factor e and a fixed rule order stays accurate at any upper/scale ratio.
+    An exponential law of scale m, truncated or not, gets equal panels no
+    wider than m, so each panel sees the density fall by at most a factor
+    e.  A truncated chi-squared law first gets panels that double from its
+    lower end, each as wide as its distance to z = 0, where the
+    reciprocal-rate integrand 1/log(1 + p z) has its pole, up to width 2,
+    the scale of e^(-z/2); equal panels no wider than 2 follow.  The panels
+    stop at the upper end of the support or where the parent's survival
+    mass falls below ``TAIL_MASS`` of the truncated mass, whichever comes
+    first, so a law with infinite support is integrated too.
     """
     lo, hi = dist.support(component)
-    panels = max(1, math.ceil((hi - lo) / dist.mean_param[component]))
-    edges = np.linspace(lo, hi, panels + 1)
+    head = [lo]
+    if isinstance(dist, TruncatedChiSquared):
+        k, scale = 0.5 * dist.dof[component], 2.0
+        hi = 2.0 * float(special.gammainccinv(k, TAIL_MASS * special.gammaincc(k, 0.5 * lo)))
+        while 0.0 < head[-1] < scale:
+            head.append(2.0 * head[-1])
+    else:
+        scale = float(dist.mean_param[component])
+        hi = min(hi, lo - scale * math.log(TAIL_MASS * -math.expm1(-(hi - lo) / scale)))
+    start = head.pop()
+    tail = np.linspace(start, hi, max(1, math.ceil((hi - start) / scale)) + 1)
+    return np.concatenate([head, tail])
+
+
+def legendre_expectations(integrands, dist, component: int, points: int) -> dict:
+    """{name: E[f(X)]} for each ``name: f`` of ``integrands``, X one marginal
+    of ``dist``, by the ``points``-point rule on :func:`moment_panels`."""
+    edges = moment_panels(dist, component)
     nodes, weights = np.polynomial.legendre.leggauss(points)
     half = 0.5 * np.diff(edges)[:, None]
     x = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * nodes
-    return float(np.sum(half * weights * x**k * dist.pdf(x, component)))
+    w, density = half * weights, dist.pdf(x, component)
+    return {name: float(np.sum(w * f(x) * density)) for name, f in integrands.items()}
+
+
+def certified_expectations(law: str, integrands, dist, component: int = 0) -> dict:
+    """{name: E[f(X)]} from the two ``LEGENDRE_POINTS`` rules.
+
+    Returns the higher-order values of :func:`legendre_expectations`;
+    raises ``ValueError`` naming the moment and ``law`` when the two
+    orders differ by more than ``LEGENDRE_RTOL`` relative.
+    """
+    low, high = LEGENDRE_POINTS
+    coarse = legendre_expectations(integrands, dist, component, low)
+    fine = legendre_expectations(integrands, dist, component, high)
+    for name, value in fine.items():
+        if not abs(value - coarse[name]) <= LEGENDRE_RTOL * abs(value):
+            raise ValueError(
+                f"{name} of {law}: the {low}- and {high}-point Gauss-Legendre "
+                f"rules give {coarse[name]!r} and {value!r}, more than "
+                f"{LEGENDRE_RTOL:g} apart relative"
+            )
+    return fine
 
 
 def certified_length_moments(dist):
-    """(E[X], E[X^2]) per component from the two ``LEGENDRE_POINTS`` rules.
+    """(E[X], E[X^2]) per component of ``dist``, each certified.
 
-    Returns the higher-order values; raises ``ValueError`` naming the queue
-    when the two orders differ by more than ``LEGENDRE_RTOL`` relative.
+    The moments of component i come from :func:`certified_expectations`,
+    whose error names "queue i".
     """
-    low, high = LEGENDRE_POINTS
-    moments = np.empty((2, dist.dim))
-    for i in range(dist.dim):
-        for k in (1, 2):
-            coarse = legendre_moment(dist, k, i, low)
-            fine = legendre_moment(dist, k, i, high)
-            if not abs(fine - coarse) <= LEGENDRE_RTOL * abs(fine):
-                raise ValueError(
-                    f"E[X^{k}] of queue {i}: the {low}- and {high}-point "
-                    f"Gauss-Legendre rules give {coarse!r} and {fine!r}, more "
-                    f"than {LEGENDRE_RTOL:g} apart relative"
-                )
-            moments[k - 1, i] = fine
-    return moments[0], moments[1]
-
-
-def expectation(fn, dist, component: int = 0) -> float:
-    """E[fn(X)] for one marginal, by adaptive quadrature."""
-    from scipy import integrate
-
-    lo, hi = dist.support(component)
-    val, _ = integrate.quad(
-        lambda x: fn(x) * dist.pdf(x, component), lo, hi, **QUAD_OPTS
-    )
-    return val
+    integrands = {"E[X]": lambda x: x, "E[X^2]": lambda x: x**2}
+    rows = [certified_expectations(f"queue {i}", integrands, dist, i) for i in range(dist.dim)]
+    return tuple(np.array([row[name] for row in rows]) for name in integrands)
 
 
 # ---------------------------------------------------------------------------
@@ -575,9 +573,11 @@ class HessianScanResult:
         return self.global_min >= tol
 
     def csv_rows(self):
-        for i, x in enumerate(self.x_axis):
-            for j, y in enumerate(self.y_axis):
-                yield x, y, self.min_eigenvalues[i, j]
+        """(x, y, min eigenvalue) as Python floats, row-major."""
+        eigs = self.min_eigenvalues.tolist()
+        for i, x in enumerate(self.x_axis.tolist()):
+            for j, y in enumerate(self.y_axis.tolist()):
+                yield x, y, eigs[i][j]
 
     def write_csv(self, path):
         with open(path, "w", newline="") as fh:
@@ -637,22 +637,25 @@ def make_delay_utility_surface(
     """Scalar (rate, power) objective summand used by the convexity scan.
 
     The delay term is the PK expression driven by the reciprocal-rate
-    moments of the truncated chi-squared fading law; the reward is a small
-    log term.  Moments are memoized per power value, exact to quadrature
-    precision.
+    moments E[1/b] and E[1/b^2], b = bandwidth log(1 + p z), of the
+    truncated chi-squared fading law z; the reward is a small log term.
+    The moments come from :func:`certified_expectations`, memoized per
+    power value.  A fixed rule makes them smooth in p, which the scan's
+    second differences need.  ``fading_lower`` must be positive: 1/b has a
+    pole at z = 0.
     """
-    from .distributions import TruncatedChiSquared
-
+    if not fading_lower > 0.0:
+        raise ValueError(f"fading_lower must be positive, got {fading_lower!r}: "
+                         f"the reciprocal rate has a pole at zero fading")
     dist = TruncatedChiSquared(dof=[2.0 * antennas], lower=[fading_lower])
-    cache: dict = {}
 
+    @functools.lru_cache(maxsize=None)
     def moments(p: float):
-        key = float(p)
-        if key not in cache:
-            i1 = expectation(lambda z: 1.0 / (bandwidth * math.log1p(p * z)), dist)
-            i2 = expectation(lambda z: 1.0 / (bandwidth * math.log1p(p * z)) ** 2, dist)
-            cache[key] = (i1, i2)
-        return cache[key]
+        law = f"chi-squared({2 * antennas}) fading above {fading_lower!r} at p = {float(p)!r}"
+        return tuple(certified_expectations(law, {
+            "E[1/b]": lambda z: 1.0 / (bandwidth * np.log1p(p * z)),
+            "E[1/b^2]": lambda z: 1.0 / (bandwidth * np.log1p(p * z)) ** 2,
+        }, dist).values())
 
     def surface(lam: float, p: float) -> float:
         i1, i2 = moments(p)

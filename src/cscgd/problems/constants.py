@@ -3,9 +3,10 @@
 Bounds on inner second moments (C_g, V_g, C_h, V_h), outer gradient norms
 (C_f, C_q) and outer smoothness (L_f, L_q), plus the squared feasible-set
 diameter D_x.  Where a design's published setup displays closed forms they
-are reproduced verbatim (with quadrature for the truncated moments); where
-it does not, the bound is taken numerically over the reachable tracked
-domain and marked as such in the returned dict.
+are reproduced verbatim (with the certified Gauss-Legendre rule of
+``oracles`` for the truncated moments); where it does not, the bound is
+taken numerically over the reachable tracked domain and marked as such in
+the returned dict.
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ def constant_report(instance) -> dict:
 
 
 def _wired_constants(inst: Mg1WiredInstance) -> dict:
-    from ..oracles import quadrature_moments  # deferred: oracles uses the safeguards
+    from ..oracles import certified_expectations  # deferred: oracles uses the safeguards
 
     dist = inst.length_distribution()
-    m2 = np.array([quadrature_moments(dist, (2,), i)[2] for i in range(inst.n_queues)])
-    m4 = np.array([quadrature_moments(dist, (4,), i)[4] for i in range(inst.n_queues)])
+    integrands = {"E[X^2]": lambda x: x**2, "E[X^4]": lambda x: x**4}
+    rows = [certified_expectations(f"queue {i}", integrands, dist, i) for i in range(inst.n_queues)]
+    m2, m4 = (np.array([row[name] for row in rows]) for name in integrands)
     c, lmax = inst.capacities, inst.max_lengths
     psi, phi = inst.psi_weights, inst.phi_weights
     eps = inst.utilization_eps

@@ -176,16 +176,9 @@ class Mg1WiredInstance:
 
     def default_c_ell(self) -> float:
         """Penalty knee: twice the worst corner constraint value, floored at 1."""
-        dist = self.length_distribution()
-        m1 = dist.mean()
-        m2_num = [_trunc_exp_second_moment(m, b) for m, b in
-                  zip(self.mean_lengths, self.max_lengths)]
+        m1, m2 = truncated_exponential_moments(self.mean_lengths, self.max_lengths)
         lam = self.lambda_max
-        y = np.concatenate([lam * m1, lam * np.asarray(m2_num)])
+        y = np.concatenate([lam * m1, lam * m2])
         q_worst = float(np.max(self.delays(y)) - self.d_max)
         return max(2.0 * q_worst, 1.0)
 
-
-def _trunc_exp_second_moment(m: float, b: float) -> float:
-    # E[X^2] of an exponential(scale m) restricted to [0, b].
-    return float(truncated_exponential_moments(m, b)[1])

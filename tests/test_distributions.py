@@ -13,7 +13,7 @@ from cscgd import (
     monte_carlo_mean,
 )
 from cscgd.distributions import chi_squared_quantile_table
-from cscgd.oracles import quadrature_moments
+from quadrature import quadrature_moments
 
 
 def test_constant_vec_always_identical(rng):

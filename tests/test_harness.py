@@ -392,6 +392,12 @@ class TestStatistics:
             "assert s[0].gap is not None",
             "from cscgd.cli import main; "
             "assert main(['oracle', '--preset', 'paper-ex2-k5', '--out', sys.argv[1]]) == 0",
+            "from cscgd.problems import PRESETS, constant_report; "
+            "[constant_report(build()) for build in PRESETS.values()]",
+            "from cscgd.oracles import make_delay_utility_surface; "
+            "make_delay_utility_surface(5)(1.0, 20.0)",
+            "from cscgd.cli import main; "
+            "assert main(['scan-hessian', '-k', '5', '--grid', '5']) == 0",
         ):
             subprocess.run([sys.executable, "-W", "ignore", "-c",
                             f"import sys; {code}; {check}", str(tmp_path)],
@@ -434,6 +440,11 @@ class TestPlotData:
         assert lines[0] == "t,mean_gap,std_gap,mean_violation,std_violation"
         assert lines[1].startswith("1,")
         assert lines[-1].startswith("60,")
+        # plain numbers: every field reads back with float(), to the value
+        rows = np.array([[float(field) for field in line.split(",")] for line in lines[1:]])
+        names = lines[0].split(",")
+        for j, name in enumerate(names):
+            assert np.array_equal(rows[:, j], curves[name], equal_nan=True)
 
     def test_wired_gap_series_trends_down(self, tmp_path):
         from cscgd.harness import mann_kendall, subsample_log

@@ -1,23 +1,26 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
 from cscgd import ExponentialMean, PenaltyParams, TruncatedExponential, make_rng, penalty_value
+from cscgd.distributions import TruncatedChiSquared, truncated_exponential_moments
 from cscgd.harness import SAMPLE_AVERAGE_ORACLE, evaluate_point
 from cscgd.oracles import (
     LEGENDRE_POINTS,
+    certified_expectations,
     certified_length_moments,
     enumerate_blocking_probability,
     ergodic_fstar,
     finite_difference_check,
     hessian_psd_scan,
-    quadrature_moments,
+    make_delay_utility_surface,
     sample_average_baseline,
     wired_fstar,
 )
-from cscgd.problems import Mg1WiredInstance, paper_ex1, paper_ex2, quadratic_problem
-from cscgd.problems.wired import _trunc_exp_second_moment
+from cscgd.problems import Mg1WiredInstance, paper_ex1, paper_ex2, paper_ex3, quadratic_problem
+from quadrature import expectation, quadrature_moments
 
 
 class TestQuadrature:
@@ -29,8 +32,6 @@ class TestQuadrature:
             assert q.relative_error(k) < 1e-10
 
     def test_truncated_families_error_estimates(self):
-        from cscgd import TruncatedChiSquared, TruncatedExponential
-
         for dist in (TruncatedExponential(mean=15.0, upper=20.0),
                      TruncatedChiSquared(dof=10, lower=0.25)):
             q = quadrature_moments(dist, (1, 2))
@@ -64,7 +65,7 @@ class TestCertifiedLengthMoments:
         for i, (m, b) in enumerate(zip(dist.mean_param, dist.upper)):
             quad = quadrature_moments(dist, (1, 2), i)
             if b / m >= 0.1:
-                closed = (dist.mean()[i], _trunc_exp_second_moment(m, b))
+                closed = (dist.mean()[i], truncated_exponential_moments(m, b)[1])
             else:
                 # the closed forms cancel to ~1e-7 relative at b / m = 1e-3
                 closed = tuple(_trunc_exp_moment_series(m, b, k) for k in (1, 2))
@@ -78,7 +79,7 @@ class TestCertifiedLengthMoments:
         m1, m2 = certified_length_moments(dist)
         assert dist.mean() == pytest.approx(m1, rel=1e-13, abs=0.0)
         for i, (m, b) in enumerate(zip(dist.mean_param, dist.upper)):
-            assert _trunc_exp_second_moment(m, b) == pytest.approx(m2[i], rel=1e-13, abs=0.0)
+            assert truncated_exponential_moments(m, b)[1] == pytest.approx(m2[i], rel=1e-13, abs=0.0)
 
     def test_closed_form_mean_shifts_by_lower_and_takes_an_open_support(self):
         shifted = TruncatedExponential(mean=2.0, upper=2.3, lower=0.3)
@@ -92,21 +93,73 @@ class TestCertifiedLengthMoments:
     def test_disagreeing_rule_orders_raise_naming_the_queue(self, monkeypatch):
         from cscgd import oracles
 
-        exact = oracles.legendre_moment
+        exact = oracles.legendre_expectations
         low, high = LEGENDRE_POINTS
 
-        def skewed(dist, k, component, points):
-            value = exact(dist, k, component, points)
-            if (k, component, points) == (2, 1, low):
-                value *= 1.0 + 1e-12
-            return value
+        def skewed(integrands, dist, component, points):
+            values = exact(integrands, dist, component, points)
+            if (component, points) == (1, low) and "E[X^2]" in values:
+                values["E[X^2]"] *= 1.0 + 1e-12
+            return values
 
-        monkeypatch.setattr(oracles, "legendre_moment", skewed)
+        monkeypatch.setattr(oracles, "legendre_expectations", skewed)
         dist = paper_ex1().length_distribution()
-        coarse, fine = skewed(dist, 2, 1, low), exact(dist, 2, 1, high)
+        square = {"E[X^2]": lambda x: x**2}
+        coarse = skewed(square, dist, 1, low)["E[X^2]"]
+        fine = exact(square, dist, 1, high)["E[X^2]"]
         with pytest.raises(ValueError, match=rf"E\[X\^2\] of queue 1: .*"
                                              rf"{coarse!r} and {fine!r}"):
             wired_fstar(paper_ex1())
+
+    def test_infinite_support_matches_the_memoryless_closed_forms(self):
+        # paper-ex3's channel: an exponential of mean 1 above G, so X - G is
+        # a unit exponential, E[X] = G + 1 and E[X^2] = G^2 + 2G + 2
+        dist = paper_ex3().channel_distribution()
+        m1, m2 = certified_length_moments(dist)
+        g = dist.lower
+        assert np.all(np.isinf(dist.upper))
+        np.testing.assert_allclose(m1, g + 1.0, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(m2, g * g + 2.0 * g + 2.0, rtol=1e-14, atol=0.0)
+
+
+class TestReciprocalRateMoments:
+    # At dof 2 the density does not vanish at z = 0, so only the panels
+    # that double from the lower end keep the pole of 1/log(1 + p z) away.
+    @pytest.mark.parametrize("dof, lower", [(10, 0.25), (20, 0.25), (2, 0.25), (2, 0.05)])
+    @pytest.mark.parametrize("p", [14.0, 50.0, 100.0])
+    def test_match_adaptive_quadrature(self, dof, lower, p):
+        dist = TruncatedChiSquared(dof=[dof], lower=[lower])
+        moments = certified_expectations(
+            "fading", {"E[1/b]": lambda z: 1.0 / (10.0 * np.log1p(p * z)),
+                       "E[1/b^2]": lambda z: 1.0 / (10.0 * np.log1p(p * z)) ** 2}, dist)
+        for name, k in (("E[1/b]", 1), ("E[1/b^2]", 2)):
+            quad = expectation(lambda z: 1.0 / (10.0 * math.log1p(p * z)) ** k, dist)
+            assert moments[name] == pytest.approx(quad, rel=1e-14, abs=0.0)
+
+    def test_surface_matches_a_surface_on_adaptive_quadrature(self):
+        # criterion 8's summand with the moments of tests/quadrature.py, on a
+        # coarser grid of the same box
+        lam_axis, p_axis = np.linspace(0.1, 15.0, 7), np.linspace(14.0, 100.0, 7)
+        for antennas in (5, 10):
+            dist = TruncatedChiSquared(dof=[2.0 * antennas], lower=[0.25])
+
+            @functools.lru_cache(maxsize=None)
+            def moments(p):
+                return tuple(expectation(lambda z: 1.0 / (10.0 * math.log1p(p * z)) ** k, dist)
+                             for k in (1, 2))
+
+            def quad_surface(lam, p):
+                i1, i2 = moments(p)
+                return lam * i2 / (2.0 * (1.0 - lam * i1)) - 0.1 * math.log(lam)
+
+            ours = hessian_psd_scan(make_delay_utility_surface(antennas), lam_axis, p_axis)
+            ref = hessian_psd_scan(quad_surface, lam_axis, p_axis)
+            np.testing.assert_allclose(ours.min_eigenvalues, ref.min_eigenvalues,
+                                       rtol=0.0, atol=1e-11)
+
+    def test_surface_rejects_a_fading_floor_at_zero(self):
+        with pytest.raises(ValueError, match="fading_lower"):
+            make_delay_utility_surface(5, fading_lower=0.0)
 
 
 class TestFiniteDifference:
@@ -262,6 +315,8 @@ class TestHessianScan:
         text = path.read_text().splitlines()
         assert text[0] == "lambda,p,min_eig"
         assert len(text) == 5
+        values = [[float(field) for field in line.split(",")] for line in text[1:]]
+        assert values == [list(row) for row in rows]
 
 
 class TestSampleAverageBaseline:

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from cscgd.checks import gradient_suite
-from cscgd.oracles import quadrature_moments
 from cscgd.problems import Mg1WiredInstance, constant_report, paper_ex1
 from cscgd.problems.safeguards import safe_inv
+from quadrature import quadrature_moments
 
 
 def small_instance(**overrides):
