@@ -1,7 +1,7 @@
 """Command-line entry points for experiments and verification.
 
-Subcommands: ``run`` (multi-seed experiment), ``oracle`` (compute and cache
-the baseline optimum for a preset), ``ratefit`` (horizon ladder and decay
+Subcommands: ``run`` (multi-seed experiment), ``oracle`` (compute the
+baseline optimum for a preset), ``ratefit`` (horizon ladder and decay
 slope), ``scan-hessian`` (numerical convexity scan), ``check`` (gradient
 and invariant suites).
 """
@@ -10,19 +10,11 @@ from __future__ import annotations
 
 import argparse
 import os
-import shutil
 import sys
 
 import numpy as np
 
-from .harness import (
-    ExperimentConfig,
-    load_oracle_cache,
-    oracle_cache_path,
-    rate_fit,
-    run_experiment,
-    write_oracle_cache,
-)
+from .harness import ExperimentConfig, check_ladder, compute_oracle, rate_fit, run_experiment
 from .penalty import PenaltyParams
 from .problems import PRESETS, get_preset
 
@@ -81,7 +73,7 @@ def _add_run_options(p: argparse.ArgumentParser):
     p.add_argument("--gamma", type=float)
     p.add_argument("--c-ell", dest="c_ell", type=float)
     p.add_argument("--workers", type=int)
-    p.add_argument("--gap", action="store_true", help="report gap vs cached oracle")
+    p.add_argument("--gap", action="store_true", help="report the gap to the oracle's F*")
     p.add_argument("--eval-samples", dest="eval_samples", type=int)
     p.add_argument("--log-points", dest="log_points", type=int,
                    help="trajectory rows: every iteration when the horizon "
@@ -107,19 +99,17 @@ def cmd_run(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    config = _config_from_args(args)
-    path = write_oracle_cache(config)
-    payload = load_oracle_cache(config)
+    payload = compute_oracle(_config_from_args(args))
     print(f"{payload['preset']}: F* = {payload['f_star']:.8g} ({payload['method']})")
-    print(f"cached at {path}")
     return 0
 
 
 def cmd_ratefit(args) -> int:
     horizons = [int(h) for h in args.horizons.split(",")]
     seeds = _parse_seeds(args.seeds) if args.seeds else tuple(range(10))
+    check_ladder(dict.fromkeys(horizons, seeds))
     base = _config_from_args(args)
-    ladder, oracle_path = {}, None
+    ladder = {}
     for T in horizons:
         cfg = ExperimentConfig.from_dict({
             **base.to_dict(),
@@ -128,13 +118,6 @@ def cmd_ratefit(args) -> int:
             "out_dir": os.path.join(base.out_dir, f"T{T}"),
             "oracle_gap": True,
         })
-        # The baseline does not depend on the horizon: compute it once, copy it after.
-        path = oracle_cache_path(cfg.out_dir, cfg.preset)
-        if oracle_path is None:
-            oracle_path = write_oracle_cache(cfg)
-        elif path != oracle_path:
-            os.makedirs(cfg.out_dir, exist_ok=True)
-            shutil.copyfile(oracle_path, path)
         summaries, _ = run_experiment(cfg)
         ladder[T] = [abs(s.gap) for s in summaries]
     fit = rate_fit(ladder)
@@ -192,7 +175,7 @@ def main(argv=None) -> int:
     p_run.add_argument("--list", action="store_true", help="list presets")
     p_run.set_defaults(fn=cmd_run)
 
-    p_oracle = sub.add_parser("oracle", help="compute and cache a preset baseline")
+    p_oracle = sub.add_parser("oracle", help="compute a preset's baseline optimum")
     _add_run_options(p_oracle)
     p_oracle.set_defaults(fn=cmd_oracle)
 

@@ -39,12 +39,10 @@ _SERIES_J = np.arange(20)
 _SERIES_FACT = np.array([math.factorial(j) for j in range(20)], dtype=float)
 
 # Grid spacing in w of the chi-squared quantile tables (a power of two, so
-# 1 / QUANTILE_STEP is exact), and the name of that rule for the records
-# whose values depend on the draws (the ex2 oracle caches).  At 2^-8 the
-# interpolation error is at most 1.9e-13 relative on dof 2 and falls with
-# dof (1.4e-14 on dof 20); at 2^-7 it is 3.0e-12 on dof 2.
+# 1 / QUANTILE_STEP is exact).  At 2^-8 the interpolation error is at most
+# 1.9e-13 relative on dof 2 and falls with dof (1.4e-14 on dof 20); at 2^-7
+# it is 3.0e-12 on dof 2.
 QUANTILE_STEP = 2.0**-8
-QUANTILE_RULE = "cubic-hermite-logit-2^-8"
 # Largest double below 1: the largest uniform a Generator returns.
 _U_TOP = 1.0 - 2.0**-53
 # A table starts at the truncation point unless its odds are below this

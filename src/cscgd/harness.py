@@ -23,18 +23,19 @@ import numpy as np
 
 from scipy import special
 
-from .distributions import QUANTILE_RULE, make_rng
+from .distributions import make_rng
 from .problems import constrained_quadratic_problem, get_preset, quadratic_problem
 from .solver import SolverConfig, run
 
 EPS_PLOT = 1e-12
+# Smallest horizon ladder a rate fit accepts.
+LADDER_MIN_HORIZONS = 4
+LADDER_MIN_SEEDS = 10
 # Rows drawn and mapped at once by evaluate_point (its docstring says why so few).
 EVAL_CHUNK_ROWS = 2048
-# Parameters of the oracle baselines.  The cache records the ones its
-# baseline was computed with and refuses to serve any other.
-# The wired baseline has no knobs: its entry names the rule behind its
-# length moments, so a cache computed by another rule is refused.
-WIRED_ORACLE = {"moments": "composite-gauss-legendre"}
+# Sub-batches behind evaluate_point's standard errors.
+EVAL_BATCHES = 10
+# Sample count and seed of the sample-average oracle baselines.
 SAMPLE_AVERAGE_ORACLE = {"n_samples": 2000, "seed": 99}
 
 
@@ -136,10 +137,6 @@ def resolve_problem(config: ExperimentConfig):
     return problem, c_ell
 
 
-def resolve_instance(config: ExperimentConfig):
-    return get_preset(config.preset, config.instance_overrides or None)
-
-
 # ---------------------------------------------------------------------------
 # Trajectory CSV contract
 # ---------------------------------------------------------------------------
@@ -187,7 +184,7 @@ def read_trajectory_csv(path: str) -> dict:
 # Point evaluation and summaries
 # ---------------------------------------------------------------------------
 
-def evaluate_point(problem, x, n_samples: int, seed: int, n_batches: int = 10):
+def evaluate_point(problem, x, n_samples: int, seed: int):
     """Plug-in estimates of F(x) and Q(x) from a fresh sample batch.
 
     Standard errors come from re-evaluating the outer functions on batch
@@ -206,7 +203,7 @@ def evaluate_point(problem, x, n_samples: int, seed: int, n_batches: int = 10):
     rng = make_rng(seed, 1)
     x = np.asarray(x, dtype=float)
     h_is_g = problem.inner_h is problem.inner_g
-    per_batch = max(2, n_samples // n_batches)
+    per_batch = max(2, n_samples // EVAL_BATCHES)
     f_vals, q_vals = [], []
     g_total = None
     h_total = None
@@ -215,7 +212,7 @@ def evaluate_point(problem, x, n_samples: int, seed: int, n_batches: int = 10):
     if per_batch > EVAL_CHUNK_ROWS:
         g_buf = np.empty((EVAL_CHUNK_ROWS + 1, problem.dim_g))
         h_buf = np.empty((EVAL_CHUNK_ROWS + 1, problem.dim_h))
-    for _ in range(n_batches):
+    for _ in range(EVAL_BATCHES):
         g_sum = h_sum = None
         for start in range(0, per_batch, EVAL_CHUNK_ROWS):
             zeta = problem.sample(rng, min(EVAL_CHUNK_ROWS, per_batch - start))
@@ -230,16 +227,16 @@ def evaluate_point(problem, x, n_samples: int, seed: int, n_batches: int = 10):
             q_vals.append(np.asarray(problem.outer_q(h_mean), dtype=float))
             h_total = h_mean if h_total is None else h_total + h_mean
     f_vals = np.array(f_vals)
-    g_bar = g_total / n_batches
+    g_bar = g_total / EVAL_BATCHES
     out = {
         "f": float(problem.outer_f(g_bar)),
-        "f_std_err": float(f_vals.std(ddof=1) / math.sqrt(n_batches)),
-        "n_samples": per_batch * n_batches,
+        "f_std_err": float(f_vals.std(ddof=1) / math.sqrt(EVAL_BATCHES)),
+        "n_samples": per_batch * EVAL_BATCHES,
     }
     if problem.constrained:
         q_vals = np.stack(q_vals)
-        out["q"] = np.asarray(problem.outer_q(h_total / n_batches), dtype=float)
-        out["q_std_err"] = q_vals.std(axis=0, ddof=1) / math.sqrt(n_batches)
+        out["q"] = np.asarray(problem.outer_q(h_total / EVAL_BATCHES), dtype=float)
+        out["q_std_err"] = q_vals.std(axis=0, ddof=1) / math.sqrt(EVAL_BATCHES)
     else:
         out["q"] = np.zeros(0)
         out["q_std_err"] = np.zeros(0)
@@ -284,27 +281,10 @@ class RunSummary:
 
 
 # ---------------------------------------------------------------------------
-# Oracle cache
+# Oracle baseline
 # ---------------------------------------------------------------------------
 
-def oracle_cache_path(out_dir: str, preset: str) -> str:
-    return os.path.join(out_dir, f"oracle-{preset}.json")
-
-
-def oracle_params(preset: str) -> dict:
-    """Parameters of the baseline method used for ``preset`` ({} when it has none)."""
-    if preset == "paper-ex1":
-        return dict(WIRED_ORACLE)
-    if preset in TOY_TARGETS:
-        return {}
-    if preset.startswith("paper-ex2"):
-        # also names the quantile rule of its fading draws, so a cache drawn
-        # by another chi-squared sampler is refused
-        return {**SAMPLE_AVERAGE_ORACLE, "quantiles": QUANTILE_RULE}
-    return dict(SAMPLE_AVERAGE_ORACLE)
-
-
-def compute_oracle(config: ExperimentConfig, instance=None) -> dict:
+def compute_oracle(config: ExperimentConfig) -> dict:
     """Deterministic or sample-average baseline value for the configured preset."""
     # deferred: no solve or evaluation needs the oracles
     from .oracles import ergodic_fstar, sample_average_baseline, wired_fstar
@@ -317,7 +297,7 @@ def compute_oracle(config: ExperimentConfig, instance=None) -> dict:
             "f_star": float(problem.metadata["f_star"]),
             "preset": name,
         }
-    instance = instance if instance is not None else resolve_instance(config)
+    instance = get_preset(name, config.instance_overrides or None)
     if name == "paper-ex1":
         base = wired_fstar(instance)
         payload = {
@@ -340,40 +320,6 @@ def compute_oracle(config: ExperimentConfig, instance=None) -> dict:
             "grad_map_norm": res.grad_map_norm,
         }
     payload["preset"] = name
-    return payload
-
-
-def write_oracle_cache(config: ExperimentConfig) -> str:
-    os.makedirs(config.out_dir, exist_ok=True)
-    path = oracle_cache_path(config.out_dir, config.preset)
-    payload = compute_oracle(config)
-    payload["instance_overrides"] = config.instance_overrides or {}
-    payload["oracle_params"] = oracle_params(config.preset)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-    return path
-
-
-def load_oracle_cache(config: ExperimentConfig) -> dict:
-    path = oracle_cache_path(config.out_dir, config.preset)
-    if not os.path.exists(path):
-        raise FileNotFoundError(
-            f"no oracle baseline at {path}; run the 'oracle' command for "
-            f"preset {config.preset!r} first, or disable the gap report"
-        )
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    # The file is keyed by preset name only; a baseline computed for other
-    # instance overrides, or with other oracle parameters, is a different F*.
-    for key, wanted in (("instance_overrides", config.instance_overrides or {}),
-                        ("oracle_params", oracle_params(config.preset))):
-        cached = json.dumps(payload[key], sort_keys=True) if key in payload else "nothing"
-        wanted = json.dumps(wanted, sort_keys=True)
-        if cached != wanted:
-            raise ValueError(
-                f"oracle baseline at {path} was computed for {key} {cached}, "
-                f"this config has {wanted}; run the 'oracle' command again"
-            )
     return payload
 
 
@@ -424,13 +370,11 @@ def run_experiment(config: ExperimentConfig):
 
     The seeds run as one batch, or as one contiguous chunk per worker
     process when ``workers > 1``.  Returns (list of RunSummary in seed
-    order, dict of aggregate curves).  Requires the oracle cache when
-    ``oracle_gap`` is set.
+    order, dict of aggregate curves).  When ``oracle_gap`` is set, the gaps
+    are taken to the F* of :func:`compute_oracle`.
     """
     os.makedirs(config.out_dir, exist_ok=True)
-    f_star = None
-    if config.oracle_gap:
-        f_star = float(load_oracle_cache(config)["f_star"])
+    f_star = float(compute_oracle(config)["f_star"]) if config.oracle_gap else None
     seeds = list(config.seeds)
     n_chunks = min(config.workers, len(seeds))
     chunks = [seeds[i * len(seeds) // n_chunks:(i + 1) * len(seeds) // n_chunks]
@@ -518,8 +462,8 @@ def subsample_log(ts: np.ndarray, max_points: int = 200) -> np.ndarray:
     return idx
 
 
-def write_plot_csv(path: str, curves: dict, max_points: int = 200):
-    idx = subsample_log(curves["t"], max_points)
+def write_plot_csv(path: str, curves: dict):
+    idx = subsample_log(curves["t"])
     names = ("mean_gap", "std_gap", "mean_violation", "std_violation")
     # Python floats, whose repr is the plain shortest round-trip number
     columns = [curves[name][idx].tolist() for name in names]
@@ -531,12 +475,12 @@ def write_plot_csv(path: str, curves: dict, max_points: int = 200):
 
 
 def emit_plot_data(trajectory_set: list, f_star: float | None = None,
-                   path: str | None = None, max_points: int = 200) -> dict:
+                   path: str | None = None) -> dict:
     """Aggregate per-seed :func:`run` trajectories into plot-ready series."""
     arrays = [curve_arrays(traj) for traj in trajectory_set]
     curves = aggregate_curves(arrays, f_star=f_star)
     if path is not None:
-        write_plot_csv(path, curves, max_points)
+        write_plot_csv(path, curves)
     return curves
 
 
@@ -575,18 +519,26 @@ class RateFit:
     means: np.ndarray
 
 
-def rate_fit(ladder: dict, min_horizons: int = 4, min_seeds: int = 10) -> RateFit:
+def check_ladder(ladder: dict):
+    """Raise ``ValueError`` unless ``ladder`` (horizon -> per-seed entries)
+    has at least ``LADDER_MIN_HORIZONS`` horizons of at least
+    ``LADDER_MIN_SEEDS`` seeds each."""
+    if len(ladder) < LADDER_MIN_HORIZONS:
+        raise ValueError(f"need at least {LADDER_MIN_HORIZONS} horizons")
+    for T, vals in ladder.items():
+        if len(vals) < LADDER_MIN_SEEDS:
+            raise ValueError(f"horizon {T} has {len(vals)} seeds, need {LADDER_MIN_SEEDS}")
+
+
+def rate_fit(ladder: dict) -> RateFit:
     """Least-squares slope of log(quantity) against log(horizon).
 
-    ``ladder`` maps horizon -> per-seed terminal quantities.  Non-positive
-    quantities are clipped at 1e-12 and flagged.  The confidence interval is
-    the usual two-sided 95% OLS band on the slope.
+    ``ladder`` maps horizon -> per-seed terminal quantities, checked by
+    :func:`check_ladder`.  Non-positive quantities are clipped at 1e-12 and
+    flagged.  The confidence interval is the usual two-sided 95% OLS band
+    on the slope.
     """
-    if len(ladder) < min_horizons:
-        raise ValueError(f"need at least {min_horizons} horizons")
-    for T, vals in ladder.items():
-        if len(vals) < min_seeds:
-            raise ValueError(f"horizon {T} has {len(vals)} seeds, need {min_seeds}")
+    check_ladder(ladder)
     horizons = np.array(sorted(ladder), dtype=float)
     means = np.array([np.mean(ladder[int(T)]) for T in horizons])
     clipped = bool(np.any(means <= EPS_PLOT))

@@ -39,6 +39,8 @@ except ImportError:  # numpy < 2
 # moment, and the relative difference they may show.
 LEGENDRE_POINTS = (12, 16)
 LEGENDRE_RTOL = 1e-13
+# (nodes, weights) on [-1, 1] of each order, computed once.
+_LEGENDRE_RULES = {n: np.polynomial.legendre.leggauss(n) for n in LEGENDRE_POINTS}
 # The moment panels end where the parent law's survival mass falls below
 # this fraction of the truncated law's mass.
 TAIL_MASS = 2.0**-60
@@ -80,7 +82,7 @@ def legendre_expectations(integrands, dist, component: int, points: int) -> dict
     """{name: E[f(X)]} for each ``name: f`` of ``integrands``, X one marginal
     of ``dist``, by the ``points``-point rule on :func:`moment_panels`."""
     edges = moment_panels(dist, component)
-    nodes, weights = np.polynomial.legendre.leggauss(points)
+    nodes, weights = _LEGENDRE_RULES[points]
     half = 0.5 * np.diff(edges)[:, None]
     x = 0.5 * (edges[1:] + edges[:-1])[:, None] + half * nodes
     w, density = half * weights, dist.pdf(x, component)

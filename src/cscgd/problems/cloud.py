@@ -11,7 +11,7 @@ linear inequalities.  The solver minimizes the negated expected profit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,9 +67,6 @@ class CloudProvisioningInstance:
             lower=lower, upper=upper,
             a_mat=np.array(rows), b_vec=np.array(rhs),
         )
-
-    def with_overrides(self, **kwargs) -> "CloudProvisioningInstance":
-        return replace(self, **kwargs)
 
     def blocking_probabilities(self, y: np.ndarray) -> np.ndarray:
         n = self.n_classes

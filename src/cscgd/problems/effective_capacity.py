@@ -10,7 +10,7 @@ exp(-theta * alpha * W).  Unconstrained.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,9 +62,6 @@ class EffectiveCapacityInstance:
             upper=np.full(n, self.p_max),
             cap=self.p_max,
         )
-
-    def with_overrides(self, **kwargs) -> "EffectiveCapacityInstance":
-        return replace(self, **kwargs)
 
     def qos_exponent(self, y: np.ndarray) -> np.ndarray:
         """theta_i from tracked rate moments y = (means, second moments)."""

@@ -12,7 +12,7 @@ z with z tracking -min_i b_i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,9 +74,6 @@ class Mg1ErgodicInstance:
             cap=self.p_max,
         )
         return ProductSet(blocks=(lam_set, p_set))
-
-    def with_overrides(self, **kwargs) -> "Mg1ErgodicInstance":
-        return replace(self, **kwargs)
 
     def rates(self, p: np.ndarray, zeta: np.ndarray) -> np.ndarray:
         return self.bandwidths * np.log1p(zeta * p)

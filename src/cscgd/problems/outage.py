@@ -10,7 +10,7 @@ the penalty path of the solver stays inert.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,9 +72,6 @@ class OutageInstance:
             cap=self.p_max,
         )
         return ProductSet(blocks=(lam_set, p_set))
-
-    def with_overrides(self, **kwargs) -> "OutageInstance":
-        return replace(self, **kwargs)
 
     def outage_level(self, p: np.ndarray, zeta: np.ndarray) -> np.ndarray:
         """Smoothed outage indicator: ~1 when the rate exceeds the capacity."""

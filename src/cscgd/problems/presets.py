@@ -11,6 +11,8 @@ template builder, not a registry entry).
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from ..distributions import ConstantVec
 from .cloud import CloudProvisioningInstance
 from .effective_capacity import EffectiveCapacityInstance
@@ -35,7 +37,7 @@ def paper_ex1(**overrides) -> Mg1WiredInstance:
         phi_weights=PHI_WEIGHTS,
         name="paper-ex1",
     )
-    return base.with_overrides(**overrides) if overrides else base
+    return replace(base, **overrides) if overrides else base
 
 
 def paper_ex2(antennas: int = 5, **overrides) -> Mg1ErgodicInstance:
@@ -54,7 +56,7 @@ def paper_ex2(antennas: int = 5, **overrides) -> Mg1ErgodicInstance:
         varsigma_eps=0.95,
         name=f"paper-ex2-k{antennas}",
     )
-    return base.with_overrides(**overrides) if overrides else base
+    return replace(base, **overrides) if overrides else base
 
 
 def paper_ex3(**overrides) -> OutageInstance:
@@ -72,7 +74,7 @@ def paper_ex3(**overrides) -> OutageInstance:
         phi_weights=PHI_WEIGHTS,
         name="paper-ex3",
     )
-    return base.with_overrides(**overrides) if overrides else base
+    return replace(base, **overrides) if overrides else base
 
 
 def paper_ex4(**overrides) -> EffectiveCapacityInstance:
@@ -90,7 +92,7 @@ def paper_ex4(**overrides) -> EffectiveCapacityInstance:
         phi_weights=PHI_WEIGHTS,
         name="paper-ex4",
     )
-    return base.with_overrides(**overrides) if overrides else base
+    return replace(base, **overrides) if overrides else base
 
 
 def paper_ex5(load_dist=None, **overrides) -> CloudProvisioningInstance:
@@ -112,7 +114,7 @@ def paper_ex5(load_dist=None, **overrides) -> CloudProvisioningInstance:
         load_dist=load_dist,
         name="paper-ex5",
     )
-    return base.with_overrides(**overrides) if overrides else base
+    return replace(base, **overrides) if overrides else base
 
 
 PRESETS = {

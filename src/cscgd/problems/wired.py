@@ -11,7 +11,7 @@ evaluation of the delay terms per tracker value (see ``build``).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,9 +73,6 @@ class Mg1WiredInstance:
             upper=self.lambda_max.copy(),
             cap=self.lambda_cap,
         )
-
-    def with_overrides(self, **kwargs) -> "Mg1WiredInstance":
-        return replace(self, **kwargs)
 
     def delays(self, y: np.ndarray) -> np.ndarray:
         """Safeguarded per-queue PK waiting delays at tracked moments y (rows too)."""

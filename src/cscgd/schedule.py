@@ -35,26 +35,10 @@ class StepSchedule:
         if not (isinstance(self.horizon, (int, np.integer)) and self.horizon >= 1):
             raise ValueError("horizon must be a positive integer")
 
-    def step_sizes(self, t: int) -> tuple[float, float, float]:
-        """(alpha_t, beta_t, delta_t) for iteration t, 1-based.
-
-        Computed through the same numpy power kernel as step_arrays so the
-        two paths agree bitwise.
-        """
-        if not 1 <= t <= self.horizon:
-            raise ValueError(f"iteration {t} outside 1..{self.horizon}")
-        base = np.float64(t) if self.regime == DIMINISHING else np.float64(self.horizon)
-        return (
-            float(np.power(base, -self.a)),
-            float(np.power(base, -self.b)),
-            float(np.power(base, -self.c)),
-        )
-
-    def step_arrays(self, horizon: int | None = None):
-        """Vectorized (alpha, beta, delta) arrays for t = 1..horizon."""
-        T = self.horizon if horizon is None else horizon
+    def step_arrays(self):
+        """(alpha, beta, delta) arrays for t = 1..horizon (entry t - 1 is step t)."""
         if self.regime == DIMINISHING:
-            base = np.arange(1, T + 1, dtype=float)
+            base = np.arange(1, self.horizon + 1, dtype=float)
         else:
-            base = np.full(T, float(self.horizon))
+            base = np.full(self.horizon, float(self.horizon))
         return base ** -self.a, base ** -self.b, base ** -self.c

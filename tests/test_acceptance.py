@@ -22,7 +22,6 @@ from cscgd.harness import (
     read_trajectory_csv,
     run_experiment,
     subsample_log,
-    write_oracle_cache,
 )
 from cscgd.oracles import hessian_psd_scan, make_delay_utility_surface, wired_fstar
 from cscgd.penalty import PenaltyParams
@@ -117,7 +116,6 @@ def test_criterion_3_rate_order(tmp_path_factory):
             out_dir=str(out / f"T{horizon}"), workers=2, x0=(1.0,),
             oracle_gap=True,
         )
-        write_oracle_cache(cfg)
         summaries, _ = run_experiment(cfg)
         ladder[horizon] = [abs(s.gap) for s in summaries]
     fit = rate_fit(ladder)

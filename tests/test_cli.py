@@ -2,10 +2,11 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from cscgd import harness
 from cscgd.cli import main
-from cscgd.harness import ExperimentConfig, load_oracle_cache, read_trajectory_csv
+from cscgd.harness import read_trajectory_csv
 
 
 def test_run_smoke(tmp_path, capsys):
@@ -45,13 +46,15 @@ def test_oracle_then_gap_run(tmp_path, capsys):
     out = tmp_path / "exp"
     rc = main(["oracle", "--preset", "quadratic-toy", "--out", str(out)])
     assert rc == 0
-    assert "F*" in capsys.readouterr().out
+    assert capsys.readouterr().out == "quadratic-toy: F* = 0 (closed-form)\n"
+    assert not out.exists()
     rc = main([
         "run", "--preset", "quadratic-toy", "--seeds", "0:2", "--horizon", "200",
         "--out", str(out), "--gap", "--eval-samples", "500",
     ])
     assert rc == 0
     assert "mean gap" in capsys.readouterr().out
+    assert not list(out.glob("oracle-*.json"))
 
 
 def test_config_file_flow(tmp_path):
@@ -76,30 +79,47 @@ def test_ratefit_synthetic(tmp_path, capsys):
     assert "slope" in out
 
 
-def test_ratefit_computes_the_oracle_once_per_ladder(tmp_path, monkeypatch):
-    calls = []
+def test_ratefit_gaps_of_every_horizon_use_the_same_f_star(tmp_path, monkeypatch):
+    f_stars = []
     compute_oracle = harness.compute_oracle
 
-    def counting_compute_oracle(config, instance=None):
-        calls.append(config.horizon)
-        return compute_oracle(config, instance)
+    def recording_compute_oracle(config):
+        payload = compute_oracle(config)
+        f_stars.append((config.horizon, payload["f_star"]))
+        return payload
 
-    monkeypatch.setattr("cscgd.harness.compute_oracle", counting_compute_oracle)
+    monkeypatch.setattr("cscgd.harness.compute_oracle", recording_compute_oracle)
     horizons = (100, 200, 400, 800)
     rc = main([
-        "ratefit", "--preset", "quadratic-toy", "--horizons", ",".join(map(str, horizons)),
+        "ratefit", "--preset", "constrained-quadratic-toy",
+        "--horizons", ",".join(map(str, horizons)),
         "--seeds", "0:10", "--abc", "0.75,0.5,0.75", "--regime", "constant",
         "--out", str(tmp_path / "ladder"), "--eval-samples", "500",
     ])
     assert rc == 0
-    assert calls == [100]
-    payloads = [
-        load_oracle_cache(ExperimentConfig(preset="quadratic-toy", horizon=T,
-                                           out_dir=str(tmp_path / "ladder" / f"T{T}")))
-        for T in horizons
-    ]
-    assert [p["f_star"] for p in payloads] == [0.0] * len(horizons)
-    assert all(p == payloads[0] for p in payloads)
+    f_star = f_stars[0][1]
+    assert f_stars == [(T, f_star) for T in horizons]
+    for T in horizons:
+        with open(tmp_path / "ladder" / f"T{T}" / "summary.csv", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [float(r["gap"]) for r in rows] == [float(r["f_hat"]) - f_star for r in rows]
+    assert not list((tmp_path / "ladder").glob("**/oracle-*.json"))
+
+
+@pytest.mark.parametrize("extra", [
+    ["--horizons", "100,200,400"],
+    ["--horizons", "100,200,400,800", "--seeds", "0:9"],
+    ["--seeds", "0:9"],
+], ids=["three-horizons", "nine-seeds", "default-ladder-nine-seeds"])
+def test_ratefit_refuses_a_short_ladder_before_any_solve(tmp_path, monkeypatch, extra):
+    def no_run(config):
+        raise AssertionError(f"solved horizon {config.horizon}")
+
+    monkeypatch.setattr("cscgd.cli.run_experiment", no_run)
+    with pytest.raises(ValueError, match="need at least 4 horizons|seeds, need 10"):
+        main(["ratefit", "--preset", "quadratic-toy", "--out", str(tmp_path / "ladder"),
+              *extra])
+    assert not (tmp_path / "ladder").exists()
 
 
 def test_ratefit_paper_ex1_prints_the_fit_of_its_ladder(tmp_path, capsys):

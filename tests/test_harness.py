@@ -1,9 +1,7 @@
-import json
 import math
 import os
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,14 +13,12 @@ from cscgd.harness import (
     compute_oracle,
     emit_plot_data,
     evaluate_point,
-    load_oracle_cache,
     mann_kendall,
     rate_fit,
     read_trajectory_csv,
     run_experiment,
     subsample_log,
     trajectory_header,
-    write_oracle_cache,
     write_trajectory_csv,
 )
 from cscgd.harness import _row_sum
@@ -166,105 +162,39 @@ class TestRunExperiment:
         assert [s.seed for s in summaries] == [0, 1]
         assert summaries[0].wall_time == summaries[1].wall_time > 0.0
 
-    def test_gap_requires_oracle_cache(self, tmp_path):
+    def test_gap_run_computes_the_oracle_and_writes_no_cache(self, tmp_path):
         cfg = small_config(tmp_path, oracle_gap=True)
-        with pytest.raises(FileNotFoundError, match="run the 'oracle' command"):
-            run_experiment(cfg)
-        write_oracle_cache(cfg)
         summaries, _ = run_experiment(cfg)
-        assert all(s.gap is not None for s in summaries)
-
-    def test_oracle_cache_refuses_other_overrides(self, tmp_path):
-        cfg = ExperimentConfig(preset="constrained-quadratic-toy", horizon=100,
-                               seeds=(0,), out_dir=str(tmp_path / "toy"))
-        write_oracle_cache(cfg)
-        other = ExperimentConfig.from_dict(
-            {**cfg.to_dict(), "instance_overrides": {"threshold": 0.5}})
-        with pytest.raises(ValueError, match=r'\{\}.*\{"threshold": 0\.5\}'):
-            load_oracle_cache(other)
-        write_oracle_cache(other)
-        assert load_oracle_cache(other)["instance_overrides"] == {"threshold": 0.5}
-        with pytest.raises(ValueError, match="instance_overrides"):
-            load_oracle_cache(cfg)
-
-    def test_oracle_cache_refuses_other_oracle_params(self, tmp_path, monkeypatch):
-        from cscgd import harness
-
-        calls = []
-
-        def fake_ergodic_fstar(instance, **params):
-            calls.append(params)
-            return SimpleNamespace(value=-1.0, x=np.zeros(6), grad_map_norm=0.0)
-
-        monkeypatch.setattr("cscgd.oracles.ergodic_fstar", fake_ergodic_fstar)
-        cfg = ExperimentConfig(preset="paper-ex2-k5", horizon=100, seeds=(0,),
-                               out_dir=str(tmp_path / "ex2"))
-        path = write_oracle_cache(cfg)
-        assert calls == [harness.SAMPLE_AVERAGE_ORACLE]
-        assert load_oracle_cache(cfg)["oracle_params"] == {
-            **harness.SAMPLE_AVERAGE_ORACLE, "quantiles": harness.QUANTILE_RULE}
-        monkeypatch.setitem(harness.SAMPLE_AVERAGE_ORACLE, "n_samples", 1_000)
-        with pytest.raises(ValueError, match=r'oracle_params \{.*"n_samples": 2000.*'
-                                             r'\}, this config has \{.*"n_samples": 1000,'):
-            load_oracle_cache(cfg)
-        monkeypatch.undo()
-
-        # a cache written before the parameters were recorded is refused too
-        payload = json.loads(open(path, encoding="utf-8").read())
-        del payload["oracle_params"]
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        with pytest.raises(ValueError, match=r"oracle_params nothing, this config has \{"):
-            load_oracle_cache(cfg)
-
-    def test_oracle_cache_refuses_a_wired_cache_from_another_moment_rule(self, tmp_path):
-        from cscgd import harness
-
-        cfg = small_config(tmp_path, oracle_gap=True)
-        path = write_oracle_cache(cfg)
-        assert load_oracle_cache(cfg)["oracle_params"] == harness.WIRED_ORACLE
-        # a cache from the adaptive-quadrature oracle recorded no parameters
-        payload = json.loads(open(path, encoding="utf-8").read())
-        payload["oracle_params"] = {}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        with pytest.raises(ValueError, match=r'oracle_params \{\}, this config has '
-                                             r'\{"moments": "composite-gauss-legendre"\}'):
-            run_experiment(cfg)
-
-    def test_oracle_cache_refuses_an_ergodic_cache_from_another_quantile_rule(
-            self, tmp_path, monkeypatch):
-        from cscgd import harness
-
-        monkeypatch.setattr(
-            "cscgd.oracles.ergodic_fstar",
-            lambda instance, **params: SimpleNamespace(value=-1.0, x=np.zeros(6),
-                                                       grad_map_norm=0.0))
-        cfg = ExperimentConfig(preset="paper-ex2-k10", horizon=100, seeds=(0,),
-                               out_dir=str(tmp_path / "ex2"))
-        path = write_oracle_cache(cfg)
-        assert load_oracle_cache(cfg)["oracle_params"]["quantiles"] == \
-            "cubic-hermite-logit-2^-8"
-        # a cache from the gammaincinv sampler recorded no quantile rule
-        payload = json.loads(open(path, encoding="utf-8").read())
-        payload["oracle_params"] = {"n_samples": 2000, "seed": 99}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        with pytest.raises(ValueError, match=r'oracle_params \{"n_samples": 2000, "seed": 99\}, '
-                                             r'this config has \{"n_samples": 2000, '
-                                             r'"quantiles": "cubic-hermite-logit-2\^-8"'):
-            run_experiment(ExperimentConfig.from_dict({**cfg.to_dict(), "oracle_gap": True}))
-        # the designs without chi-squared fading keep their parameters
-        for preset in ("paper-ex3", "paper-ex4", "paper-ex5-exponential-load"):
-            assert harness.oracle_params(preset) == {"n_samples": 2000, "seed": 99}
+        f_star = compute_oracle(cfg)["f_star"]
+        assert [s.gap for s in summaries] == [s.f_hat - f_star for s in summaries]
+        assert all(type(s.gap) is float for s in summaries)
+        assert not list((tmp_path / "out").glob("oracle-*.json"))
 
     def test_toy_target_oracle(self, tmp_path):
         cfg = ExperimentConfig(preset="quadratic-toy", horizon=100, seeds=(0,),
                                out_dir=str(tmp_path / "toy"))
         payload = compute_oracle(cfg)
         assert payload["f_star"] == 0.0
-        write_oracle_cache(cfg)
-        assert load_oracle_cache(cfg)["f_star"] == 0.0
+
+    def test_oracle_follows_the_overrides_and_sample_average_parameters(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from cscgd import harness
+
+        toy = ExperimentConfig(preset="constrained-quadratic-toy")
+        other = ExperimentConfig(preset="constrained-quadratic-toy",
+                                 instance_overrides={"threshold": 0.5})
+        assert (compute_oracle(toy)["f_star"], compute_oracle(other)["f_star"]) == (0.045, 0.125)
+        calls = []
+
+        def fake_ergodic_fstar(instance, **params):
+            calls.append((instance.lambda_cap, params))
+            return SimpleNamespace(value=-1.0, x=np.zeros(6), grad_map_norm=0.0)
+
+        monkeypatch.setattr("cscgd.oracles.ergodic_fstar", fake_ergodic_fstar)
+        compute_oracle(ExperimentConfig(preset="paper-ex2-k5",
+                                        instance_overrides={"lambda_cap": 30.0}))
+        assert calls == [(30.0, harness.SAMPLE_AVERAGE_ORACLE)]
 
 
 class TestEvaluatePoint:
@@ -380,7 +310,6 @@ class TestStatistics:
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
         unused = ("scipy.integrate", "scipy.optimize")
         check = f"loaded = set({unused!r}) & set(sys.modules); assert not loaded, loaded"
-        # in order: the gap run reads the cache the oracle command writes
         for code in (
             "from cscgd.oracles import wired_fstar; from cscgd.problems import paper_ex1; "
             "wired_fstar(paper_ex1())",
@@ -392,6 +321,10 @@ class TestStatistics:
             "assert s[0].gap is not None",
             "from cscgd.cli import main; "
             "assert main(['oracle', '--preset', 'paper-ex2-k5', '--out', sys.argv[1]]) == 0",
+            "from cscgd.harness import ExperimentConfig, run_experiment; "
+            "s, _ = run_experiment(ExperimentConfig(preset='paper-ex2-k5', horizon=200, "
+            "eval_samples=200, out_dir=sys.argv[1], oracle_gap=True)); "
+            "assert s[0].gap is not None",
             "from cscgd.problems import PRESETS, constant_report; "
             "[constant_report(build()) for build in PRESETS.values()]",
             "from cscgd.oracles import make_delay_utility_surface; "

@@ -133,8 +133,8 @@ def wired_steps(problem, config, c_ell):
     state = init_state(problem, cfg, draw_zeta(problem, rngs))
     assert state.z is state.y
     steps, active_rows = [], []
-    for t in range(1, cfg.horizon + 1):
-        q = cscgd_step(problem, state, *schedule.step_sizes(t), params, draw_zeta(problem, rngs))
+    for step in zip(*schedule.step_arrays()):
+        q = cscgd_step(problem, state, *step, params, draw_zeta(problem, rngs))
         steps.append([a.tobytes() for a in (q, state.x, state.y, state.tail_sum)])
         active_rows.append(np.count_nonzero(penalty_gradient(q, params)))
     return steps, active_rows

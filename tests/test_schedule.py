@@ -8,24 +8,26 @@ from cscgd import CONSTANT, DIMINISHING, StepSchedule
 
 def test_diminishing_first_iteration_is_unit():
     s = StepSchedule(a=0.9, b=0.5, c=0.7, regime=DIMINISHING, horizon=10)
-    assert s.step_sizes(1) == (1.0, 1.0, 1.0)
+    assert tuple(arr[0] for arr in s.step_arrays()) == (1.0, 1.0, 1.0)
 
 
 def test_constant_published_row():
     # (a, b, c) = (0.9167, 0.5, 0.75) at T = 1e4; expected values by direct
     # exponent evaluation, frozen here.
     s = StepSchedule(a=0.9167, b=0.5, c=0.75, regime=CONSTANT, horizon=10_000)
-    alpha, beta, delta = s.step_sizes(1)
+    alphas, betas, deltas = s.step_arrays()
+    alpha, beta, delta = alphas[0], betas[0], deltas[0]
     assert alpha == pytest.approx(math.exp(-0.9167 * math.log(10_000)), rel=1e-12)
     assert alpha == pytest.approx(2.1537734e-04, rel=1e-6)
     assert beta == pytest.approx(0.01, rel=1e-12)
     assert delta == pytest.approx(1e-3, rel=1e-12)
-    assert s.step_sizes(9_999) == (alpha, beta, delta)
+    assert (alphas[9_998], betas[9_998], deltas[9_998]) == (alpha, beta, delta)
 
 
 def test_diminishing_power_of_two():
     s = StepSchedule(a=0.75, b=0.5, c=0.75, regime=DIMINISHING, horizon=100)
-    alpha, _, delta = s.step_sizes(16)
+    alphas, _, deltas = s.step_arrays()
+    alpha, delta = alphas[15], deltas[15]
     assert alpha == pytest.approx(0.125, abs=1e-15)
     assert delta == pytest.approx(0.125, abs=1e-15)
 
@@ -51,11 +53,15 @@ def test_ratio_monotonicity(regime):
 
 
 def test_step_arrays_match_pointwise():
-    s = StepSchedule(a=0.8, b=0.5, c=0.6, regime=DIMINISHING, horizon=50)
-    alphas, betas, deltas = s.step_arrays()
-    for t in range(1, 51):
-        a, b, d = s.step_sizes(t)
-        assert (a, b, d) == (alphas[t - 1], betas[t - 1], deltas[t - 1])
+    # entry t - 1 is np.power of iteration t's base, bit for bit
+    for regime in (DIMINISHING, CONSTANT):
+        s = StepSchedule(a=0.8, b=0.5, c=0.6, regime=regime, horizon=50)
+        alphas, betas, deltas = s.step_arrays()
+        assert alphas.size == betas.size == deltas.size == 50
+        for t in range(1, 51):
+            base = np.float64(t if regime == DIMINISHING else 50)
+            expected = tuple(float(np.power(base, -e)) for e in (0.8, 0.5, 0.6))
+            assert expected == (alphas[t - 1], betas[t - 1], deltas[t - 1])
 
 
 @pytest.mark.parametrize(
@@ -65,11 +71,3 @@ def test_step_arrays_match_pointwise():
 def test_exponent_ordering_enforced(a, b, c):
     with pytest.raises(ValueError):
         StepSchedule(a=a, b=b, c=c, horizon=10)
-
-
-def test_out_of_range_iteration_rejected():
-    s = StepSchedule(a=0.9, b=0.5, c=0.7, horizon=5)
-    with pytest.raises(ValueError):
-        s.step_sizes(0)
-    with pytest.raises(ValueError):
-        s.step_sizes(6)

@@ -38,8 +38,9 @@ def scalar_reference(horizon, a, b, c, regime, x0=1.0, lo=-1.0, hi=1.0):
     y = x  # one extra sample initializes the tracker at g(x1) = x1
     xs, tail = [], []
     t_tail = math.ceil(horizon / 2)
+    alphas, betas, _ = sched.step_arrays()
     for t in range(1, horizon + 1):
-        alpha, beta, _ = sched.step_sizes(t)
+        alpha, beta = alphas[t - 1], betas[t - 1]
         if t >= t_tail:
             tail.append(x)
         y = (1.0 - beta) * y + beta * x
@@ -77,15 +78,15 @@ def test_run_equals_repeated_steps_bitwise():
                        gamma=0.05, c_ell=1.0, seeds=(11,))
     (x_hat,), (traj,) = run(problem, cfg)
 
-    # solver stream 0 drawn one zeta at a time, scalar step sizes: must
-    # agree with run's block draws and array path
+    # solver stream 0 drawn one zeta at a time, one cscgd_step per
+    # iteration: must agree with run's block draws and its step loop
     rngs = seed_streams(cfg.seeds)
     state = init_state(problem, cfg, draw_zeta(problem, rngs))
-    schedule = cfg.schedule()
+    steps = zip(*cfg.schedule().step_arrays())
     assert traj["t"].size == cfg.horizon
-    for i, t in enumerate(range(1, cfg.horizon + 1)):
+    for i, (t, step) in enumerate(zip(range(1, cfg.horizon + 1), steps)):
         x_prev = state.x
-        qval = cscgd_step(problem, state, *schedule.step_sizes(t),
+        qval = cscgd_step(problem, state, *step,
                           cfg.penalty_params(), draw_zeta(problem, rngs))
         assert traj["t"][i] == t
         assert traj["x"][i, 0] == state.x[0, 0]
@@ -102,7 +103,7 @@ def test_unconstrained_step_is_plain_tracked_gradient():
     state = init_state(problem, cfg, draw_zeta(problem, rngs))
     sched = cfg.schedule()
     y0 = state.y[0, 0]
-    alpha, beta, delta = sched.step_sizes(1)
+    alpha, beta, delta = (arr[0] for arr in sched.step_arrays())
     cscgd_step(problem, state, alpha, beta, delta, cfg.penalty_params(),
                draw_zeta(problem, rngs))
     y1 = (1 - beta) * y0 + beta * 0.7
@@ -117,7 +118,7 @@ def test_zero_steps_keep_x_but_update_trackers():
     rngs = seed_streams(cfg.seeds)
     state = init_state(problem, cfg, draw_zeta(problem, rngs))
     y_before = state.y.copy()
-    _, beta, _ = cfg.schedule().step_sizes(1)
+    beta = cfg.schedule().step_arrays()[1][0]
     cscgd_step(problem, state, 0.0, beta, 0.0, cfg.penalty_params(), draw_zeta(problem, rngs))
     assert state.x[0, 0] == 0.9
     # beta_1 = 1 for the diminishing regime: tracker now equals g(x, zeta)
@@ -467,10 +468,10 @@ def test_records_carry_exact_schedule_values():
     cfg = SolverConfig(a=0.8, b=0.45, c=0.6, regime="diminishing", horizon=64,
                        c_ell=1.0, seeds=(2,))
     _, (traj,) = run(problem, cfg)
-    sched = cfg.schedule()
+    alphas, betas, deltas = cfg.schedule().step_arrays()
     for i, t in enumerate(traj["t"]):
         row = (traj["alpha"][i], traj["beta"][i], traj["delta"][i])
-        assert row == sched.step_sizes(int(t))
+        assert row == (alphas[int(t) - 1], betas[int(t) - 1], deltas[int(t) - 1])
         assert min(row) > 0
 
 
@@ -514,12 +515,12 @@ def test_separate_tracker_steps_bitwise_equal_to_shared_one(kw):
     problem, cfg, rngs, shared = preset_state("paper-ex1", seeds=(3, 5), **kw)
     separate = SolverState(x=shared.x.copy(), y=shared.y.copy(), z=shared.y.copy(),
                            seeds=shared.seeds, tail_start=shared.tail_start)
-    params, schedule = cfg.penalty_params(), cfg.schedule()
+    params = cfg.penalty_params()
     active = 0
-    for t in range(1, cfg.horizon + 1):
+    for t, step in enumerate(zip(*cfg.schedule().step_arrays()), start=1):
         zeta = draw_zeta(problem, rngs)
-        q_shared = cscgd_step(problem, shared, *schedule.step_sizes(t), params, zeta)
-        q_separate = cscgd_step(problem, separate, *schedule.step_sizes(t), params, zeta)
+        q_shared = cscgd_step(problem, shared, *step, params, zeta)
+        q_separate = cscgd_step(problem, separate, *step, params, zeta)
         assert q_shared.tobytes() == q_separate.tobytes(), f"q(z) at t = {t}"
         for name in ("x", "y", "z", "tail_sum"):
             assert getattr(shared, name).tobytes() == getattr(separate, name).tobytes(), \

@@ -65,10 +65,11 @@ def test_warm_step_calls_no_reduction_wrapper(name, n_seeds, single, most):
         draws = draw_zeta(problem, rngs)
         return draws[0] if single else draws
 
-    for t in range(1, 6):
-        cscgd_step(problem, state, *schedule.step_sizes(t), params, zeta())
-    qval, calls = count_calls(cscgd_step, problem, state, *schedule.step_sizes(6), params,
-                              zeta())
+    # Python floats, as the solver's loop passes them
+    steps = list(zip(*(arr.tolist() for arr in schedule.step_arrays())))
+    for step in steps[:5]:
+        cscgd_step(problem, state, *step, params, zeta())
+    qval, calls = count_calls(cscgd_step, problem, state, *steps[5], params, zeta())
     assert not penalty_gradient(qval, params).any(), "the counted step has an active penalty"
     wrappers = {(f, fn): n for (f, fn), n in calls.items()
                 if os.path.basename(f) == "_methods.py" and fn in METHOD_WRAPPERS}
