@@ -107,6 +107,9 @@ def cmd_oracle(args) -> int:
 def cmd_ratefit(args) -> int:
     horizons = [int(h) for h in args.horizons.split(",")]
     seeds = _parse_seeds(args.seeds) if args.seeds else tuple(range(10))
+    repeated = sorted({T for T in horizons if horizons.count(T) > 1})
+    if repeated:  # each would be solved again into the same T<h>/ directory
+        raise ValueError(f"horizon {repeated[0]} is repeated in --horizons")
     check_ladder(dict.fromkeys(horizons, seeds))
     base = _config_from_args(args)
     ladder = {}

@@ -7,7 +7,9 @@ PK formula to the tracked reciprocal-rate moments, exactly while the tracked
 utilization rho stays below the knee ``varsigma_eps``; above it, 1 / (1 -
 rho) is replaced by its tangent-line continuation.  The quality-of-service
 constraint keeps the expected worst-user rate above a floor: q(z) = r_min +
-z with z tracking -min_i b_i.
+z with z tracking -min_i b_i.  The four inner maps share one evaluation of
+zeta * p and b per (x, zeta) value: a one-entry cache keyed on the dtypes,
+shapes and bytes of x and zeta (see ``build``).
 """
 
 from __future__ import annotations
@@ -84,37 +86,55 @@ class Mg1ErgodicInstance:
         psi, phi = self.psi_weights, self.phi_weights
         knee = 1.0 - self.varsigma_eps  # in 1 - rho, so the PK ratio is exact up to rho = eps
         r_min = self.r_min
-        neg_bw, neg_psi, neg_phi = -bw, -psi, -phi
+        # halving is exact: (phi / 2) * m2 has the bits of phi * (m2 / 2)
+        neg_bw, neg_psi, half_phi, neg_half_phi = -bw, -psi, phi / 2.0, -phi / 2.0
         dist = self.channel_distribution()
 
+        last = None, None  # key and channel terms of the latest (x, zeta)
+
+        def channel_terms(x, zeta):
+            # zeta * p and b = B log1p(zeta p), evaluated once per (x, zeta) value for
+            # the four inner maps.  The key holds the dtypes, shapes and bytes of both:
+            # bytes, because the solver updates x in place; shapes, because a (2n,)
+            # point and its (1, 2n) stack have equal bytes, as do a point and a block
+            # of zeta rows.  The maps never write into the returned arrays.
+            nonlocal last
+            key = x.dtype, zeta.dtype, x.shape, zeta.shape, x.tobytes(), zeta.tobytes()
+            hit = last  # read once: another thread may rebind last before the return
+            if hit[0] != key:
+                zp = zeta * x[..., n:]
+                hit = last = key, (zp, bw * np.log1p(zp))
+            return hit[1]
+
         def inner_g(x, zeta):
-            lam, p = x[..., :n], x[..., n:]
-            b = bw * np.log1p(zeta * p)
-            if lam.shape != b.shape:  # one point, one row per sample of a zeta block
-                lam = np.broadcast_to(lam, b.shape)
-            return np.concatenate([lam, lam / b, lam / b**2], axis=-1)
+            lam = x[..., :n]
+            b = channel_terms(x, zeta)[1]
+            g = np.empty(b.shape[:-1] + (3 * n,))  # a point with a zeta block broadcasts lam
+            g[..., :n] = lam
+            np.divide(lam, b, out=g[..., n:2 * n])
+            np.divide(lam, b**2, out=g[..., 2 * n:])
+            return g
 
         def inner_g_jacobian(x, zeta):
-            lam, p = x[..., :n], x[..., n:]
-            b = bw * np.log1p(zeta * p)
-            bp = bw * zeta / (1.0 + zeta * p)
+            lam = x[..., :n]
+            zp, b = channel_terms(x, zeta)
+            lam_bp = lam * (bw * zeta / (1.0 + zp))
             b2 = b**2
-            # rows lam, p; columns lam, lam / b, lam / b^2
+            # rows lam, p; columns lam, lam / b, lam / b^2 (doubling is exact:
+            # -2 lam_bp has the bits of (-2 lam) b')
             return diagonals(b.shape[:-1] + (2 * n, 3 * n), n, (
                 ((0, 0), 1.0), ((0, n), 1.0 / b), ((0, 2 * n), 1.0 / b2),
-                ((n, n), -(lam * bp) / b2), ((n, 2 * n), -2.0 * lam * bp / b**3)))
+                ((n, n), -lam_bp / b2), ((n, 2 * n), -2.0 * lam_bp / b**3)))
 
         def inner_h(x, zeta):
-            p = x[..., n:]
-            b = bw * np.log1p(zeta * p)
+            b = channel_terms(x, zeta)[1]
             return -np.minimum.reduce(b, -1, keepdims=True)
 
         def inner_h_jacobian(x, zeta):
-            p = x[..., n:]
-            b = bw * np.log1p(zeta * p)
+            zp, b = channel_terms(x, zeta)
             worst = first_argmax_mask(-b)  # first minimizer breaks ties
             jac = np.zeros(b.shape[:-1] + (2 * n, 1))
-            jac[..., n:, 0] = np.where(worst, neg_bw * zeta / (1.0 + zeta * p), 0.0)
+            jac[..., n:, 0] = np.where(worst, neg_bw * zeta / (1.0 + zp), 0.0)
             return jac
 
         def outer_f(y):
@@ -127,10 +147,9 @@ class Mg1ErgodicInstance:
             inv, dinv = safe_inv_and_deriv(1.0 - rho, knee)
             grad = np.empty(y.shape)
             np.divide(neg_psi, lam_t, out=grad[..., :n])
-            d_rho = np.multiply(neg_phi, m2 / 2.0, out=grad[..., n:2 * n])
+            d_rho = np.multiply(neg_half_phi, m2, out=grad[..., n:2 * n])
             d_rho *= dinv
-            d_m2 = np.multiply(phi, inv, out=grad[..., 2 * n:])
-            d_m2 /= 2.0
+            np.multiply(half_phi, inv, out=grad[..., 2 * n:])
             return grad
 
         def outer_q(z):

@@ -5,7 +5,10 @@ support the rate, the slot is lost and the packet is retried.  The hard
 outage indicator is replaced by a sigmoid in the channel rate so the inner
 map stays differentiable; the tracked outage probability feeds the
 retransmission-aware waiting-time formula.  No expectation constraint:
-the penalty path of the solver stays inert.
+the penalty path of the solver stays inert.  Both inner maps share one
+evaluation of zeta * p and the outage level per (x, zeta) value: a
+one-entry cache keyed on the dtypes, shapes and bytes of x and zeta (see
+``build``).  A point with a zeta block, where no Jacobian follows, skips it.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import numpy as np
 from ..distributions import TruncatedExponential
 from ..problem import CompositionalProblem
 from ..sets import BoxWithSumCap, ProductSet
-from .safeguards import EPS_DEN, diagonals, safe_inv, safe_inv_and_deriv, sigmoid, sigmoid_deriv
+from .safeguards import EPS_DEN, diagonals, safe_inv, safe_inv_and_deriv, sigmoid
 
 
 @dataclass(frozen=True)
@@ -100,20 +103,36 @@ class OutageInstance:
         knee = self.eps_den * r
         dist = self.channel_distribution()
 
+        last = None, None  # key and channel terms of the latest (x, zeta)
+
+        def channel_terms(x, zeta):
+            # zeta * p and the outage level sigmoid(eta (R - b)), evaluated once per
+            # (x, zeta) value for both inner maps; keyed on dtypes, shapes and bytes,
+            # as in the ergodic design.  The maps never write into the returned arrays.
+            nonlocal last
+            key = x.dtype, zeta.dtype, x.shape, zeta.shape, x.tobytes(), zeta.tobytes()
+            hit = last  # read once: another thread may rebind last before the return
+            if hit[0] != key:
+                zp = zeta * x[..., n:]
+                hit = last = key, (zp, sigmoid(eta * (r - bw * np.log1p(zp))))
+            return hit[1]
+
         def inner_g(x, zeta):
-            lam, p = x[..., :n], x[..., n:]
-            b = bw * np.log1p(zeta * p)
-            if lam.shape != b.shape:  # one point, one row per sample of a zeta block
-                lam = np.broadcast_to(lam, b.shape)
-            return np.concatenate([sigmoid(eta * (r - b)), lam], axis=-1)
+            lam = x[..., :n]
+            if lam.shape == zeta.shape:  # stacked points, or one: a Jacobian call may follow
+                level = channel_terms(x, zeta)[1]
+            else:  # one point, one row per sample of a zeta block: no Jacobian follows,
+                # so keying the block would cost without a hit
+                level = sigmoid(eta * (r - bw * np.log1p(zeta * x[n:])))
+                lam = np.broadcast_to(lam, level.shape)
+            return np.concatenate([level, lam], axis=-1)
 
         def inner_g_jacobian(x, zeta):
-            p = x[..., n:]
-            b = bw * np.log1p(zeta * p)
-            bp = bw * zeta / (1.0 + zeta * p)
+            zp, level = channel_terms(x, zeta)
+            bp = bw * zeta / (1.0 + zp)
             # rows lam, p; columns outage level, lam
-            return diagonals(b.shape[:-1] + (2 * n, 2 * n), n, (
-                ((n, 0), -eta * sigmoid_deriv(eta * (r - b)) * bp), ((0, n), 1.0)))
+            return diagonals(zp.shape[:-1] + (2 * n, 2 * n), n, (
+                ((n, 0), -eta * (level * (1.0 - level)) * bp), ((0, n), 1.0)))
 
         def outer_f(y):
             u, v = y[..., :n], y[..., n:]

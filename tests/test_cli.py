@@ -122,6 +122,29 @@ def test_ratefit_refuses_a_short_ladder_before_any_solve(tmp_path, monkeypatch, 
     assert not (tmp_path / "ladder").exists()
 
 
+def test_ratefit_refuses_a_repeated_horizon_before_any_solve(tmp_path, monkeypatch):
+    def no_run(config):
+        raise AssertionError(f"solved horizon {config.horizon}")
+
+    monkeypatch.setattr("cscgd.cli.run_experiment", no_run)
+    with pytest.raises(ValueError, match="horizon 100 is repeated"):
+        main(["ratefit", "--preset", "quadratic-toy", "--out", str(tmp_path / "ladder"),
+              "--horizons", "100,100,200,400,800", "--seeds", "0:10"])
+    assert not (tmp_path / "ladder").exists()
+
+
+def test_ratefit_readme_ladder_prints_an_unclipped_slope(tmp_path, capsys):
+    # The README example: the constrained toy starts at x1 = 0.525, away from
+    # x* = 0.3, so every horizon has a positive gap to fit.
+    rc = main(["ratefit", "--preset", "constrained-quadratic-toy",
+               "--horizons", "100,200,400,800", "--seeds", "0:10",
+               "--out", str(tmp_path / "ladder")])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "horizons: [100, 200, 400, 800]"
+    assert lines[2] == "slope = -0.1125 (95% CI [-0.1236, -0.1014])"  # not [clipped]
+
+
 def test_ratefit_paper_ex1_prints_the_fit_of_its_ladder(tmp_path, capsys):
     horizons = [100, 200, 400, 800]
     rc = main([
