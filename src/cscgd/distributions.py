@@ -248,9 +248,12 @@ class TruncatedChiSquared:
     within 2e-13 relative of the exact quantile for dof 2 to 20, and never
     below ``lower``; u = 0 draws ``lower`` itself.  Every step is
     elementwise, so a block equals its single draws bit for bit.  Columns
-    with equal (dof, lower) share one table.  Where the truncation odds are
-    below 2^-60, a u below 2^-60 (from a Generator, only u = 0) draws the
-    quantile at odds 2^-60, the table's first node.
+    with equal (dof, lower) share one table; when every column shares it,
+    as in the fading designs, the draw's per-table operands are scalars.
+    The public ``dof`` and ``lower`` stay (dim,) arrays either way.  Where
+    the truncation odds are below 2^-60, a u below 2^-60 (from a
+    Generator, only u = 0) draws the quantile at odds 2^-60, the table's
+    first node.
     """
 
     def __init__(self, dof, lower=0.0):
@@ -268,17 +271,25 @@ class TruncatedChiSquared:
         self._cdf_lo = special.gammainc(self._k, self.lower / 2.0)
         columns = list(zip(self.dof.tolist(), self.lower.tolist()))
         tables = {col: chi_squared_quantile_table(*col) for col in columns}
-        offset, cells = {}, 0
-        for col, table in tables.items():
-            offset[col] = cells
-            cells += table.coef[0].size
-        self._odds = np.array([tables[col].odds for col in columns])
-        self._w_start = np.array([tables[col].w_start for col in columns])
-        self._offset = np.array([offset[col] for col in columns], dtype=np.intp)
-        self._last_cell = np.array([tables[col].coef[0].size - 1 for col in columns], dtype=float)
         if len(tables) == 1:
-            self._coef = next(iter(tables.values())).coef
+            # every column draws alike: scalar operands broadcast against a
+            # block in one inner loop, where (dim,) vectors take one per row
+            (table,) = tables.values()
+            self._odds, self._w_start = table.odds, table.w_start
+            self._offset, self._last_cell = 0, float(table.coef[0].size - 1)
+            self._floor = float(self.lower[0])
+            self._coef = table.coef
         else:
+            offset, cells = {}, 0
+            for col, table in tables.items():
+                offset[col] = cells
+                cells += table.coef[0].size
+            self._odds = np.array([tables[col].odds for col in columns])
+            self._w_start = np.array([tables[col].w_start for col in columns])
+            self._offset = np.array([offset[col] for col in columns], dtype=np.intp)
+            self._last_cell = np.array([tables[col].coef[0].size - 1 for col in columns],
+                                       dtype=float)
+            self._floor = self.lower
             self._coef = tuple(np.concatenate(parts)
                                for parts in zip(*(t.coef for t in tables.values())))
 
@@ -304,7 +315,7 @@ class TruncatedChiSquared:
         x += b[cell]
         x *= s
         x += a[cell]
-        return np.maximum(x, self.lower, out=x)
+        return np.maximum(x, self._floor, out=x)
 
     def mean(self) -> np.ndarray:
         k, g = self._k, self.lower / 2.0

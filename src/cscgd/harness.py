@@ -188,54 +188,71 @@ def evaluate_point(problem, x, n_samples: int, seed: int):
     """Plug-in estimates of F(x) and Q(x) from a fresh sample batch.
 
     Standard errors come from re-evaluating the outer functions on batch
-    sub-means, which respects the non-linear plug-in structure.  Each
-    sub-batch is drawn and mapped in blocks of at most ``EVAL_CHUNK_ROWS``
-    rows; its rows are summed in sample order, with the running sum carried
-    across blocks, so the estimates equal a one-sample-at-a-time loop bit
-    for bit, at any block size.  Blocks are small so that the cost of a
-    call does not depend on what the process ran before: paper-ex1's block
-    arrays (2048 rows of 6 float columns) stay under glibc's default
-    128 KiB mmap threshold and are reused from the heap.  Wider problems
-    such as paper-ex2-k5 (15 columns) exceed it and stay on the heap only
-    because glibc's dynamic threshold has risen past them.  Blocks served
-    by mmap fault their pages in again on every block.
+    sub-means, which respects the non-linear plug-in structure.  Samples
+    are drawn and mapped in blocks of at most ``EVAL_CHUNK_ROWS`` rows.
+    When a sub-batch fits in a block, each block holds
+    ``EVAL_CHUNK_ROWS // per_batch`` whole sub-batches (fewer in the last
+    block), drawn with one ``sample`` call and mapped with one call per
+    inner map; each sub-batch is summed from its own slice of the block.
+    A larger sub-batch spans several blocks, with its running sum carried
+    across them.  Rows are always summed in sample order, so the estimates
+    equal a one-sample-at-a-time loop bit for bit, at any block size.  The
+    ten sub-batch means go through ``outer_f`` and ``outer_q`` as one
+    stack, whose rows are the single calls' bits by the batch contract
+    that ``check_shapes`` enforces, and their totals are folded row by
+    row.
+
+    Packing fills a block up to ``EVAL_CHUNK_ROWS`` rows and never past
+    it: a 2000-sample call maps one 2000-row block, as each sub-batch of a
+    20 000-sample call already does.  Blocks stay that small so that the
+    cost of a call does not depend on what the process ran before:
+    paper-ex1's block arrays (2048 rows of 6 float columns) stay under
+    glibc's default 128 KiB mmap threshold and are reused from the heap.
+    Wider problems such as paper-ex2-k5 (15 columns) exceed it and stay on
+    the heap only because glibc's dynamic threshold has risen past them.
+    Blocks served by mmap fault their pages in again on every block.
     """
     rng = make_rng(seed, 1)
     x = np.asarray(x, dtype=float)
     h_is_g = problem.inner_h is problem.inner_g
+    map_h = problem.constrained and not h_is_g
     per_batch = max(2, n_samples // EVAL_BATCHES)
-    f_vals, q_vals = [], []
-    g_total = None
-    h_total = None
-    # a carried sum only arises when a sub-batch spans several blocks
-    g_buf = h_buf = None
-    if per_batch > EVAL_CHUNK_ROWS:
+    g_sums = np.empty((EVAL_BATCHES, problem.dim_g))
+    h_sums = np.empty((EVAL_BATCHES, problem.dim_h)) if map_h else None
+    if per_batch <= EVAL_CHUNK_ROWS:
+        pack = EVAL_CHUNK_ROWS // per_batch
+        maps = [(g_sums, problem.inner_g)] + ([(h_sums, problem.inner_h)] if map_h else [])
+        for first in range(0, EVAL_BATCHES, pack):
+            batches = range(first, min(first + pack, EVAL_BATCHES))
+            zeta = problem.sample(rng, len(batches) * per_batch)
+            for sums, fn in maps:
+                rows = np.ascontiguousarray(fn(x, zeta), dtype=float)
+                for i, b in enumerate(batches):
+                    sums[b] = _row_sum(rows[i * per_batch:(i + 1) * per_batch])
+    else:
         g_buf = np.empty((EVAL_CHUNK_ROWS + 1, problem.dim_g))
         h_buf = np.empty((EVAL_CHUNK_ROWS + 1, problem.dim_h))
-    for _ in range(EVAL_BATCHES):
-        g_sum = h_sum = None
-        for start in range(0, per_batch, EVAL_CHUNK_ROWS):
-            zeta = problem.sample(rng, min(EVAL_CHUNK_ROWS, per_batch - start))
-            g_sum = _row_sum(problem.inner_g(x, zeta), g_sum, g_buf)
-            if problem.constrained and not h_is_g:
-                h_sum = _row_sum(problem.inner_h(x, zeta), h_sum, h_buf)
-        g_mean = g_sum / per_batch
-        f_vals.append(float(problem.outer_f(g_mean)))
-        g_total = g_mean if g_total is None else g_total + g_mean
-        if problem.constrained:
-            h_mean = g_mean if h_is_g else h_sum / per_batch
-            q_vals.append(np.asarray(problem.outer_q(h_mean), dtype=float))
-            h_total = h_mean if h_total is None else h_total + h_mean
-    f_vals = np.array(f_vals)
-    g_bar = g_total / EVAL_BATCHES
+        for b in range(EVAL_BATCHES):
+            g_sum = h_sum = None
+            for start in range(0, per_batch, EVAL_CHUNK_ROWS):
+                zeta = problem.sample(rng, min(EVAL_CHUNK_ROWS, per_batch - start))
+                g_sum = _row_sum(problem.inner_g(x, zeta), g_sum, g_buf)
+                if map_h:
+                    h_sum = _row_sum(problem.inner_h(x, zeta), h_sum, h_buf)
+            g_sums[b] = g_sum
+            if map_h:
+                h_sums[b] = h_sum
+    g_means = g_sums / per_batch
+    f_vals = np.ascontiguousarray(problem.outer_f(g_means), dtype=float)
     out = {
-        "f": float(problem.outer_f(g_bar)),
+        "f": float(problem.outer_f(_row_sum(g_means) / EVAL_BATCHES)),
         "f_std_err": float(f_vals.std(ddof=1) / math.sqrt(EVAL_BATCHES)),
         "n_samples": per_batch * EVAL_BATCHES,
     }
     if problem.constrained:
-        q_vals = np.stack(q_vals)
-        out["q"] = np.asarray(problem.outer_q(h_total / EVAL_BATCHES), dtype=float)
+        h_means = g_means if h_is_g else h_sums / per_batch
+        q_vals = np.ascontiguousarray(problem.outer_q(h_means), dtype=float)
+        out["q"] = np.asarray(problem.outer_q(_row_sum(h_means) / EVAL_BATCHES), dtype=float)
         out["q_std_err"] = q_vals.std(axis=0, ddof=1) / math.sqrt(EVAL_BATCHES)
     else:
         out["q"] = np.zeros(0)

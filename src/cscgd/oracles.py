@@ -3,11 +3,12 @@
 Everything here deliberately avoids the solver's code paths: moments come
 from quadrature, optima from deterministic reformulations or from sample
 averages over one frozen sample block, solved by line-searched projected
-gradient descent, and the budgeted-box projection has two references of
-its own, a sorted-breakpoint scan and a bisection on the budget multiplier,
-and the box with linear inequalities has Dykstra's alternating projections;
-none of them calls ``sets``.  Gradient claims are checked by centered
-differences.
+gradient descent, and the budgeted-box projection has a reference of its
+own, a sorted-breakpoint scan, which does not call ``sets``.  Gradient
+claims are checked by centered differences.  The references that only the
+tests call (a bisection on the budget multiplier, Dykstra's alternating
+projections and an exact blocking-probability count) live in
+``tests/references.py``.
 
 Every moment (the wired length moments, the reciprocal-rate moments of the
 convexity scan) comes from one composite Gauss-Legendre rule, certified by
@@ -28,7 +29,6 @@ import numpy as np
 from scipy import special
 
 from .distributions import TruncatedChiSquared, make_rng
-from .sets import FeasibleSetError
 
 try:  # the ufunc behind np.clip, without its Python wrapper chain
     from numpy._core.umath import clip as _clip
@@ -178,8 +178,7 @@ def finite_difference_check(
 
 
 # ---------------------------------------------------------------------------
-# Independent projections (sorted breakpoints, bisection, Dykstra) and
-# projected descent
+# Independent projection (sorted breakpoints) and projected descent
 # ---------------------------------------------------------------------------
 
 def project_box_sumcap_sorted(v, lower, upper, cap) -> np.ndarray:
@@ -220,82 +219,6 @@ def project_box_sumcap_sorted(v, lower, upper, cap) -> np.ndarray:
             frac = (s_lo - cap) / (s_lo - s_hi)
             nu = lo_nu + frac * (hi_nu - lo_nu)
     return _clip(v - nu, lower, upper)
-
-
-def project_box_sumcap_bisect(v, lower, upper, cap, tol=1e-12, max_iter=200) -> np.ndarray:
-    """Projection onto {lower <= u <= upper, sum(u) <= cap} by bisection.
-
-    Halves the bracket [0, max(v - lower)] on the budget multiplier until
-    its width is within ``tol`` (relative above 1) and returns the upper
-    bracket end, so the result is feasible and within about ``tol`` of the
-    exact point.  Raises :class:`FeasibleSetError` after ``max_iter``
-    halvings without convergence.
-    """
-    v = np.asarray(v, dtype=float)
-    lower = np.broadcast_to(np.asarray(lower, dtype=float), v.shape)
-    upper = np.broadcast_to(np.asarray(upper, dtype=float), v.shape)
-    u = np.clip(v, lower, upper)
-    if u.sum() <= cap + tol:
-        return u
-    # sum(clip(v - nu)) is nonincreasing in nu, so the root is bracketed by
-    # [0, max(v - lower)].
-    lo, hi = 0.0, float(np.max(v - lower))
-    for _ in range(max_iter):
-        nu = 0.5 * (lo + hi)
-        if np.clip(v - nu, lower, upper).sum() > cap:
-            lo = nu
-        else:
-            hi = nu
-        if hi - lo <= tol * max(1.0, hi):
-            break
-    else:
-        raise FeasibleSetError(
-            f"sum-cap bisection did not converge in max_iter={max_iter} "
-            f"iterations; final bracket width {hi - lo:.3e}"
-        )
-    return np.clip(v - hi, lower, upper)
-
-
-def project_linear_dykstra(v, lower, upper, a_mat, b_vec, tol=1e-12,
-                           max_sweeps=2000) -> np.ndarray:
-    """Projection onto {lower <= x <= upper, a_mat x <= b_vec} by Dykstra's
-    alternating projections over the box and each halfspace.
-
-    Converges to the exact projection; stops once the squared drift of the
-    increments over one sweep is within ``(tol * max(1, |v|))**2``.  Raises
-    :class:`FeasibleSetError` after ``max_sweeps`` sweeps without convergence.
-    """
-    v = np.asarray(v, dtype=float)
-    lower = np.asarray(lower, dtype=float)
-    upper = np.asarray(upper, dtype=float)
-    a_mat = np.atleast_2d(np.asarray(a_mat, dtype=float))
-    b_vec = np.atleast_1d(np.asarray(b_vec, dtype=float))
-    n_sets = 1 + b_vec.size
-    x = v.copy()
-    increments = [np.zeros(v.size) for _ in range(n_sets)]
-    scale = max(1.0, float(np.linalg.norm(v)))
-    for _ in range(max_sweeps):
-        # Convergence is judged on the increment drift, not on x itself:
-        # iterates can repeat for a few sweeps while the increments are
-        # still being redistributed between the sets.
-        drift = 0.0
-        for i in range(n_sets):
-            y = x + increments[i]
-            if i == 0:
-                x = np.clip(y, lower, upper)
-            else:
-                a = a_mat[i - 1]
-                resid = a @ y - b_vec[i - 1]
-                x = y if resid <= 0.0 else y - (resid / (a @ a)) * a
-            new_inc = y - x
-            drift += float(np.sum((new_inc - increments[i]) ** 2))
-            increments[i] = new_inc
-        if drift <= (tol * scale) ** 2:
-            return x
-    raise FeasibleSetError(
-        f"Dykstra projection did not converge in {max_sweeps} sweeps "
-        f"(final squared drift {drift:.3e}, tolerance {(tol * scale) ** 2:.3e})"
-    )
 
 
 @dataclass
@@ -664,27 +587,3 @@ def make_delay_utility_surface(
         return lam * i2 / (2.0 * (1.0 - lam * i1)) - log_weight * math.log(lam)
 
     return surface
-
-
-# ---------------------------------------------------------------------------
-# Exact blocking probability by enumeration (provisioning design)
-# ---------------------------------------------------------------------------
-
-def enumerate_blocking_probability(loads, probs, r, cap) -> np.ndarray:
-    """P(cap - r_i < zeta . r <= cap) / P(zeta . r <= cap) over a finite load set.
-
-    ``loads`` is an (n_outcomes, n_classes) array of joint demand outcomes
-    with probabilities ``probs``; exhaustive, no sampling.
-    """
-    loads = np.atleast_2d(np.asarray(loads, dtype=float))
-    probs = np.asarray(probs, dtype=float)
-    r = np.asarray(r, dtype=float)
-    used = loads @ r
-    below = probs[used <= cap].sum()
-    if below <= 0.0:
-        raise ValueError("conditioning event has zero probability")
-    out = np.empty(r.size)
-    for i in range(r.size):
-        in_band = (used > cap - r[i]) & (used <= cap)
-        out[i] = probs[in_band].sum() / below
-    return out

@@ -80,6 +80,7 @@ class EffectiveCapacityInstance:
         m_a, var_a = self.arrival_means, self.arrival_variances
         psi, phi = self.psi_weights, self.phi_weights
         w_target = self.delay_target
+        half_var_a = 0.5 * var_a
         knee = self.eps_den * var_a
         dist = self.channel_distribution()
 
@@ -111,10 +112,11 @@ class EffectiveCapacityInstance:
             tail = np.exp(-theta * alpha * w_target)
             dtheta_du = inv - 2.0 * u * diff * dinv
             dtheta_dv = diff * dinv
-            dalpha_du = 0.5 * var_a * dtheta_du
-            dalpha_dv = 0.5 * var_a * dtheta_dv
-            dtail_du = -w_target * tail * (theta * dalpha_du + alpha * dtheta_du)
-            dtail_dv = -w_target * tail * (theta * dalpha_dv + alpha * dtheta_dv)
+            dalpha_du = half_var_a * dtheta_du
+            dalpha_dv = half_var_a * dtheta_dv
+            neg_wtail = -w_target * tail
+            dtail_du = neg_wtail * (theta * dalpha_du + alpha * dtheta_du)
+            dtail_dv = neg_wtail * (theta * dalpha_dv + alpha * dtheta_dv)
             grad = np.empty(y.shape)
             grad[..., :n] = phi * dtail_du - psi * dalpha_du / alpha
             grad[..., n:] = phi * dtail_dv - psi * dalpha_dv / alpha

@@ -9,7 +9,8 @@ rho) is replaced by its tangent-line continuation.  The quality-of-service
 constraint keeps the expected worst-user rate above a floor: q(z) = r_min +
 z with z tracking -min_i b_i.  The four inner maps share one evaluation of
 zeta * p and b per (x, zeta) value: a one-entry cache keyed on the dtypes,
-shapes and bytes of x and zeta (see ``build``).
+shapes and bytes of x and zeta (see ``build``).  An evaluation block's entry
+is dropped on its one hit.
 """
 
 from __future__ import annotations
@@ -97,13 +98,18 @@ class Mg1ErgodicInstance:
             # the four inner maps.  The key holds the dtypes, shapes and bytes of both:
             # bytes, because the solver updates x in place; shapes, because a (2n,)
             # point and its (1, 2n) stack have equal bytes, as do a point and a block
-            # of zeta rows.  The maps never write into the returned arrays.
+            # of zeta rows.  The maps never write into the returned arrays.  A point
+            # with a zeta block (an evaluation block: inner_g, then inner_h, and no
+            # Jacobian) gives up its entry on its hit, so that the block's key and
+            # terms do not stay allocated after the evaluation.
             nonlocal last
             key = x.dtype, zeta.dtype, x.shape, zeta.shape, x.tobytes(), zeta.tobytes()
             hit = last  # read once: another thread may rebind last before the return
             if hit[0] != key:
                 zp = zeta * x[..., n:]
                 hit = last = key, (zp, bw * np.log1p(zp))
+            elif x.ndim < zeta.ndim:
+                last = None, None
             return hit[1]
 
         def inner_g(x, zeta):
@@ -128,6 +134,15 @@ class Mg1ErgodicInstance:
 
         def inner_h(x, zeta):
             b = channel_terms(x, zeta)[1]
+            if x.ndim < zeta.ndim:
+                # an evaluation block, minimized column by column: minimum.reduce
+                # over the last axis runs one inner loop per row (about 90 us on
+                # 2000 rows, against 5 us), and a minimum is exact, so the bits
+                # are the same
+                worst = b[:, :1]
+                for j in range(1, n):
+                    worst = np.minimum(worst, b[:, j:j + 1])
+                return -worst
             return -np.minimum.reduce(b, -1, keepdims=True)
 
         def inner_h_jacobian(x, zeta):

@@ -2,13 +2,15 @@
 
 ``sample(rng, k)`` must consume the stream exactly as k single draws, and
 every row of ``inner_g`` / ``inner_h`` on a zeta block must equal the single
-call bit for bit.  ``evaluate_point`` maps each sub-batch in blocks of rows;
+call bit for bit.  ``evaluate_point`` maps samples in blocks of rows;
 it is checked here against the one-sample-at-a-time loop it replaced, with
-the default block size and with blocks small enough to split every
-sub-batch.
+the default block size, with blocks small enough to split every sub-batch,
+and with blocks that pack several whole sub-batches.
 """
 
+import collections
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,3 +134,47 @@ def test_evaluate_point_chunked_equals_per_sample_loop(name, monkeypatch):
         assert got["n_samples"] == want["n_samples"]
         for key in ("f", "f_std_err", "q", "q_std_err"):
             assert bits(got[key]) == bits(want[key]), key
+
+
+@pytest.mark.parametrize("seed", [3, 0, 777])
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_evaluate_point_packed_equals_per_sample_loop(name, seed, monkeypatch):
+    # 200-row sub-batches: 450-row blocks hold 2 of them, 700-row blocks
+    # 3, 3, 3 and 1.  Seeds 0 and 777 put a 1-ulp difference between a
+    # pairwise and a left-fold total of single-column means.
+    problem = BUILDERS[name]()
+    x = problem.feasible_set.midpoint()
+    want = per_sample_evaluate(problem, x, 2_000, seed)
+    for rows in (450, 700):
+        monkeypatch.setattr(harness, "EVAL_CHUNK_ROWS", rows)
+        got = evaluate_point(problem, x, 2_000, seed)
+        assert sorted(got) == sorted(want)
+        assert got["n_samples"] == want["n_samples"]
+        for key in ("f", "f_std_err", "q", "q_std_err"):
+            assert bits(got[key]) == bits(want[key]), (rows, key)
+
+
+def counted_maps(problem):
+    """A copy of ``problem`` whose sampler and maps count their calls."""
+    calls = collections.Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    names = ("sample", "inner_g", "inner_h", "outer_f", "outer_q")
+    return replace(problem, **{n: counted(n, getattr(problem, n)) for n in names}), calls
+
+
+def test_evaluate_point_packs_small_sub_batches_into_one_block():
+    problem, calls = counted_maps(get_preset("paper-ex2-k5").build())
+    x = problem.feasible_set.midpoint()
+    evaluate_point(problem, x, 2_000, 3)
+    assert calls == {"sample": 1, "inner_g": 1, "inner_h": 1, "outer_f": 2, "outer_q": 2}
+    calls.clear()
+    evaluate_point(problem, x, 40_000, 3)
+    blocks = 10 * math.ceil(4_000 / harness.EVAL_CHUNK_ROWS)
+    assert calls == {"sample": blocks, "inner_g": blocks, "inner_h": blocks,
+                     "outer_f": 2, "outer_q": 2}

@@ -6,7 +6,6 @@ import pytest
 from cscgd import ConstantVec, SolverConfig, run
 from cscgd.checks import gradient_suite
 from cscgd.distributions import ExponentialMean
-from cscgd.oracles import enumerate_blocking_probability
 from cscgd.problems import (
     mm1_optimal_mu,
     mm1_problem,
@@ -14,6 +13,7 @@ from cscgd.problems import (
     mm1_utility_derivative,
     paper_ex5,
 )
+from references import enumerate_blocking_probability
 
 
 class TestCloudProvisioning:

@@ -10,12 +10,13 @@ that call alone, and must leave its arguments as they were.
 """
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from cscgd import cscgd_step, draw_zeta, init_state, make_rng, seed_streams
-from cscgd.harness import ExperimentConfig, resolve_problem
+from cscgd.harness import ExperimentConfig, evaluate_point, resolve_problem
 from cscgd.penalty import penalty_gradient
 from cscgd.problems import get_preset
 
@@ -158,3 +159,20 @@ def test_ergodic_steps_bitwise_equal_with_inner_maps_that_share_nothing():
         assert got == want, f"q(z), x, y, z or the tail sum differ at t = {t}"
     assert any(0 < k < 3 for k in active_rows), "no step with a masked subset of rows"
     assert any(k == 3 for k in active_rows), "no step with every row active"
+
+
+@pytest.mark.parametrize("n_samples", [2_000, 20_000])
+def test_ergodic_evaluation_leaves_no_block_allocated(n_samples):
+    # evaluate_point maps 2000-row blocks here; the cache must not keep the
+    # last block's key and terms (3 x 48 KB) alive after the call returns.
+    problem = get_preset("paper-ex2-k5").build()
+    x = problem.feasible_set.midpoint()
+    evaluate_point(problem, x, n_samples, 0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        evaluate_point(problem, x, n_samples, 1)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 2_000 * 3 * 8, retained  # bytes of one zeta block

@@ -11,7 +11,6 @@ from cscgd.oracles import (
     LEGENDRE_POINTS,
     certified_expectations,
     certified_length_moments,
-    enumerate_blocking_probability,
     ergodic_fstar,
     finite_difference_check,
     hessian_psd_scan,
@@ -21,6 +20,7 @@ from cscgd.oracles import (
 )
 from cscgd.problems import Mg1WiredInstance, paper_ex1, paper_ex2, paper_ex3, quadratic_problem
 from quadrature import expectation, quadrature_moments
+from references import enumerate_blocking_probability
 
 
 class TestQuadrature:

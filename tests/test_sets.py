@@ -7,12 +7,9 @@ import pytest
 
 from cscgd import Box, BoxWithLinearInequalities, BoxWithSumCap, FeasibleSetError, ProductSet
 from cscgd.checks import projection_suite
-from cscgd.oracles import (
-    project_box_sumcap_bisect,
-    project_box_sumcap_sorted,
-    project_linear_dykstra,
-)
+from cscgd.oracles import project_box_sumcap_sorted
 from cscgd.problems import paper_ex5
+from references import project_box_sumcap_bisect, project_linear_dykstra
 
 
 def test_box_clamp():

@@ -4,35 +4,43 @@
 # usage: tools/compare_outputs.sh PARENT_SRC CHANGE_SRC WORKDIR
 #
 # PARENT_SRC and CHANGE_SRC are the `src/` directories of two checkouts.
-# Every preset runs at seeds 0:2, T = 3000 and 20 000 evaluation samples,
-# once per tree, in WORKDIR/parent and WORKDIR/change (WORKDIR is emptied
-# first).  One line per file says `same` or `DIFF`: each trajectory CSV,
-# curves.csv, config.json, and summary.csv without its wall_time column
-# (the only column that is allowed to differ).  Exit status 0 when every
-# file is the same.
+# Every preset runs at seeds 0:2 and T = 3000, once per tree, in
+# WORKDIR/parent and WORKDIR/change (WORKDIR is emptied first), in two
+# passes with their own run directories: at 20 000 evaluation samples
+# (runs/eval20000), where evaluate_point maps one 2000-row sub-batch per
+# block, and at 2000 (runs/eval2000), where it packs all ten 200-row
+# sub-batches into one block.  One line per file says `same` or `DIFF`:
+# each trajectory CSV, curves.csv, config.json, and summary.csv without
+# its wall_time column (the only column that is allowed to differ).  Exit
+# status 0 when every file is the same.
 set -e
 [ $# -eq 3 ] || { echo "usage: $0 PARENT_SRC CHANGE_SRC WORKDIR" >&2; exit 2; }
 PARENT=$(cd "$1" && pwd); CHANGE=$(cd "$2" && pwd); WORK=$3
 PRESETS="paper-ex1 paper-ex2-k5 paper-ex2-k10 paper-ex3 paper-ex4 quadratic-toy constrained-quadratic-toy"
 CLI='import sys; from cscgd.cli import main; sys.exit(main(sys.argv[1:]))'
 rm -rf "$WORK"; mkdir -p "$WORK/parent" "$WORK/change"
-for p in $PRESETS; do
-  opts="--preset $p --seeds 0:2 --horizon 3000 --eval-samples 20000 --out runs/$p"
-  for side in parent change; do
-    [ $side = parent ] && src=$PARENT || src=$CHANGE
-    (cd "$WORK/$side" && PYTHONPATH=$src python3 -W ignore -c "$CLI" run $opts --gap >/dev/null)
+EVAL_SAMPLES="20000 2000"
+for n in $EVAL_SAMPLES; do
+  for p in $PRESETS; do
+    opts="--preset $p --seeds 0:2 --horizon 3000 --eval-samples $n --out runs/eval$n/$p"
+    for side in parent change; do
+      [ $side = parent ] && src=$PARENT || src=$CHANGE
+      (cd "$WORK/$side" && PYTHONPATH=$src python3 -W ignore -c "$CLI" run $opts --gap >/dev/null)
+    done
   done
 done
 status=0
-for p in $PRESETS; do
-  a=$WORK/parent/runs/$p; b=$WORK/change/runs/$p
-  for f in $(cd "$a" && ls trajectory-seed*.csv) curves.csv config.json; do
-    cmp -s "$a/$f" "$b/$f" && echo "same $p/$f" || { echo "DIFF $p/$f"; status=1; }
+for n in $EVAL_SAMPLES; do
+  for p in $PRESETS; do
+    run=eval$n/$p; a=$WORK/parent/runs/$run; b=$WORK/change/runs/$run
+    for f in $(cd "$a" && ls trajectory-seed*.csv) curves.csv config.json; do
+      cmp -s "$a/$f" "$b/$f" && echo "same $run/$f" || { echo "DIFF $run/$f"; status=1; }
+    done
+    col=$(head -1 "$a/summary.csv" | tr , '\n' | grep -n '^wall_time$' | cut -d: -f1)
+    cut -d, -f"$col" --complement "$a/summary.csv" > "$WORK/parent.sum"
+    cut -d, -f"$col" --complement "$b/summary.csv" > "$WORK/change.sum"
+    cmp -s "$WORK/parent.sum" "$WORK/change.sum" \
+      && echo "same $run/summary.csv (without wall_time)" || { echo "DIFF $run/summary.csv"; status=1; }
   done
-  col=$(head -1 "$a/summary.csv" | tr , '\n' | grep -n '^wall_time$' | cut -d: -f1)
-  cut -d, -f"$col" --complement "$a/summary.csv" > "$WORK/parent.sum"
-  cut -d, -f"$col" --complement "$b/summary.csv" > "$WORK/change.sum"
-  cmp -s "$WORK/parent.sum" "$WORK/change.sum" \
-    && echo "same $p/summary.csv (without wall_time)" || { echo "DIFF $p/summary.csv"; status=1; }
 done
 exit $status
