@@ -75,7 +75,7 @@ def gradient_suite(
         x = _interior_x(problem, rng)
         zeta = problem.sample(rng)
         rep = finite_difference_check(
-            lambda v: problem.inner_g(v, zeta), problem.inner_g_jacobian(x, zeta), x, h
+            lambda v: problem.inner_g(v, zeta), problem.inner_g_jacobian(x, zeta)[1], x, h
         )
         if rep.max_rel_err > worst:
             worst, worst_map = rep.max_rel_err, "inner_g"
@@ -88,7 +88,7 @@ def gradient_suite(
         if problem.constrained:
             rep = finite_difference_check(
                 lambda v: problem.inner_h(v, zeta),
-                problem.inner_h_jacobian(x, zeta), x, h,
+                problem.inner_h_jacobian(x, zeta)[1], x, h,
             )
             if rep.max_rel_err > worst:
                 worst, worst_map = rep.max_rel_err, "inner_h"

@@ -36,7 +36,7 @@ def _config_from_args(args) -> ExperimentConfig:
         updates["preset"] = args.preset
     if args.seeds:
         updates["seeds"] = _parse_seeds(args.seeds)
-    if args.horizon:
+    if args.horizon is not None:
         updates["horizon"] = args.horizon
     if args.out:
         updates["out_dir"] = args.out
@@ -49,13 +49,13 @@ def _config_from_args(args) -> ExperimentConfig:
         updates["gamma"] = args.gamma
     if args.c_ell is not None:
         updates["c_ell"] = args.c_ell
-    if args.workers:
+    if args.workers is not None:
         updates["workers"] = args.workers
     if args.gap:
         updates["oracle_gap"] = True
     if args.eval_samples:
         updates["eval_samples"] = args.eval_samples
-    if args.log_points:
+    if args.log_points is not None:
         updates["log_points"] = args.log_points
     if updates:
         config = ExperimentConfig.from_dict({**config.to_dict(), **updates})

@@ -62,6 +62,12 @@ class ExperimentConfig:
     x0: tuple | None = None
     instance_overrides: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.horizon < 2:
+            raise ValueError(f"horizon must be at least 2, got {self.horizon}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be at least 1, got {self.workers}")
+
     def to_dict(self) -> dict:
         d = asdict(self)
         d["seeds"] = list(self.seeds)
@@ -489,16 +495,6 @@ def write_plot_csv(path: str, curves: dict):
         lines.append(f"{int(t)}," + ",".join(map(repr, values)))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def emit_plot_data(trajectory_set: list, f_star: float | None = None,
-                   path: str | None = None) -> dict:
-    """Aggregate per-seed :func:`run` trajectories into plot-ready series."""
-    arrays = [curve_arrays(traj) for traj in trajectory_set]
-    curves = aggregate_curves(arrays, f_star=f_star)
-    if path is not None:
-        write_plot_csv(path, curves)
-    return curves
 
 
 # ---------------------------------------------------------------------------

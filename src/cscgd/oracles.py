@@ -464,7 +464,8 @@ def sample_average_baseline(
 
     Freezes one common-random-number block, then runs deterministic
     projected descent on x -> f(mean_s g(x, zeta_s)), mapping the whole
-    block in one call per map.  For non-convex designs this is a locally
+    block in one call per map; the gradient takes g and its Jacobian from
+    one ``inner_g_jacobian`` call.  For non-convex designs this is a locally
     optimal reference value, not a certificate.
     """
     block = problem.sample(make_rng(seed, 0), n_samples)
@@ -473,8 +474,8 @@ def sample_average_baseline(
         return float(problem.outer_f(problem.inner_g(x, block).mean(0)))
 
     def grad(x):
-        fg = np.asarray(problem.outer_f_gradient(problem.inner_g(x, block).mean(0)), dtype=float)
-        jac = problem.inner_g_jacobian(np.broadcast_to(x, (n_samples, x.size)), block)
+        g, jac = problem.inner_g_jacobian(np.broadcast_to(x, (n_samples, x.size)), block)
+        fg = np.asarray(problem.outer_f_gradient(g.mean(0)), dtype=float)
         return (jac @ fg).mean(0)
 
     x0 = problem.feasible_set.midpoint()

@@ -13,13 +13,18 @@ equal to the single call on row i:
 - ``inner_g(x, zeta)`` / ``inner_h(x, zeta)`` take one point with a zeta
   block (k, dim_zeta), or stacked points x (S, dim_x) with one zeta per row
   (S, dim_zeta), and return (k or S, dim_g / dim_h);
-- the Jacobians on stacked points return (S, dim_x, dim_g / dim_h);
+- ``inner_g_jacobian(x, zeta)`` / ``inner_h_jacobian(x, zeta)`` return the
+  pair (value, Jacobian): the value has the bits of ``inner_g`` /
+  ``inner_h`` at the same arguments, and on stacked points the halves are
+  (S, dim_g / dim_h) and (S, dim_x, dim_g / dim_h).  One call serves a
+  solver step, which uses g and its Jacobian at the same sample;
 - ``outer_f`` on stacked trackers y (..., dim_g) returns (...,);
   ``outer_f_gradient`` returns (..., dim_g), ``outer_q`` on z (..., dim_h)
   returns (..., J) and ``outer_q_jacobian`` (..., dim_h, J).
 
-Every map returns a float ndarray (``outer_f`` on a single point may return
-a float), and the solver uses the outputs as they come.
+Every map returns a float ndarray, or a pair of them (``outer_f`` on a
+single point may return a float), and the solver uses the outputs as they
+come.
 
 The solver steps one row per seed through these maps; ``evaluate_point``
 maps sample blocks at one point.
@@ -36,6 +41,7 @@ import numpy as np
 _CHECK_OFFSETS = 1e-3 * np.arange(1.0, 4.0)[:, None]
 _MAPS = ("inner_g", "inner_g_jacobian", "outer_f", "outer_f_gradient",
          "inner_h", "inner_h_jacobian", "outer_q", "outer_q_jacobian")
+_PAIRS = ("inner_g_jacobian", "inner_h_jacobian")  # maps that return (value, Jacobian)
 
 
 @dataclass
@@ -46,12 +52,12 @@ class CompositionalProblem:
     num_constraints: int
     sample: Callable  # (rng, size=None) -> one zeta, or a (size, dim_zeta) block
     inner_g: Callable  # (x, zeta) -> vector[dim_g]; stacked -> (k, dim_g)
-    inner_g_jacobian: Callable  # (x, zeta) -> matrix[dim_x, dim_g]; stacked -> (S, ...)
+    inner_g_jacobian: Callable  # (x, zeta) -> (inner_g(x, zeta), matrix[dim_x, dim_g])
     outer_f: Callable  # (y) -> float; stacked y (..., dim_g) -> (...,)
     outer_f_gradient: Callable  # (y) -> vector[dim_g]; stacked -> (..., dim_g)
     feasible_set: object
     inner_h: Callable | None = None  # (x, zeta) -> vector[dim_h]; stacked -> (k, dim_h)
-    inner_h_jacobian: Callable | None = None
+    inner_h_jacobian: Callable | None = None  # (x, zeta) -> (inner_h(x, zeta), [dim_x, dim_h])
     outer_q: Callable | None = None  # (z) -> vector[num_constraints]; stacked -> (..., J)
     outer_q_jacobian: Callable | None = None  # (z) -> matrix[dim_h, J]; stacked -> (..., dim_h, J)
     name: str = ""
@@ -85,24 +91,26 @@ class CompositionalProblem:
     def check_shapes(self, rng, n_draws: int = 10, x: np.ndarray | None = None):
         """Draw a few samples and verify every map's shapes and batch contract.
 
-        Single calls must return float ndarrays of the declared shapes.  On
-        a block of three draws, the inner maps at one point must return one
-        row per sample, and every map on three stacked points (x rows with
-        one zeta each, then the resulting y and z rows) one row per point;
-        each row must be bitwise equal to the single call.  Raises
-        ValueError naming the first map that fails; cheap sanity net for
-        hand-written maps.
+        Single calls must return float ndarrays of the declared shapes, and
+        each Jacobian map a pair of them whose value half has the bits of
+        its inner map at the same arguments.  On a block of three draws,
+        the inner maps at one point must return one row per sample, and
+        every map on three stacked points (x rows with one zeta each, then
+        the resulting y and z rows) one row per point; each row must be
+        bitwise equal to the single call.  Raises ValueError naming the
+        first map that fails; cheap sanity net for hand-written maps.
         """
         if x is None:
             x = self.feasible_set.midpoint()
         n, m, d, J = self.dim_x, self.dim_g, self.dim_h, self.num_constraints
+        inner = [("inner_g", self.inner_g, self.inner_g_jacobian, m)]
+        if self.constrained:
+            inner.append(("inner_h", self.inner_h, self.inner_h_jacobian, d))
         for _ in range(n_draws):
             zeta = self.sample(rng)
-            _expect("inner_g", self.inner_g(x, zeta), (m,))
-            _expect("inner_g_jacobian", self.inner_g_jacobian(x, zeta), (n, m))
-            if self.constrained:
-                _expect("inner_h", self.inner_h(x, zeta), (d,))
-                _expect("inner_h_jacobian", self.inner_h_jacobian(x, zeta), (n, d))
+            for name, fn, jac, dim in inner:
+                value = _expect(name, fn(x, zeta), (dim,))
+                _expect_pair(name + "_jacobian", jac(x, zeta), value, (n, dim))
         y = np.asarray(self.inner_g(x, self.sample(rng)), dtype=float)
         _expect("outer_f_gradient", self.outer_f_gradient(y), (m,))
         float(self.outer_f(y))
@@ -115,10 +123,7 @@ class CompositionalProblem:
             raise ValueError(
                 f"sample(rng, 3) returned shape {block.shape}, expected (3, dim_zeta)"
             )
-        maps = [("inner_g", self.inner_g, m)]
-        if self.constrained:
-            maps.append(("inner_h", self.inner_h, d))
-        for name, fn, dim in maps:
+        for name, fn, _, dim in inner:
             _rows_match(name, fn, (x, block), [(x, zeta) for zeta in block],
                         (3, dim), "on a sample block")
 
@@ -128,15 +133,20 @@ class CompositionalProblem:
         def stacked(name, fn, args, singles, shape):
             return _rows_match(name, fn, args, singles, shape, "on stacked points")
 
-        ys = stacked("inner_g", self.inner_g, (xs, block), points, (3, m))
-        stacked("inner_g_jacobian", self.inner_g_jacobian, (xs, block), points, (3, n, m))
+        values = {}
+        for name, fn, jac, dim in inner:
+            jname = name + "_jacobian"
+            values[name] = stacked(name, fn, (xs, block), points, (3, dim))
+            _expect_pair(jname, _on_block(jname, jac, xs, block), values[name],
+                         (3, n, dim), " on stacked points")
+            stacked(jname, lambda *args, jac=jac: jac(*args)[1], (xs, block), points,
+                    (3, n, dim))
+        ys = values["inner_g"]
         stacked("outer_f", self.outer_f, (ys,), [(row,) for row in ys], (3,))
         stacked("outer_f_gradient", self.outer_f_gradient, (ys,), [(row,) for row in ys],
                 (3, m))
         if self.constrained:
-            zs = stacked("inner_h", self.inner_h, (xs, block), points, (3, d))
-            stacked("inner_h_jacobian", self.inner_h_jacobian, (xs, block), points,
-                    (3, n, d))
+            zs = values["inner_h"]
             stacked("outer_q", self.outer_q, (zs,), [(row,) for row in zs], (3, J))
             stacked("outer_q_jacobian", self.outer_q_jacobian, (zs,),
                     [(row,) for row in zs], (3, d, J))
@@ -144,9 +154,10 @@ class CompositionalProblem:
     def with_output_checks(self) -> "CompositionalProblem":
         """A copy whose maps check that their first output is a float ndarray.
 
-        On its first call each check puts the bare map back in its place, so
-        every later call costs nothing extra.  Aliased maps (``inner_h is
-        inner_g``) share one check and stay aliased.
+        A Jacobian map's first output must be a pair of them.  On its first
+        call each check puts the bare map back in its place, so every later
+        call costs nothing extra.  Aliased maps (``inner_h is inner_g``)
+        share one check and stay aliased.
         """
         checked = replace(self)
         groups = {}
@@ -155,10 +166,12 @@ class CompositionalProblem:
             if fn is not None:
                 groups.setdefault(id(fn), (fn, []))[1].append(name)
         for fn, names in groups.values():
-            def first_call(*args, fn=fn, names=names):
+            check = _expect_pair if names[0] in _PAIRS else _expect_floats
+
+            def first_call(*args, fn=fn, names=names, check=check):
                 for name in names:
                     setattr(checked, name, fn)
-                return _expect_floats(names[0], fn(*args))
+                return check(names[0], fn(*args))
 
             for name in names:
                 setattr(checked, name, first_call)
@@ -186,17 +199,33 @@ def _rows_match(name: str, fn, args, singles, shape: tuple, where: str) -> np.nd
     return rows
 
 
-def _expect_floats(name: str, value):
+def _expect_floats(name: str, value, half: str = ""):
     if not isinstance(value, np.ndarray):
         got = f"type {type(value).__name__}"
     elif value.dtype != float:
         got = f"dtype {value.dtype}"
     else:
         return value
-    raise ValueError(f"{name} returned {got}, expected a float ndarray")
+    raise ValueError(f"{name} returned {got}, expected a float ndarray{half}")
 
 
-def _expect(name: str, value, shape: tuple):
-    if _expect_floats(name, value).shape != shape:
-        raise ValueError(f"{name} returned shape {value.shape}, expected {shape}")
+def _expect(name: str, value, shape: tuple, half: str = ""):
+    if _expect_floats(name, value, half).shape != shape:
+        raise ValueError(f"{name} returned shape {value.shape}, expected {shape}{half}")
     return value
+
+
+def _expect_pair(name: str, pair, value=None, shape=None, where: str = ""):
+    """A (value, Jacobian) pair of float ndarrays; given ``value``, the value
+    half must be bitwise ``value`` and the Jacobian half of ``shape``."""
+    if not (isinstance(pair, tuple) and len(pair) == 2):
+        raise ValueError(f"{name} returned type {type(pair).__name__}, "
+                         f"expected a (value, Jacobian) pair")
+    got = _expect_floats(name, pair[0], " as its value half")
+    jac = _expect_floats(name, pair[1], " as its Jacobian half")
+    if value is not None:
+        _expect(name, jac, shape, " as its Jacobian half")
+        if got.shape != value.shape or got.tobytes() != value.tobytes():
+            raise ValueError(f"{name} value half{where} is not bitwise equal to "
+                             f"{name.removesuffix('_jacobian')}")
+    return pair

@@ -17,7 +17,7 @@ import numpy as np
 
 from ..problem import CompositionalProblem
 from ..sets import BoxWithLinearInequalities
-from .safeguards import EPS_DEN, safe_inv, safe_inv_and_deriv, sigmoid, sigmoid_deriv
+from .safeguards import EPS_DEN, safe_inv, safe_inv_and_deriv, sigmoid
 
 
 @dataclass(frozen=True)
@@ -93,22 +93,25 @@ class CloudProvisioningInstance:
         # product on a zeta block rounds some rows differently from the
         # dot product on the single row.  ``cap`` and ``load`` keep a
         # trailing axis of one so that rows of x and of zeta broadcast.
-        def inner_g(x, zeta):
+        def terms(x, zeta):
+            # g, and the inputs and sigmoids of its indicators
             r, cap = x[..., :n], x[..., n:]
             load = (zeta * r).sum(axis=-1, keepdims=True)
-            taken = sigmoid(eta * (cap - load) / cap)
-            below = sigmoid(eta * (cap - r - load) / cap)
+            taken = sigmoid(eta * (cap - load) / cap)  # one per row
+            below = sigmoid(eta * (cap - r - load) / cap)  # per class
             out = np.empty(below.shape[:-1] + (2 * n + 1,))
             out[..., :n] = taken - below
             out[..., n:2 * n] = taken
             out[..., 2 * n] = cap[..., 0]
-            return out
+            return out, r, cap, load, taken, below
+
+        def inner_g(x, zeta):
+            return terms(x, zeta)[0]
 
         def inner_g_jacobian(x, zeta):
-            r, cap = x[..., :n], x[..., n:]
-            load = (zeta * r).sum(axis=-1, keepdims=True)
-            d1 = sigmoid_deriv(eta * (cap - load) / cap)  # one per row
-            d2 = sigmoid_deriv(eta * (cap - r - load) / cap)  # per class
+            out, r, cap, load, taken, below = terms(x, zeta)
+            d1 = taken * (1.0 - taken)  # sigmoid derivatives
+            d2 = below * (1.0 - below)
             dtaken_dr = d1 * (-eta * zeta / cap)
             dtaken_dc = d1 * eta * load / cap**2
             # dbelow_i/dr_j = d2_i * (-eta (delta_ij + zeta_j) / cap)
@@ -121,7 +124,7 @@ class CloudProvisioningInstance:
             jac[..., :n, n:2 * n] = dtaken_dr[..., :, None]
             jac[..., n, n:2 * n] = dtaken_dc
             jac[..., n, 2 * n] = 1.0
-            return jac
+            return out, jac
 
         def outer_f(y):
             blocked = y[..., :n] * safe_inv(y[..., n:2 * n], knee)

@@ -89,10 +89,12 @@ class EffectiveCapacityInstance:
             return np.concatenate([b, b**2], axis=-1)
 
         def inner_g_jacobian(p, zeta):
-            b = bw * np.log1p(zeta * p)
-            bp = bw * zeta / (1.0 + zeta * p)
+            zp = zeta * p
+            b = bw * np.log1p(zp)
+            bp = bw * zeta / (1.0 + zp)
             # columns b, b^2
-            return diagonals(b.shape[:-1] + (n, 2 * n), n, (((0, 0), bp), ((0, n), 2.0 * b * bp)))
+            return np.concatenate([b, b**2], axis=-1), diagonals(
+                b.shape[:-1] + (n, 2 * n), n, (((0, 0), bp), ((0, n), 2.0 * b * bp)))
 
         def outer_f(y):
             u, v = y[..., :n], y[..., n:]

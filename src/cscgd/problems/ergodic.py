@@ -7,10 +7,8 @@ PK formula to the tracked reciprocal-rate moments, exactly while the tracked
 utilization rho stays below the knee ``varsigma_eps``; above it, 1 / (1 -
 rho) is replaced by its tangent-line continuation.  The quality-of-service
 constraint keeps the expected worst-user rate above a floor: q(z) = r_min +
-z with z tracking -min_i b_i.  The four inner maps share one evaluation of
-zeta * p and b per (x, zeta) value: a one-entry cache keyed on the dtypes,
-shapes and bytes of x and zeta (see ``build``).  An evaluation block's entry
-is dropped on its one hit.
+z with z tracking -min_i b_i.  Each Jacobian map evaluates zeta * p and b once
+for its (value, Jacobian) pair.
 """
 
 from __future__ import annotations
@@ -91,66 +89,47 @@ class Mg1ErgodicInstance:
         neg_bw, neg_psi, half_phi, neg_half_phi = -bw, -psi, phi / 2.0, -phi / 2.0
         dist = self.channel_distribution()
 
-        last = None, None  # key and channel terms of the latest (x, zeta)
-
-        def channel_terms(x, zeta):
-            # zeta * p and b = B log1p(zeta p), evaluated once per (x, zeta) value for
-            # the four inner maps.  The key holds the dtypes, shapes and bytes of both:
-            # bytes, because the solver updates x in place; shapes, because a (2n,)
-            # point and its (1, 2n) stack have equal bytes, as do a point and a block
-            # of zeta rows.  The maps never write into the returned arrays.  A point
-            # with a zeta block (an evaluation block: inner_g, then inner_h, and no
-            # Jacobian) gives up its entry on its hit, so that the block's key and
-            # terms do not stay allocated after the evaluation.
-            nonlocal last
-            key = x.dtype, zeta.dtype, x.shape, zeta.shape, x.tobytes(), zeta.tobytes()
-            hit = last  # read once: another thread may rebind last before the return
-            if hit[0] != key:
-                zp = zeta * x[..., n:]
-                hit = last = key, (zp, bw * np.log1p(zp))
-            elif x.ndim < zeta.ndim:
-                last = None, None
-            return hit[1]
-
-        def inner_g(x, zeta):
-            lam = x[..., :n]
-            b = channel_terms(x, zeta)[1]
+        def g_values(lam, b, b2):
             g = np.empty(b.shape[:-1] + (3 * n,))  # a point with a zeta block broadcasts lam
             g[..., :n] = lam
             np.divide(lam, b, out=g[..., n:2 * n])
-            np.divide(lam, b**2, out=g[..., 2 * n:])
+            np.divide(lam, b2, out=g[..., 2 * n:])
             return g
+
+        def inner_g(x, zeta):
+            b = bw * np.log1p(zeta * x[..., n:])
+            return g_values(x[..., :n], b, b**2)
 
         def inner_g_jacobian(x, zeta):
             lam = x[..., :n]
-            zp, b = channel_terms(x, zeta)
+            zp = zeta * x[..., n:]
+            b = bw * np.log1p(zp)
             lam_bp = lam * (bw * zeta / (1.0 + zp))
             b2 = b**2
             # rows lam, p; columns lam, lam / b, lam / b^2 (doubling is exact:
             # -2 lam_bp has the bits of (-2 lam) b')
-            return diagonals(b.shape[:-1] + (2 * n, 3 * n), n, (
+            return g_values(lam, b, b2), diagonals(b.shape[:-1] + (2 * n, 3 * n), n, (
                 ((0, 0), 1.0), ((0, n), 1.0 / b), ((0, 2 * n), 1.0 / b2),
                 ((n, n), -lam_bp / b2), ((n, 2 * n), -2.0 * lam_bp / b**3)))
 
         def inner_h(x, zeta):
-            b = channel_terms(x, zeta)[1]
             if x.ndim < zeta.ndim:
-                # an evaluation block, minimized column by column: minimum.reduce
-                # over the last axis runs one inner loop per row (about 90 us on
-                # 2000 rows, against 5 us), and a minimum is exact, so the bits
-                # are the same
-                worst = b[:, :1]
+                # An evaluation block, column by column: a (k, n) block times an
+                # (n,) row, like minimum.reduce over the last axis, runs one inner
+                # loop per row.  Every entry gets the same operations, so the same bits.
+                worst = bw[0] * np.log1p(zeta[:, :1] * x[n])
                 for j in range(1, n):
-                    worst = np.minimum(worst, b[:, j:j + 1])
+                    worst = np.minimum(worst, bw[j] * np.log1p(zeta[:, j:j + 1] * x[n + j]))
                 return -worst
-            return -np.minimum.reduce(b, -1, keepdims=True)
+            return -np.minimum.reduce(bw * np.log1p(zeta * x[..., n:]), -1, keepdims=True)
 
         def inner_h_jacobian(x, zeta):
-            zp, b = channel_terms(x, zeta)
+            zp = zeta * x[..., n:]
+            b = bw * np.log1p(zp)
             worst = first_argmax_mask(-b)  # first minimizer breaks ties
             jac = np.zeros(b.shape[:-1] + (2 * n, 1))
             jac[..., n:, 0] = np.where(worst, neg_bw * zeta / (1.0 + zp), 0.0)
-            return jac
+            return -np.minimum.reduce(b, -1, keepdims=True), jac
 
         def outer_f(y):
             lam_t, rho, m2 = y[..., :n], y[..., n:2 * n], y[..., 2 * n:]

@@ -5,10 +5,8 @@ support the rate, the slot is lost and the packet is retried.  The hard
 outage indicator is replaced by a sigmoid in the channel rate so the inner
 map stays differentiable; the tracked outage probability feeds the
 retransmission-aware waiting-time formula.  No expectation constraint:
-the penalty path of the solver stays inert.  Both inner maps share one
-evaluation of zeta * p and the outage level per (x, zeta) value: a
-one-entry cache keyed on the dtypes, shapes and bytes of x and zeta (see
-``build``).  A point with a zeta block, where no Jacobian follows, skips it.
+the penalty path of the solver stays inert.  The Jacobian map evaluates
+zeta * p and the outage level once for its (value, Jacobian) pair.
 """
 
 from __future__ import annotations
@@ -103,35 +101,21 @@ class OutageInstance:
         knee = self.eps_den * r
         dist = self.channel_distribution()
 
-        last = None, None  # key and channel terms of the latest (x, zeta)
-
-        def channel_terms(x, zeta):
-            # zeta * p and the outage level sigmoid(eta (R - b)), evaluated once per
-            # (x, zeta) value for both inner maps; keyed on dtypes, shapes and bytes,
-            # as in the ergodic design.  The maps never write into the returned arrays.
-            nonlocal last
-            key = x.dtype, zeta.dtype, x.shape, zeta.shape, x.tobytes(), zeta.tobytes()
-            hit = last  # read once: another thread may rebind last before the return
-            if hit[0] != key:
-                zp = zeta * x[..., n:]
-                hit = last = key, (zp, sigmoid(eta * (r - bw * np.log1p(zp))))
-            return hit[1]
+        def g_values(level, lam):
+            g = np.empty(level.shape[:-1] + (2 * n,))  # a point with a zeta block broadcasts lam
+            g[..., :n] = level
+            g[..., n:] = lam
+            return g
 
         def inner_g(x, zeta):
-            lam = x[..., :n]
-            if lam.shape == zeta.shape:  # stacked points, or one: a Jacobian call may follow
-                level = channel_terms(x, zeta)[1]
-            else:  # one point, one row per sample of a zeta block: no Jacobian follows,
-                # so keying the block would cost without a hit
-                level = sigmoid(eta * (r - bw * np.log1p(zeta * x[n:])))
-                lam = np.broadcast_to(lam, level.shape)
-            return np.concatenate([level, lam], axis=-1)
+            return g_values(sigmoid(eta * (r - bw * np.log1p(zeta * x[..., n:]))), x[..., :n])
 
         def inner_g_jacobian(x, zeta):
-            zp, level = channel_terms(x, zeta)
+            zp = zeta * x[..., n:]
+            level = sigmoid(eta * (r - bw * np.log1p(zp)))
             bp = bw * zeta / (1.0 + zp)
             # rows lam, p; columns outage level, lam
-            return diagonals(zp.shape[:-1] + (2 * n, 2 * n), n, (
+            return g_values(level, x[..., :n]), diagonals(zp.shape[:-1] + (2 * n, 2 * n), n, (
                 ((n, 0), -eta * (level * (1.0 - level)) * bp), ((0, n), 1.0)))
 
         def outer_f(y):

@@ -53,8 +53,3 @@ def diagonals(shape, n, entries):
 
 def sigmoid(s):
     return special.expit(s)
-
-
-def sigmoid_deriv(s):
-    v = special.expit(s)
-    return v * (1.0 - v)

@@ -31,8 +31,8 @@ def identity_map(x, zeta):
 
 
 def identity_jacobian(x, zeta):
-    """The (1, 1) identity, one per row of stacked one-dimensional points."""
-    return np.ones(x.shape[:-1] + (1, 1))
+    """(x, the (1, 1) identity), one per row of stacked one-dimensional points."""
+    return identity_map(x, zeta), np.ones(x.shape[:-1] + (1, 1))
 
 
 def _half_square(y):

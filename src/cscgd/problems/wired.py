@@ -94,9 +94,11 @@ class Mg1WiredInstance:
             return np.concatenate([lam * lengths, lam * lengths**2], axis=-1)
 
         def inner_g_jacobian(lam, lengths):
+            squares = lengths**2
             # columns lam * length, lam * length^2
-            return diagonals(lengths.shape[:-1] + (n, 2 * n), n,
-                             (((0, 0), lengths), ((0, n), lengths**2)))
+            return (np.concatenate([lam * lengths, lam * squares], axis=-1),
+                    diagonals(lengths.shape[:-1] + (n, 2 * n), n,
+                              (((0, 0), lengths), ((0, n), squares))))
 
         def outer_f(y):
             u, v = y[..., :n], y[..., n:]

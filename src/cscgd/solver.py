@@ -62,6 +62,9 @@ class SolverConfig:
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if self.log_points is not None and self.log_points < 2:
+            # the logged grid holds t = 1 and t = horizon
+            raise ValueError(f"log_points must be at least 2, got {self.log_points}")
 
     def schedule(self) -> StepSchedule:
         return StepSchedule(self.a, self.b, self.c, self.regime, self.horizon)
@@ -171,10 +174,12 @@ def cscgd_step(
     at a frozen x.  Returns the constraint estimates q(z) at the updated
     trackers, (S, J) or (J,) (J = 0 for an unconstrained problem).
 
-    The map outputs are used as they come, so they must be float ndarrays
-    (:func:`run` checks each map's first output once per run).  A
-    non-finite step is caught by the projection, which rejects non-finite
-    input, and raised as :class:`NonFiniteGradientError`.
+    g and its Jacobian come from one ``inner_g_jacobian`` call; the
+    Jacobian of h only on rows with an active penalty.  The map outputs
+    are used as they come, so they must be float ndarrays (:func:`run`
+    checks each map's first output once per run).  A non-finite step is
+    caught by the projection, which rejects non-finite input, and raised
+    as :class:`NonFiniteGradientError`.
     """
     t = state.t
     x = state.x
@@ -182,7 +187,7 @@ def cscgd_step(
         state.tail_sum += x
         state.tail_count += 1
 
-    gval = problem.inner_g(x, zeta)
+    gval, jac_g = problem.inner_g_jacobian(x, zeta)
     state.y *= 1.0 - beta
     state.y += beta * gval
 
@@ -193,7 +198,6 @@ def cscgd_step(
         state.z += beta * hval
 
     fgrad = problem.outer_f_gradient(state.y)
-    jac_g = problem.inner_g_jacobian(x, zeta)
     direction = alpha * _matvec(jac_g, fgrad)
 
     if constrained:
@@ -211,7 +215,7 @@ def cscgd_step(
             if problem.inner_h_jacobian is problem.inner_g_jacobian:
                 jac_h = jac_g[rows]
             else:
-                jac_h = problem.inner_h_jacobian(x[rows], zeta[rows])
+                jac_h = problem.inner_h_jacobian(x[rows], zeta[rows])[1]
             direction[rows] += delta * _matvec(jac_h, _matvec(jac_q, lgrad[rows]))
     else:
         qval = state.z  # (S, 0): no constraints
@@ -230,8 +234,9 @@ def cscgd_step(
 def _non_finite(problem, state, x, zeta, values) -> NonFiniteGradientError:
     """Name the first seed whose row of ``values`` is non-finite, and its map.
 
-    Only that seed's row is probed, one single-point call per map.  A
-    single-point state is the row of its one seed.
+    Only that seed's row is probed, one single-point call per map; a
+    Jacobian map is probed on its Jacobian half, after the inner map that
+    gives its value.  A single-point state is the row of its one seed.
     """
     row, point = 0, (x, zeta, state.y, state.z)
     if x.ndim == 2:
@@ -240,13 +245,13 @@ def _non_finite(problem, state, x, zeta, values) -> NonFiniteGradientError:
     x, zeta, y, z = point
     probes = [
         ("inner_g", lambda: problem.inner_g(x, zeta)),
-        ("inner_g_jacobian", lambda: problem.inner_g_jacobian(x, zeta)),
+        ("inner_g_jacobian", lambda: problem.inner_g_jacobian(x, zeta)[1]),
         ("outer_f_gradient", lambda: problem.outer_f_gradient(y)),
     ]
     if problem.constrained:
         probes += [
             ("inner_h", lambda: problem.inner_h(x, zeta)),
-            ("inner_h_jacobian", lambda: problem.inner_h_jacobian(x, zeta)),
+            ("inner_h_jacobian", lambda: problem.inner_h_jacobian(x, zeta)[1]),
             ("outer_q", lambda: problem.outer_q(z)),
             ("outer_q_jacobian", lambda: problem.outer_q_jacobian(z)),
         ]

@@ -33,6 +33,18 @@ def test_run_repeat_byte_identical(tmp_path):
     assert (out / "trajectory-seed3.csv").read_bytes() == first
 
 
+@pytest.mark.parametrize("option, field", [
+    ("--horizon", "horizon"), ("--workers", "workers"), ("--log-points", "log_points"),
+])
+def test_run_rejects_a_zero_option_instead_of_dropping_it(tmp_path, option, field):
+    args = ["run", "--preset", "quadratic-toy", "--seeds", "0", "--eval-samples", "500",
+            "--out", str(tmp_path / "exp"), option, "0"]
+    if option != "--horizon":
+        args += ["--horizon", "50"]
+    with pytest.raises(ValueError, match=f"^{field} must be at least"):
+        main(args)
+
+
 def test_run_list_presets(capsys):
     rc = main(["run", "--list"])
     assert rc == 0

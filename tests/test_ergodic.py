@@ -52,7 +52,7 @@ def test_min_rate_subgradient_first_index_tie_break():
     p = np.array([20.0, 20.0, 30.0])
     zeta = np.array([4.0, 4.0, 9.0])  # queues 0 and 1 tie for the minimum
     x = np.concatenate([np.ones(3), p])
-    jac = problem.inner_h_jacobian(x, zeta)
+    jac = problem.inner_h_jacobian(x, zeta)[1]
     assert jac[3, 0] != 0.0
     assert jac[4, 0] == 0.0 and jac[5, 0] == 0.0
 

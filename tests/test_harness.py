@@ -10,8 +10,9 @@ import cscgd
 from cscgd.harness import (
     EVAL_CHUNK_ROWS,
     ExperimentConfig,
+    aggregate_curves,
     compute_oracle,
-    emit_plot_data,
+    curve_arrays,
     evaluate_point,
     mann_kendall,
     rate_fit,
@@ -19,6 +20,7 @@ from cscgd.harness import (
     run_experiment,
     subsample_log,
     trajectory_header,
+    write_plot_csv,
     write_trajectory_csv,
 )
 from cscgd.harness import _row_sum
@@ -366,7 +368,8 @@ class TestPlotData:
         cfg = SolverConfig(a=0.9167, b=0.5, c=0.75, regime="constant",
                            horizon=60, c_ell=1.0, seeds=(0,))
         _, (traj,) = run(problem, cfg)
-        curves = emit_plot_data([traj], path=tmp_path / "plot.csv")
+        curves = aggregate_curves([curve_arrays(traj)])
+        write_plot_csv(tmp_path / "plot.csv", curves)
         assert np.all(curves["std_gap"] == 0.0)
         assert np.all(curves["std_violation"] == 0.0)
         lines = (tmp_path / "plot.csv").read_text().splitlines()
@@ -392,7 +395,7 @@ class TestPlotData:
                                log_points=2_000)
             _, (traj,) = run(problem, cfg)
             trajs.append(traj)
-        curves = emit_plot_data(trajs, f_star=base.f_star)
+        curves = aggregate_curves([curve_arrays(t) for t in trajs], f_star=base.f_star)
         idx = subsample_log(curves["t"], 150)
         assert mann_kendall(curves["mean_gap"][idx])["s"] < 0
         # final tracked constraint estimate non-positive within 3 sigma
@@ -406,4 +409,4 @@ class TestPlotData:
         _, (t1,) = run(problem, cfg1)
         _, (t2,) = run(problem, cfg2)
         with pytest.raises(ValueError, match="grids"):
-            emit_plot_data([t1, t2])
+            aggregate_curves([curve_arrays(t1), curve_arrays(t2)])

@@ -1,12 +1,13 @@
 """The inner maps are pure functions of the (x, zeta) they are called at.
 
-The fading designs paper-ex2 and paper-ex3 evaluate their channel terms
-(zeta * p and the rates or outage levels built on it) once per (x, zeta)
-value and keep them for the next inner map called at an equal value (a
-one-entry cache keyed on dtypes, shapes and bytes).  Every call here, in any
-order, on repeated, mutated-in-place, reshaped, row-masked and sample-block
-arguments, must return the bits that a freshly built problem returns for
-that call alone, and must leave its arguments as they were.
+The inner maps of the fading designs paper-ex2 and paper-ex3 hold no state:
+each Jacobian map computes its channel terms (zeta * p and the rates or
+outage levels built on it) for its own (value, Jacobian) pair.  These tests
+stay as a guard against a map that keeps terms from one call for the next.
+Every call here, in any order, on repeated, mutated-in-place, reshaped,
+row-masked and sample-block arguments, must return the bits that a freshly
+built problem returns for that call alone, and must leave its arguments as
+they were.
 """
 
 import dataclasses
@@ -32,6 +33,11 @@ def inner_maps(problem):
 
 
 def assert_same_bits(got, want, label):
+    if isinstance(want, tuple):  # a Jacobian map's (value, Jacobian)
+        assert isinstance(got, tuple) and len(got) == len(want), label
+        for got_half, want_half in zip(got, want):
+            assert_same_bits(got_half, want_half, label)
+        return
     got, want = np.asarray(got), np.asarray(want)
     assert (got.shape, got.dtype) == (want.shape, want.dtype), label
     assert got.tobytes() == want.tobytes(), label
@@ -163,8 +169,8 @@ def test_ergodic_steps_bitwise_equal_with_inner_maps_that_share_nothing():
 
 @pytest.mark.parametrize("n_samples", [2_000, 20_000])
 def test_ergodic_evaluation_leaves_no_block_allocated(n_samples):
-    # evaluate_point maps 2000-row blocks here; the cache must not keep the
-    # last block's key and terms (3 x 48 KB) alive after the call returns.
+    # evaluate_point maps 2000-row blocks here; no map may keep terms of the
+    # last block (48 KB each) alive after the call returns.
     problem = get_preset("paper-ex2-k5").build()
     x = problem.feasible_set.midpoint()
     evaluate_point(problem, x, n_samples, 0)

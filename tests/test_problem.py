@@ -16,11 +16,11 @@ def inner_linear(x, z):
 
 
 def linear_jacobian(x, z):
-    # [I | z] per row: d(x, x . z)/dx
+    # (x, x . z) and [I | z] per row: d(x, x . z)/dx
     jac = np.zeros(z.shape[:-1] + (2, 3))
     jac[..., [0, 1], [0, 1]] = 1.0
     jac[..., :, 2] = z
-    return jac
+    return inner_linear(x, z), jac
 
 
 def make_problem(**overrides):
@@ -42,7 +42,7 @@ def test_shape_check_passes_for_consistent_maps(rng):
 
 
 def test_shape_check_catches_bad_jacobian(rng):
-    problem = make_problem(inner_g_jacobian=lambda x, z: np.eye(2))
+    problem = make_problem(inner_g_jacobian=lambda x, z: (inner_linear(x, z), np.eye(2)))
     with pytest.raises(ValueError, match="inner_g_jacobian"):
         problem.check_shapes(rng)
 
@@ -79,7 +79,7 @@ def constrained(**overrides):
     maps = dict(
         dim_h=1, num_constraints=1,
         inner_h=lambda x, z: (x * z).sum(axis=-1, keepdims=True),
-        inner_h_jacobian=lambda x, z: z[..., None],
+        inner_h_jacobian=lambda x, z: ((x * z).sum(axis=-1, keepdims=True), z[..., None]),
         outer_q=lambda z: z - 1.0,
         outer_q_jacobian=lambda z: np.ones(z.shape + (1,)),
     )
@@ -93,7 +93,8 @@ def test_shape_check_passes_for_consistent_constrained_maps(rng):
 
 @pytest.mark.parametrize("name, overrides", [
     ("inner_g", {"inner_g": lambda x, z: inner_linear(np.atleast_2d(x)[0], z)}),
-    ("inner_g_jacobian", {"inner_g_jacobian": lambda x, z: np.vstack([np.eye(2), z]).T}),
+    ("inner_g_jacobian",
+     {"inner_g_jacobian": lambda x, z: (inner_linear(x, z), np.vstack([np.eye(2), z]).T)}),
     ("outer_f", {"outer_f": lambda y: float(y @ y)}),
     ("outer_f_gradient", {"outer_f_gradient": lambda y: 2.0 * np.atleast_2d(y)[0]}),
     ("outer_q", constrained(outer_q=lambda z: np.array([z[0] - 1.0]))),
@@ -107,17 +108,48 @@ def test_shape_check_catches_maps_written_for_one_point(rng, name, overrides):
 
 @pytest.mark.parametrize("name, overrides, got", [
     ("inner_g", {"inner_g": lambda x, z: inner_linear(x, z).tolist()}, "type list"),
-    ("inner_g_jacobian", {"inner_g_jacobian": lambda x, z: linear_jacobian(x, z).astype(int)},
+    ("inner_g_jacobian",
+     {"inner_g_jacobian": lambda x, z: (inner_linear(x, z), linear_jacobian(x, z)[1].astype(int))},
      "dtype int64"),
     ("outer_f_gradient", {"outer_f_gradient": lambda y: (2.0 * y).astype(np.float32)},
      "dtype float32"),
     ("outer_q", constrained(outer_q=lambda z: list(z - 1.0)), "type list"),
     ("outer_q_jacobian", constrained(outer_q_jacobian=lambda z: np.ones(z.shape + (1,), int)),
      "dtype int64"),
+    ("inner_g_jacobian",
+     {"inner_g_jacobian": lambda x, z: (inner_linear(x, z).tolist(), linear_jacobian(x, z)[1])},
+     "type list"),
 ])
 def test_shape_check_names_a_map_that_returns_no_float_ndarray(rng, name, overrides, got):
     with pytest.raises(ValueError, match=f"^{name} returned {got}, expected a float ndarray"):
         make_problem(**overrides).check_shapes(rng)
+
+
+def test_shape_check_names_a_jacobian_map_that_returns_no_pair(rng):
+    problem = make_problem(inner_g_jacobian=lambda x, z: linear_jacobian(x, z)[1])
+    with pytest.raises(ValueError, match=r"^inner_g_jacobian returned type ndarray, "
+                                         r"expected a \(value, Jacobian\) pair"):
+        problem.check_shapes(rng)
+
+
+@pytest.mark.parametrize("where", ["single", "stacked"])
+@pytest.mark.parametrize("name", ["inner_g_jacobian", "inner_h_jacobian"])
+def test_shape_check_catches_a_value_half_one_ulp_off(rng, name, where):
+    maps = constrained(inner_g_jacobian=linear_jacobian)
+    exact = maps[name]
+
+    def one_ulp_off(x, z):
+        value, jac = exact(x, z)
+        if (x.ndim == 1) == (where == "single"):
+            value = np.nextafter(value, np.inf)
+        return value, jac
+
+    maps[name] = one_ulp_off
+    inner = name.removesuffix("_jacobian")
+    on = " on stacked points" if where == "stacked" else ""
+    message = f"^{name} value half{on} is not bitwise equal to {inner}$"
+    with pytest.raises(ValueError, match=message):
+        make_problem(**maps).check_shapes(rng)
 
 
 def test_constrained_requires_all_constraint_maps():
@@ -144,4 +176,4 @@ def test_jacobian_shapes_stable_over_random_draws(rng):
     for _ in range(50):
         zeta = problem.sample(rng)
         assert np.asarray(problem.inner_g(x, zeta)).shape == (3,)
-        assert np.asarray(problem.inner_g_jacobian(x, zeta)).shape == (2, 3)
+        assert np.asarray(problem.inner_g_jacobian(x, zeta)[1]).shape == (2, 3)

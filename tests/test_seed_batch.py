@@ -72,6 +72,7 @@ def test_run_steps_one_seed_on_single_points(seeds):
     problem = dataclasses.replace(
         problem, feasible_set=RecordedSet(problem.feasible_set),
         inner_g=recorded("inner_g", problem.inner_g),
+        inner_g_jacobian=recorded("inner_g", problem.inner_g_jacobian),
         outer_f_gradient=recorded("outer_f_gradient", problem.outer_f_gradient))
     x_hats, _ = run(problem, solver_config(seeds))
     assert x_hats.shape == (len(seeds), problem.dim_x)
@@ -116,7 +117,7 @@ def scalar_reference(problem, config: SolverConfig, seed: int):
         gval = np.asarray(problem.inner_g(x, zeta), dtype=float)
         y *= 1.0 - beta
         y += beta * gval
-        direction = alpha * (np.asarray(problem.inner_g_jacobian(x, zeta), dtype=float)
+        direction = alpha * (np.asarray(problem.inner_g_jacobian(x, zeta)[1], dtype=float)
                              @ np.asarray(problem.outer_f_gradient(y), dtype=float))
         qval = np.zeros(0)
         if problem.constrained:
@@ -127,7 +128,7 @@ def scalar_reference(problem, config: SolverConfig, seed: int):
             qval = np.asarray(problem.outer_q(z), dtype=float)
             lgrad = penalty_gradient(qval, params)
             if delta != 0.0 and np.any(lgrad != 0.0):
-                jac_h = np.asarray(problem.inner_h_jacobian(x, zeta), dtype=float)
+                jac_h = np.asarray(problem.inner_h_jacobian(x, zeta)[1], dtype=float)
                 jac_q = np.asarray(problem.outer_q_jacobian(z), dtype=float)
                 direction += delta * (jac_h @ (jac_q @ lgrad))
         x_new = fs.project(x - direction)

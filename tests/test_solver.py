@@ -137,7 +137,7 @@ def test_pure_tracking_matches_monte_carlo():
         dim_x=1, dim_g=1, dim_h=0, num_constraints=0,
         sample=dist.draw,
         inner_g=lambda x, z: x * z,
-        inner_g_jacobian=lambda x, z: z[..., None],
+        inner_g_jacobian=lambda x, z: (x * z, z[..., None]),
         outer_f=lambda y: 0.5 * (y * y).sum(axis=-1),
         outer_f_gradient=lambda y: y,
         feasible_set=Box(lower=[0.5], upper=[0.5]),
@@ -193,7 +193,7 @@ def zeros_sample(rng, size=None):
 
 
 def ones_jacobian(x, z):
-    return np.ones(x.shape + (1,))
+    return x, np.ones(x.shape + (1,))
 
 
 def identity_problem(**maps):
@@ -313,12 +313,19 @@ def test_projection_error_on_finite_input_passes_through(seeds):
 
 @pytest.mark.parametrize("name, maps, gamma, got", [
     ("outer_f_gradient", {"outer_f_gradient": lambda y: y.tolist()}, 0.0, "type list"),
-    ("inner_g_jacobian", {"inner_g_jacobian": lambda x, z: np.ones(x.shape + (1,), dtype=int)},
+    ("inner_g_jacobian",
+     {"inner_g_jacobian": lambda x, z: (x, np.ones(x.shape + (1,), dtype=int))},
      0.0, "dtype int64"),
     ("inner_g", {"inner_g": lambda x, z: x.tolist()}, 0.0, "type list"),
     # called only once the penalty is active, which gamma = 1.5 makes it at x = 0
     ("outer_q_jacobian", {"outer_q_jacobian": lambda z: np.ones(z.shape + (1,), dtype=int)},
      1.5, "dtype int64"),
+    ("inner_g_jacobian", {"inner_g_jacobian": lambda x, z: (x.tolist(), ones_jacobian(x, z)[1])},
+     0.0, "type list"),
+    # a map of its own, called only once the penalty is active
+    ("inner_h_jacobian",
+     {"inner_h_jacobian": lambda x, z: (x, np.ones(x.shape + (1,), dtype=np.float32))},
+     1.5, "dtype float32"),
 ])
 def test_run_names_a_map_that_returns_no_float_ndarray(name, maps, gamma, got):
     problem = identity_problem(**maps)
@@ -326,6 +333,13 @@ def test_run_names_a_map_that_returns_no_float_ndarray(name, maps, gamma, got):
                        c_ell=2.0)
     with pytest.raises(ValueError, match=f"^{name} returned {got}, expected a float ndarray"):
         run(problem, cfg)
+
+
+@pytest.mark.parametrize("log_points", [1, 0, -3])
+def test_config_rejects_fewer_than_two_log_points(log_points):
+    # the grid must hold t = 1 and t = T
+    with pytest.raises(ValueError, match=f"^log_points must be at least 2, got {log_points}$"):
+        SolverConfig(a=0.75, b=0.5, c=0.75, horizon=50, log_points=log_points)
 
 
 def test_logged_iterations_policy():
