@@ -53,7 +53,7 @@ def _config_from_args(args) -> ExperimentConfig:
         updates["workers"] = args.workers
     if args.gap:
         updates["oracle_gap"] = True
-    if args.eval_samples:
+    if args.eval_samples is not None:
         updates["eval_samples"] = args.eval_samples
     if args.log_points is not None:
         updates["log_points"] = args.log_points

@@ -67,6 +67,10 @@ class ExperimentConfig:
             raise ValueError(f"horizon must be at least 2, got {self.horizon}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
+        if self.eval_samples < 2 * EVAL_BATCHES:
+            # evaluate_point draws at least two samples per sub-batch
+            raise ValueError(f"eval_samples must be at least {2 * EVAL_BATCHES}, "
+                             f"got {self.eval_samples}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -201,12 +205,15 @@ def evaluate_point(problem, x, n_samples: int, seed: int):
     block), drawn with one ``sample`` call and mapped with one call per
     inner map; each sub-batch is summed from its own slice of the block.
     A larger sub-batch spans several blocks, with its running sum carried
-    across them.  Rows are always summed in sample order, so the estimates
-    equal a one-sample-at-a-time loop bit for bit, at any block size.  The
-    ten sub-batch means go through ``outer_f`` and ``outer_q`` as one
-    stack, whose rows are the single calls' bits by the batch contract
-    that ``check_shapes`` enforces, and their totals are folded row by
-    row.
+    across them.  Blocks come as the sampler lays them out, column-major
+    for the in-repo designs, and the maps keep that layout, so that each
+    ufunc broadcasting a parameter row against a block runs one inner loop
+    per column.  Rows are always summed in sample order (``_row_sum``, one
+    accumulate per column), so the estimates equal a one-sample-at-a-time
+    loop bit for bit, at any block size and in either layout.  The ten
+    sub-batch means go through ``outer_f`` and ``outer_q`` as one stack,
+    whose rows are the single calls' bits by the batch contract that
+    ``check_shapes`` enforces, and their totals are folded row by row.
 
     Packing fills a block up to ``EVAL_CHUNK_ROWS`` rows and never past
     it: a 2000-sample call maps one 2000-row block, as each sub-batch of a
@@ -232,12 +239,12 @@ def evaluate_point(problem, x, n_samples: int, seed: int):
             batches = range(first, min(first + pack, EVAL_BATCHES))
             zeta = problem.sample(rng, len(batches) * per_batch)
             for sums, fn in maps:
-                rows = np.ascontiguousarray(fn(x, zeta), dtype=float)
+                rows = np.asarray(fn(x, zeta), dtype=float)
                 for i, b in enumerate(batches):
                     sums[b] = _row_sum(rows[i * per_batch:(i + 1) * per_batch])
     else:
-        g_buf = np.empty((EVAL_CHUNK_ROWS + 1, problem.dim_g))
-        h_buf = np.empty((EVAL_CHUNK_ROWS + 1, problem.dim_h))
+        g_buf = np.empty((EVAL_CHUNK_ROWS + 1, problem.dim_g), order="F")
+        h_buf = np.empty((EVAL_CHUNK_ROWS + 1, problem.dim_h), order="F")
         for b in range(EVAL_BATCHES):
             g_sum = h_sum = None
             for start in range(0, per_batch, EVAL_CHUNK_ROWS):
@@ -270,23 +277,18 @@ def _row_sum(rows, carry=None, buf=None) -> np.ndarray:
     """Sum of ``rows`` (k, dim) added strictly in row order, after ``carry``.
 
     Equal bit for bit to a left fold, so chunked sums equal one fold over
-    all rows.  On a C-contiguous block of two or more columns,
-    ``np.add.reduce`` along axis 0 adds row after row into one accumulator
-    row.  On a single column it goes pairwise, so that case keeps
-    ``cumsum``.  A carried sum enters as row 0 of ``buf``, an
-    (at least k + 1, dim) array reused across blocks.
+    all rows.  ``np.cumsum`` along axis 0 adds row after row in any memory
+    order; on a column-major block it runs one accumulate per column.
+    ``np.add.reduce`` would not do: it adds a contiguous column pairwise.
+    A carried sum enters as row 0 of ``buf``, an (at least k + 1, dim)
+    array reused across blocks, best in the block's memory order.
     """
-    rows = np.ascontiguousarray(rows, dtype=float)
-    if rows.shape[1] == 1:
-        if carry is not None:
-            rows = np.concatenate((carry[None], rows))
-        return np.cumsum(rows, axis=0)[-1]
     if carry is not None:
         k = rows.shape[0]
         buf[0] = carry
         buf[1:k + 1] = rows
         rows = buf[:k + 1]
-    return np.add.reduce(rows, 0)
+    return np.cumsum(rows, axis=0)[-1]
 
 
 @dataclass

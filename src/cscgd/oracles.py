@@ -409,7 +409,9 @@ def ergodic_fstar(instance, n_samples: int, seed: int) -> DescentResult:
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     n = instance.n_queues
+    # row-major whatever the sampler's layout, so that the means below fold row by row
     zeta = instance.channel_distribution().draw(make_rng(seed, 0), n_samples)
+    zeta = np.ascontiguousarray(zeta)
     bw, psi, phi = instance.bandwidths, instance.psi_weights, instance.phi_weights
     lam_box = (instance.lambda_min, instance.lambda_max, instance.lambda_cap)
     p_box = (instance.p_min, instance.p_max, instance.p_max)
@@ -468,7 +470,8 @@ def sample_average_baseline(
     one ``inner_g_jacobian`` call.  For non-convex designs this is a locally
     optimal reference value, not a certificate.
     """
-    block = problem.sample(make_rng(seed, 0), n_samples)
+    # row-major whatever the sampler's layout: the means below fold its rows in order
+    block = np.ascontiguousarray(problem.sample(make_rng(seed, 0), n_samples))
 
     def value(x):
         return float(problem.outer_f(problem.inner_g(x, block).mean(0)))

@@ -13,6 +13,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+try:  # the C function behind np.count_nonzero(a), without its Python dispatcher
+    from numpy._core.multiarray import count_nonzero as _count_nonzero
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import count_nonzero as _count_nonzero
+
 
 @dataclass(frozen=True)
 class PenaltyParams:
@@ -52,7 +57,7 @@ def penalty_gradient(w, params: PenaltyParams) -> np.ndarray:
     branch and vanishes for satisfied constraints.
     """
     w = np.array(w, dtype=float, ndmin=1, copy=None)
-    if np.count_nonzero(np.isfinite(w)) != w.size:
+    if _count_nonzero(np.isfinite(w)) != w.size:
         raise ValueError("non-finite penalty argument")
     x = w + params.gamma
     return np.minimum(np.maximum(x, 0.0), params.c_ell)

@@ -9,10 +9,15 @@ Every map also takes a leading axis, and row i of a stacked call is bitwise
 equal to the single call on row i:
 
 - ``sample(rng, k)`` draws a (k, dim_zeta) block that consumes the stream
-  exactly as k single draws do;
+  exactly as k single draws do.  The block may be column-major (the
+  in-repo samplers return one, so that a ufunc broadcasting a (dim_zeta,)
+  row against it runs one inner loop per column, not one per row);
 - ``inner_g(x, zeta)`` / ``inner_h(x, zeta)`` take one point with a zeta
   block (k, dim_zeta), or stacked points x (S, dim_x) with one zeta per row
-  (S, dim_zeta), and return (k or S, dim_g / dim_h);
+  (S, dim_zeta), and return (k or S, dim_g / dim_h).  They broadcast with
+  ``...`` and must not assume C order: a block's rows may be strided, and
+  numpy sums a contiguous row of 8 or more entries in another order than a
+  strided one;
 - ``inner_g_jacobian(x, zeta)`` / ``inner_h_jacobian(x, zeta)`` return the
   pair (value, Jacobian): the value has the bits of ``inner_g`` /
   ``inner_h`` at the same arguments, and on stacked points the halves are
@@ -26,8 +31,12 @@ Every map returns a float ndarray, or a pair of them (``outer_f`` on a
 single point may return a float), and the solver uses the outputs as they
 come.
 
-The solver steps one row per seed through these maps; ``evaluate_point``
-maps sample blocks at one point.
+The solver steps one row per seed through these maps, on C-contiguous
+zeta rows (``solver.draw_zeta`` lays its blocks out in row order);
+``evaluate_point`` maps sample blocks at one point.  A sum over the sample
+axis folds the rows in sample order, whatever the layout (``np.cumsum``
+along it does; ``np.add.reduce`` on a column-major block adds each column
+pairwise).
 """
 
 from __future__ import annotations
@@ -50,7 +59,7 @@ class CompositionalProblem:
     dim_g: int
     dim_h: int
     num_constraints: int
-    sample: Callable  # (rng, size=None) -> one zeta, or a (size, dim_zeta) block
+    sample: Callable  # (rng, size=None) -> one zeta, or a (size, dim_zeta) block, any layout
     inner_g: Callable  # (x, zeta) -> vector[dim_g]; stacked -> (k, dim_g)
     inner_g_jacobian: Callable  # (x, zeta) -> (inner_g(x, zeta), matrix[dim_x, dim_g])
     outer_f: Callable  # (y) -> float; stacked y (..., dim_g) -> (...,)

@@ -94,9 +94,11 @@ class CloudProvisioningInstance:
         # dot product on the single row.  ``cap`` and ``load`` keep a
         # trailing axis of one so that rows of x and of zeta broadcast.
         def terms(x, zeta):
-            # g, and the inputs and sigmoids of its indicators
+            # g, and the inputs and sigmoids of its indicators.  The load sums
+            # contiguous rows: numpy adds a row of 8 or more entries pairwise,
+            # a strided row of a column-major block in order.
             r, cap = x[..., :n], x[..., n:]
-            load = (zeta * r).sum(axis=-1, keepdims=True)
+            load = (np.ascontiguousarray(zeta) * r).sum(axis=-1, keepdims=True)
             taken = sigmoid(eta * (cap - load) / cap)  # one per row
             below = sigmoid(eta * (cap - r - load) / cap)  # per class
             out = np.empty(below.shape[:-1] + (2 * n + 1,))

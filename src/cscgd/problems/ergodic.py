@@ -90,7 +90,9 @@ class Mg1ErgodicInstance:
         dist = self.channel_distribution()
 
         def g_values(lam, b, b2):
-            g = np.empty(b.shape[:-1] + (3 * n,))  # a point with a zeta block broadcasts lam
+            # in b's memory order, so that each column of a column-major block is
+            # written in one loop; a point with a zeta block broadcasts lam
+            g = np.empty(b.shape[:-1] + (3 * n,), order="F" if b.flags.f_contiguous else "C")
             g[..., :n] = lam
             np.divide(lam, b, out=g[..., n:2 * n])
             np.divide(lam, b2, out=g[..., 2 * n:])
@@ -113,14 +115,6 @@ class Mg1ErgodicInstance:
                 ((n, n), -lam_bp / b2), ((n, 2 * n), -2.0 * lam_bp / b**3)))
 
         def inner_h(x, zeta):
-            if x.ndim < zeta.ndim:
-                # An evaluation block, column by column: a (k, n) block times an
-                # (n,) row, like minimum.reduce over the last axis, runs one inner
-                # loop per row.  Every entry gets the same operations, so the same bits.
-                worst = bw[0] * np.log1p(zeta[:, :1] * x[n])
-                for j in range(1, n):
-                    worst = np.minimum(worst, bw[j] * np.log1p(zeta[:, j:j + 1] * x[n + j]))
-                return -worst
             return -np.minimum.reduce(bw * np.log1p(zeta * x[..., n:]), -1, keepdims=True)
 
         def inner_h_jacobian(x, zeta):

@@ -102,7 +102,9 @@ class OutageInstance:
         dist = self.channel_distribution()
 
         def g_values(level, lam):
-            g = np.empty(level.shape[:-1] + (2 * n,))  # a point with a zeta block broadcasts lam
+            # in level's memory order; a point with a zeta block broadcasts lam
+            g = np.empty(level.shape[:-1] + (2 * n,),
+                         order="F" if level.flags.f_contiguous else "C")
             g[..., :n] = level
             g[..., n:] = lam
             return g

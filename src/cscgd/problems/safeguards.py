@@ -12,6 +12,11 @@ from __future__ import annotations
 import numpy as np
 from scipy import special
 
+try:  # the C function behind np.count_nonzero(a), without its Python dispatcher
+    from numpy._core.multiarray import count_nonzero as _count_nonzero
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import count_nonzero as _count_nonzero
+
 EPS_DEN = 1e-9
 
 
@@ -19,7 +24,7 @@ def safe_inv(d, knee):
     """1/d for d >= knee, tangent-line continuation (2*knee - d)/knee^2 below."""
     d = np.asarray(d, dtype=float)
     safe = d >= knee
-    if np.count_nonzero(safe) == safe.size:
+    if _count_nonzero(safe) == safe.size:
         return 1.0 / d
     guarded = np.where(safe, d, knee)  # avoid spurious division warnings
     return np.where(safe, 1.0 / guarded, (2.0 * knee - d) / (knee * knee))
@@ -28,7 +33,7 @@ def safe_inv(d, knee):
 def safe_inv_and_deriv(d, knee):
     """:func:`safe_inv` and its derivative with respect to d, from one knee test."""
     safe = d >= knee
-    if np.count_nonzero(safe) == safe.size:
+    if _count_nonzero(safe) == safe.size:
         return 1.0 / d, -1.0 / d**2
     guarded = np.where(safe, d, knee)
     return (np.where(safe, 1.0 / guarded, (2.0 * knee - d) / (knee * knee)),

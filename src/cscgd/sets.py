@@ -22,9 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-try:  # the ufunc behind ndarray.clip, without its Python wrapper
+try:  # the ufunc behind ndarray.clip and the C count_nonzero, without Python wrappers
+    from numpy._core.multiarray import count_nonzero as _count_nonzero
     from numpy._core.umath import clip as _clip
 except ImportError:  # numpy < 2
+    from numpy.core.multiarray import count_nonzero as _count_nonzero
     from numpy.core.umath import clip as _clip
 
 MEMBERSHIP_SLACK = 1e-12
@@ -46,7 +48,7 @@ def _as_points(v, dim: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.ndim not in (1, 2) or v.shape[-1] != dim:
         raise FeasibleSetError(f"point has dim {v.shape}, set has dim {dim}")
-    if np.count_nonzero(np.isfinite(v)) != v.size:
+    if _count_nonzero(np.isfinite(v)) != v.size:
         raise FeasibleSetError("cannot project non-finite point")
     return v
 
@@ -129,7 +131,7 @@ class BoxWithSumCap(_Projectable):
     def _project(self, v: np.ndarray) -> np.ndarray:
         u = _clip(v, self.lower, self.upper)
         over = np.add.reduce(u, -1) > self.cap
-        binding = np.count_nonzero(over)
+        binding = _count_nonzero(over)
         if not binding:
             return u
         if v.ndim == 1:

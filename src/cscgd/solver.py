@@ -23,6 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+try:  # the C function behind np.count_nonzero(a), without its Python dispatcher
+    from numpy._core.multiarray import count_nonzero as _count_nonzero
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import count_nonzero as _count_nonzero
+
 from .distributions import make_rng
 from .penalty import PenaltyParams, penalty_gradient
 from .problem import CompositionalProblem
@@ -104,11 +109,16 @@ def draw_zeta(problem: CompositionalProblem, rngs, size: int | None = None) -> n
     """One zeta per seed as an (S, dim_zeta) array, or a (size, S, dim_zeta) block.
 
     Row s of the result comes from ``rngs[s]`` alone, and a block consumes
-    each stream exactly as ``size`` single draws.
+    each stream exactly as ``size`` single draws.  A block is C-contiguous
+    whatever the layout of the sampler's blocks, so each step gets
+    contiguous (S, dim_zeta) rows: the samples are stacked into it, one
+    copy per block.
     """
     if size is None:
         return np.stack([problem.sample(rng) for rng in rngs])
-    return np.stack([problem.sample(rng, size) for rng in rngs], axis=1)
+    draws = [problem.sample(rng, size) for rng in rngs]
+    block = np.empty((size, len(draws)) + np.shape(draws[0])[1:])
+    return np.stack(draws, axis=1, out=block)
 
 
 def init_state(problem: CompositionalProblem, config: SolverConfig, zeta0) -> SolverState:
@@ -206,11 +216,11 @@ def cscgd_step(
             lgrad = penalty_gradient(qval, penalty_params)
         except ValueError:  # non-finite q(z); checking here first would cost every step
             raise _non_finite(problem, state, x, zeta, qval) from None
-        if delta != 0.0 and np.count_nonzero(lgrad):
+        if delta != 0.0 and _count_nonzero(lgrad):
             # Only rows with an active penalty move: adding a zero pull
             # elsewhere could turn -0.0 into +0.0, or inf * 0 into NaN.
             active = np.logical_or.reduce(lgrad, -1)
-            rows = slice(None) if np.count_nonzero(active) == active.size else active
+            rows = slice(None) if _count_nonzero(active) == active.size else active
             jac_q = problem.outer_q_jacobian(state.z[rows])
             if problem.inner_h_jacobian is problem.inner_g_jacobian:
                 jac_h = jac_g[rows]

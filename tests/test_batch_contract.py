@@ -5,7 +5,9 @@ every row of ``inner_g`` / ``inner_h`` on a zeta block must equal the single
 call bit for bit.  ``evaluate_point`` maps samples in blocks of rows;
 it is checked here against the one-sample-at-a-time loop it replaced, with
 the default block size, with blocks small enough to split every sub-batch,
-and with blocks that pack several whole sub-batches.
+and with blocks that pack several whole sub-batches.  The samplers return
+column-major blocks; the solver's zeta blocks and the oracles' frozen
+blocks are pinned to row order.
 """
 
 import collections
@@ -16,8 +18,11 @@ import numpy as np
 import pytest
 
 from cscgd import harness, make_rng
-from cscgd.distributions import ExponentialMean
+from cscgd.distributions import ExponentialMean, TruncatedChiSquared
 from cscgd.harness import evaluate_point
+from cscgd.oracles import ergodic_fstar, sample_average_baseline
+from cscgd.problems.ergodic import Mg1ErgodicInstance
+from cscgd.solver import draw_zeta, seed_streams
 from cscgd.problems import (
     PRESETS,
     constrained_quadratic_problem,
@@ -34,6 +39,10 @@ BUILDERS.update({
     "mm1": lambda: mm1_problem(lam=1.0, r=2.0, h=0.5),
     "paper-ex5-exponential-load": lambda: paper_ex5(
         load_dist=ExponentialMean([1.0, 1.2, 0.8])).build(),
+    # nine classes: numpy sums a contiguous row of 8 or more entries pairwise
+    "paper-ex5-nine-classes": lambda: paper_ex5(
+        load_dist=ExponentialMean(np.linspace(0.8, 1.2, 9)), prices=tuple(1.0 + np.arange(9)),
+        subscriber_rates=(3.0,) * 9).build(),
 })
 
 
@@ -70,6 +79,62 @@ def test_block_rows_equal_single_calls(name):
         assert rows.shape == (257, dim), label
         for i, zeta in enumerate(block):
             assert bits(rows[i]) == bits(fn(x, zeta)), f"{label} row {i}"
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_sample_block_is_column_major(name):
+    # each column of a block is contiguous, so that a ufunc broadcasting a
+    # (dim_zeta,) row against it runs one inner loop per column
+    problem = BUILDERS[name]()
+    for k in (1, 3, 257):
+        block = problem.sample(make_rng(5, 3), k)
+        assert block.flags.f_contiguous, k
+
+
+@pytest.mark.parametrize("n_seeds", [1, 2])
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_draw_zeta_hands_the_step_row_major_blocks(name, n_seeds):
+    problem = BUILDERS[name]()
+    block = draw_zeta(problem, seed_streams(range(n_seeds)), 1024)
+    assert block.shape[:2] == (1024, n_seeds)
+    assert block.flags.c_contiguous
+    for s, rng in enumerate(seed_streams(range(n_seeds))):
+        assert bits(block[:, s]) == bits(problem.sample(rng, 1024)), s
+
+
+LAYOUTS = (np.ascontiguousarray, np.asfortranarray)
+
+
+def descent_bits(res) -> tuple:
+    return bits(res.x), bits(res.value), res.iterations
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_sample_average_baseline_folds_its_block_in_row_order(name):
+    problem = BUILDERS[name]()
+    results = set()
+    for layout in LAYOUTS:
+        def sample(rng, size=None, layout=layout):
+            return layout(problem.sample(rng, size))
+
+        res = sample_average_baseline(replace(problem, sample=sample), n_samples=300,
+                                      tol=1e-3, max_iter=1)
+        results.add(descent_bits(res))
+    assert len(results) == 1
+
+
+@pytest.mark.parametrize("name", sorted(n for n in BUILDERS if n.startswith("paper-ex2")))
+def test_ergodic_fstar_folds_its_block_in_row_order(name, monkeypatch):
+    instance = get_preset(name)
+    assert isinstance(instance, Mg1ErgodicInstance)
+    draw = TruncatedChiSquared.draw
+    results = set()
+    for layout in LAYOUTS:
+        monkeypatch.setattr(TruncatedChiSquared, "draw",
+                            lambda self, rng, size=None, layout=layout:
+                            layout(draw(self, rng, size)))
+        results.add(descent_bits(ergodic_fstar(instance, 300, 5)))
+    assert len(results) == 1
 
 
 def per_sample_evaluate(problem, x, n_samples, seed, n_batches=10):

@@ -35,6 +35,7 @@ def test_run_repeat_byte_identical(tmp_path):
 
 @pytest.mark.parametrize("option, field", [
     ("--horizon", "horizon"), ("--workers", "workers"), ("--log-points", "log_points"),
+    ("--eval-samples", "eval_samples"),
 ])
 def test_run_rejects_a_zero_option_instead_of_dropping_it(tmp_path, option, field):
     args = ["run", "--preset", "quadratic-toy", "--seeds", "0", "--eval-samples", "500",

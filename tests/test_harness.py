@@ -59,6 +59,12 @@ class TestConfig:
         assert a.canonical_json() != b.canonical_json()
         assert a.config_hash() == b.config_hash()
 
+    def test_rejects_fewer_eval_samples_than_two_per_sub_batch(self):
+        # evaluate_point would round 19 samples up to two per sub-batch, 20
+        with pytest.raises(ValueError, match="^eval_samples must be at least 20, got 19$"):
+            ExperimentConfig(preset="quadratic-toy", eval_samples=19)
+        assert ExperimentConfig(preset="quadratic-toy", eval_samples=20).eval_samples == 20
+
 
 class TestTrajectoryCsv:
     def test_header_matches_contract(self):

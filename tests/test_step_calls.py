@@ -2,7 +2,7 @@
 
 On the paper's small designs a step works on arrays of 3 to 9 entries, so
 per-call overhead is the cost of a step.  The step therefore reaches numpy's
-C reductions and the ``clip`` ufunc directly (``np.count_nonzero``,
+C reductions and the ``clip`` ufunc directly (the C ``count_nonzero``,
 ``ufunc.reduce``) and never the Python wrappers behind ``ndarray.all``,
 ``.any``, ``.sum``, ``.max``, ``.min`` and ``.clip`` in
 ``numpy/_core/_methods.py``.  These are counts of profile
@@ -40,20 +40,20 @@ def count_calls(fn, *args):
 
 
 # The largest counts left by the last change to the step: paper-ex1 on one
-# stacked row makes 26 calls (10 of them the Python dispatcher and body of five
-# count_nonzero calls, two the wired design's shared delay terms, hit once,
-# one the dispatcher of the concatenate that builds g); paper-ex2-k5 at S = 2
-# makes 32 (12 of them six count_nonzero calls, two the list comprehensions
-# of ProductSet._project and BoxWithSumCap._search, and three the inner maps:
-# inner_g_jacobian, the g_values that builds its g, and inner_h).  Neither
-# calls inner_g: the Jacobian map returns g with its Jacobian.  A one-seed run
-# steps on single points (solver.drop_seed_axis); there paper-ex1 makes the
-# same 26 calls and paper-ex2-k5 the same 32.
+# stacked row makes 16 calls (two of them the wired design's shared delay
+# terms, hit once, one the dispatcher of the concatenate that builds g);
+# paper-ex2-k5 at S = 2 makes 20 (two of them the list comprehensions of
+# ProductSet._project and BoxWithSumCap._search, and three the inner maps:
+# inner_g_jacobian, the g_values that builds its g, and inner_h).  Their five
+# and six count_nonzero calls go to numpy's C function, with no Python
+# dispatcher.  Neither calls inner_g: the Jacobian map returns g with its
+# Jacobian.  A one-seed run steps on single points (solver.drop_seed_axis);
+# there paper-ex1 makes the same 16 calls and paper-ex2-k5 the same 20.
 @pytest.mark.parametrize("name, n_seeds, single, most", [
-    ("paper-ex1", 1, False, 26),
-    ("paper-ex2-k5", 2, False, 32),
-    ("paper-ex1", 1, True, 26),
-    ("paper-ex2-k5", 1, True, 32),
+    ("paper-ex1", 1, False, 16),
+    ("paper-ex2-k5", 2, False, 20),
+    ("paper-ex1", 1, True, 16),
+    ("paper-ex2-k5", 1, True, 20),
 ], ids=["paper-ex1", "paper-ex2-k5", "paper-ex1-single-point", "paper-ex2-k5-single-point"])
 def test_warm_step_calls_no_reduction_wrapper(name, n_seeds, single, most):
     config = ExperimentConfig(preset=name, horizon=100, seeds=tuple(range(n_seeds)))
