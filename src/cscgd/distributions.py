@@ -31,10 +31,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-try:  # the ufunc behind ndarray.clip, without its Python wrapper
-    from numpy._core.umath import clip as _clip
-except ImportError:  # numpy < 2
-    from numpy.core.umath import clip as _clip
+from ._ufuncs import clip as _clip
 
 # Terms of the power series behind truncated_exponential_moments below t = 1.
 _SERIES_J = np.arange(20)

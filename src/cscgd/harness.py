@@ -71,6 +71,12 @@ class ExperimentConfig:
             # evaluate_point draws at least two samples per sub-batch
             raise ValueError(f"eval_samples must be at least {2 * EVAL_BATCHES}, "
                              f"got {self.eval_samples}")
+        if not self.seeds:
+            raise ValueError("seeds must name at least one seed, got none")
+        repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
+        if repeated:
+            # each seed owns its trajectory file and its summary row
+            raise ValueError(f"seeds must be distinct, got {repeated} more than once")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -199,68 +205,61 @@ def evaluate_point(problem, x, n_samples: int, seed: int):
 
     Standard errors come from re-evaluating the outer functions on batch
     sub-means, which respects the non-linear plug-in structure.  Samples
-    are drawn and mapped in blocks of at most ``EVAL_CHUNK_ROWS`` rows.
-    When a sub-batch fits in a block, each block holds
-    ``EVAL_CHUNK_ROWS // per_batch`` whole sub-batches (fewer in the last
-    block), drawn with one ``sample`` call and mapped with one call per
-    inner map; each sub-batch is summed from its own slice of the block.
-    A larger sub-batch spans several blocks, with its running sum carried
-    across them.  Blocks come as the sampler lays them out, column-major
-    for the in-repo designs, and the maps keep that layout, so that each
-    ufunc broadcasting a parameter row against a block runs one inner loop
-    per column.  Rows are always summed in sample order (``_row_sum``, one
-    accumulate per column), so the estimates equal a one-sample-at-a-time
-    loop bit for bit, at any block size and in either layout.  The ten
-    sub-batch means go through ``outer_f`` and ``outer_q`` as one stack,
-    whose rows are the single calls' bits by the batch contract that
-    ``check_shapes`` enforces, and their totals are folded row by row.
+    are drawn with one ``sample`` call and mapped with one call per inner
+    map in blocks of at most ``EVAL_CHUNK_ROWS`` rows; a block ends at the
+    last sub-batch end within that reach, if there is one.  So a 2000-sample
+    call maps one 2000-row block of ten sub-batches, a 20 000-sample call
+    one block per sub-batch, and a 100 000-sample call four 2048-row blocks
+    and a 1808-row one per sub-batch.  Each sub-batch is summed from its
+    slice of a block, after the running sum it carries from the block
+    before when it began there.  Blocks come as the sampler lays them out,
+    column-major for the in-repo designs, and the maps keep that layout, so
+    that each ufunc broadcasting a parameter row against a block runs one
+    inner loop per column.  Rows are always summed in sample order
+    (``_row_sum``, one accumulate per column), so the estimates equal a
+    one-sample-at-a-time loop bit for bit, at any block size and in either
+    layout.  The ten sub-batch means go through ``outer_f`` and ``outer_q``
+    as one stack, whose rows are the single calls' bits by the batch
+    contract that ``check_shapes`` enforces, and their totals are folded
+    row by row.
 
-    Packing fills a block up to ``EVAL_CHUNK_ROWS`` rows and never past
-    it: a 2000-sample call maps one 2000-row block, as each sub-batch of a
-    20 000-sample call already does.  Blocks stay that small so that the
-    cost of a call does not depend on what the process ran before:
-    paper-ex1's block arrays (2048 rows of 6 float columns) stay under
-    glibc's default 128 KiB mmap threshold and are reused from the heap.
-    Wider problems such as paper-ex2-k5 (15 columns) exceed it and stay on
-    the heap only because glibc's dynamic threshold has risen past them.
-    Blocks served by mmap fault their pages in again on every block.
+    Blocks stay that small so that the cost of a call does not depend on
+    what the process ran before: paper-ex1's block arrays (2048 rows of 6
+    float columns) stay under glibc's default 128 KiB mmap threshold and
+    are reused from the heap.  Wider problems such as paper-ex2-k5 (15
+    columns) exceed it and stay on the heap only because glibc's dynamic
+    threshold has risen past them.  Blocks served by mmap fault their
+    pages in again on every block.
     """
     rng = make_rng(seed, 1)
     x = np.asarray(x, dtype=float)
     h_is_g = problem.inner_h is problem.inner_g
     map_h = problem.constrained and not h_is_g
     per_batch = max(2, n_samples // EVAL_BATCHES)
+    total = per_batch * EVAL_BATCHES
     g_sums = np.empty((EVAL_BATCHES, problem.dim_g))
     h_sums = np.empty((EVAL_BATCHES, problem.dim_h)) if map_h else None
-    if per_batch <= EVAL_CHUNK_ROWS:
-        pack = EVAL_CHUNK_ROWS // per_batch
-        maps = [(g_sums, problem.inner_g)] + ([(h_sums, problem.inner_h)] if map_h else [])
-        for first in range(0, EVAL_BATCHES, pack):
-            batches = range(first, min(first + pack, EVAL_BATCHES))
-            zeta = problem.sample(rng, len(batches) * per_batch)
-            for sums, fn in maps:
-                rows = np.asarray(fn(x, zeta), dtype=float)
-                for i, b in enumerate(batches):
-                    sums[b] = _row_sum(rows[i * per_batch:(i + 1) * per_batch])
-    else:
-        g_buf = np.empty((EVAL_CHUNK_ROWS + 1, problem.dim_g), order="F")
-        h_buf = np.empty((EVAL_CHUNK_ROWS + 1, problem.dim_h), order="F")
-        for b in range(EVAL_BATCHES):
-            g_sum = h_sum = None
-            for start in range(0, per_batch, EVAL_CHUNK_ROWS):
-                zeta = problem.sample(rng, min(EVAL_CHUNK_ROWS, per_batch - start))
-                g_sum = _row_sum(problem.inner_g(x, zeta), g_sum, g_buf)
-                if map_h:
-                    h_sum = _row_sum(problem.inner_h(x, zeta), h_sum, h_buf)
-            g_sums[b] = g_sum
-            if map_h:
-                h_sums[b] = h_sum
+    maps = [(g_sums, problem.inner_g)] + ([(h_sums, problem.inner_h)] if map_h else [])
+    start = 0
+    while start < total:
+        stop = min(start + EVAL_CHUNK_ROWS, total)
+        if stop - stop % per_batch > start:
+            stop -= stop % per_batch
+        zeta = problem.sample(rng, stop - start)
+        for sums, fn in maps:
+            rows = np.asarray(fn(x, zeta), dtype=float)
+            # Only a block that starts inside a sub-batch carries, and it
+            # ends by that sub-batch's end, so it is a single piece.
+            for lo in range(0, stop - start, per_batch):
+                b, offset = divmod(start + lo, per_batch)
+                sums[b] = _row_sum(rows[lo:lo + per_batch], sums[b] if offset else None)
+        start = stop
     g_means = g_sums / per_batch
     f_vals = np.ascontiguousarray(problem.outer_f(g_means), dtype=float)
     out = {
         "f": float(problem.outer_f(_row_sum(g_means) / EVAL_BATCHES)),
         "f_std_err": float(f_vals.std(ddof=1) / math.sqrt(EVAL_BATCHES)),
-        "n_samples": per_batch * EVAL_BATCHES,
+        "n_samples": total,
     }
     if problem.constrained:
         h_means = g_means if h_is_g else h_sums / per_batch
@@ -273,21 +272,20 @@ def evaluate_point(problem, x, n_samples: int, seed: int):
     return out
 
 
-def _row_sum(rows, carry=None, buf=None) -> np.ndarray:
+def _row_sum(rows, carry=None) -> np.ndarray:
     """Sum of ``rows`` (k, dim) added strictly in row order, after ``carry``.
 
     Equal bit for bit to a left fold, so chunked sums equal one fold over
     all rows.  ``np.cumsum`` along axis 0 adds row after row in any memory
     order; on a column-major block it runs one accumulate per column.
     ``np.add.reduce`` would not do: it adds a contiguous column pairwise.
-    A carried sum enters as row 0 of ``buf``, an (at least k + 1, dim)
-    array reused across blocks, best in the block's memory order.
+    A carried sum enters as row 0 of a (k + 1, dim) column-major stack.
     """
     if carry is not None:
-        k = rows.shape[0]
-        buf[0] = carry
-        buf[1:k + 1] = rows
-        rows = buf[:k + 1]
+        stack = np.empty((rows.shape[0] + 1, rows.shape[1]), order="F")
+        stack[0] = carry
+        stack[1:] = rows
+        rows = stack
     return np.cumsum(rows, axis=0)[-1]
 
 

@@ -28,12 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from ._ufuncs import clip as _clip
 from .distributions import TruncatedChiSquared, make_rng
-
-try:  # the ufunc behind np.clip, without its Python wrapper chain
-    from numpy._core.umath import clip as _clip
-except ImportError:  # numpy < 2
-    from numpy.core.umath import clip as _clip
 
 # Orders of the two Gauss-Legendre rules whose agreement certifies a
 # moment, and the relative difference they may show.

@@ -13,10 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-try:  # the C function behind np.count_nonzero(a), without its Python dispatcher
-    from numpy._core.multiarray import count_nonzero as _count_nonzero
-except ImportError:  # numpy < 2
-    from numpy.core.multiarray import count_nonzero as _count_nonzero
+from ._ufuncs import count_nonzero as _count_nonzero
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import special
 
-try:  # the C function behind np.count_nonzero(a), without its Python dispatcher
-    from numpy._core.multiarray import count_nonzero as _count_nonzero
-except ImportError:  # numpy < 2
-    from numpy.core.multiarray import count_nonzero as _count_nonzero
+from .._ufuncs import count_nonzero as _count_nonzero
 
 EPS_DEN = 1e-9
 

@@ -22,12 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-try:  # the ufunc behind ndarray.clip and the C count_nonzero, without Python wrappers
-    from numpy._core.multiarray import count_nonzero as _count_nonzero
-    from numpy._core.umath import clip as _clip
-except ImportError:  # numpy < 2
-    from numpy.core.multiarray import count_nonzero as _count_nonzero
-    from numpy.core.umath import clip as _clip
+from ._ufuncs import clip as _clip, count_nonzero as _count_nonzero
 
 MEMBERSHIP_SLACK = 1e-12
 

@@ -23,11 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-try:  # the C function behind np.count_nonzero(a), without its Python dispatcher
-    from numpy._core.multiarray import count_nonzero as _count_nonzero
-except ImportError:  # numpy < 2
-    from numpy.core.multiarray import count_nonzero as _count_nonzero
-
+from ._ufuncs import count_nonzero as _count_nonzero
 from .distributions import make_rng
 from .penalty import PenaltyParams, penalty_gradient
 from .problem import CompositionalProblem

@@ -205,12 +205,14 @@ def test_evaluate_point_chunked_equals_per_sample_loop(name, monkeypatch):
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_evaluate_point_packed_equals_per_sample_loop(name, seed, monkeypatch):
     # 200-row sub-batches: 450-row blocks hold 2 of them, 700-row blocks
-    # 3, 3, 3 and 1.  Seeds 0 and 777 put a 1-ulp difference between a
-    # pairwise and a left-fold total of single-column means.
+    # 3, 3, 3 and 1; 199-row blocks split each into 199 rows and a carried
+    # 1, and 200- and 201-row blocks hold one each.  Seeds 0 and 777 put a
+    # 1-ulp difference between a pairwise and a left-fold total of
+    # single-column means.
     problem = BUILDERS[name]()
     x = problem.feasible_set.midpoint()
     want = per_sample_evaluate(problem, x, 2_000, seed)
-    for rows in (450, 700):
+    for rows in (450, 700, 199, 200, 201):
         monkeypatch.setattr(harness, "EVAL_CHUNK_ROWS", rows)
         got = evaluate_point(problem, x, 2_000, seed)
         assert sorted(got) == sorted(want)
@@ -233,7 +235,7 @@ def counted_maps(problem):
     return replace(problem, **{n: counted(n, getattr(problem, n)) for n in names}), calls
 
 
-def test_evaluate_point_packs_small_sub_batches_into_one_block():
+def test_evaluate_point_packs_small_sub_batches_into_one_block(monkeypatch):
     problem, calls = counted_maps(get_preset("paper-ex2-k5").build())
     x = problem.feasible_set.midpoint()
     evaluate_point(problem, x, 2_000, 3)
@@ -243,3 +245,10 @@ def test_evaluate_point_packs_small_sub_batches_into_one_block():
     blocks = 10 * math.ceil(4_000 / harness.EVAL_CHUNK_ROWS)
     assert calls == {"sample": blocks, "inner_g": blocks, "inner_h": blocks,
                      "outer_f": 2, "outer_q": 2}
+    # 200-row sub-batches against blocks one row short, exact and one row over
+    for rows, blocks in ((199, 20), (200, 10), (201, 10)):
+        monkeypatch.setattr(harness, "EVAL_CHUNK_ROWS", rows)
+        calls.clear()
+        evaluate_point(problem, x, 2_000, 3)
+        assert calls == {"sample": blocks, "inner_g": blocks, "inner_h": blocks,
+                         "outer_f": 2, "outer_q": 2}, rows

@@ -231,7 +231,6 @@ class TestEvaluatePoint:
     @pytest.mark.parametrize("dim", [1, 2, 6, 15])
     def test_row_sum_equals_the_left_fold(self, dim):
         rng = np.random.default_rng(dim)
-        buf = np.empty((EVAL_CHUNK_ROWS + 1, dim))
         for k in (1, 2, 8, 9, 200, EVAL_CHUNK_ROWS):
             # magnitudes over many decades, so that summation order shows
             rows = rng.standard_normal((k, dim)) * 10.0 ** rng.integers(-8, 9, (k, dim))
@@ -240,7 +239,7 @@ class TestEvaluatePoint:
                 # the cumsum left fold the evaluation used, and a plain loop
                 assert _row_sum(block).tobytes() == np.cumsum(rows, axis=0)[-1].tobytes()
                 folded = np.cumsum(np.concatenate((carry[None], rows)), axis=0)[-1]
-                assert _row_sum(block, carry, buf).tobytes() == folded.tobytes()
+                assert _row_sum(block, carry).tobytes() == folded.tobytes()
                 acc = carry.copy()
                 for row in rows:
                     acc = acc + row

@@ -220,17 +220,20 @@ def test_clip_ufunc_matches_ndarray_clip_on_breakpoint_broadcast(rng):
 
 
 def test_clip_ufunc_resolves_without_numpy_core_private_module():
-    # numpy < 2 has no numpy._core.umath: the import falls back to numpy.core.umath,
-    # which must name the same ufunc.
+    # numpy < 2 has no numpy._core: cscgd._ufuncs falls back to numpy.core.umath
+    # and numpy.core.multiarray, which must name the same clip ufunc and the
+    # same count_nonzero.
     import cscgd
 
     src = os.path.dirname(os.path.dirname(cscgd.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import importlib, sys, warnings; import numpy as np; from cscgd import sets; "
-            "clip = sets._clip; sys.modules['numpy._core.umath'] = None; "
-            "warnings.simplefilter('ignore', DeprecationWarning); importlib.reload(sets); "
-            "assert sets._clip is clip and clip.__name__ == 'clip', sets._clip")
+    code = ("import importlib, sys, warnings; from cscgd import _ufuncs, sets; "
+            "clip, count_nonzero = sets._clip, sets._count_nonzero; "
+            "sys.modules['numpy._core.umath'] = sys.modules['numpy._core.multiarray'] = None; "
+            "warnings.simplefilter('ignore', DeprecationWarning); importlib.reload(_ufuncs); "
+            "assert _ufuncs.clip is clip and clip.__name__ == 'clip', _ufuncs.clip; "
+            "assert _ufuncs.count_nonzero is count_nonzero, _ufuncs.count_nonzero")
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
