@@ -36,7 +36,8 @@ zeta rows (``solver.draw_zeta`` lays its blocks out in row order);
 ``evaluate_point`` maps sample blocks at one point.  A sum over the sample
 axis folds the rows in sample order, whatever the layout (``np.cumsum``
 along it does; ``np.add.reduce`` on a column-major block adds each column
-pairwise).
+pairwise, while over the outer axis of a C-order array, such as
+``evaluate_point``'s (rows, sub-batches, dim) lanes, it adds row after row).
 """
 
 from __future__ import annotations

@@ -63,6 +63,10 @@ class SolverConfig:
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
             raise ValueError("need at least one seed")
+        negative = [s for s in self.seeds if s < 0]
+        if negative:
+            # a seed is the entropy of its SeedSequence
+            raise ValueError(f"seeds must be non-negative, got {negative}")
         if self.log_points is not None and self.log_points < 2:
             # the logged grid holds t = 1 and t = horizon
             raise ValueError(f"log_points must be at least 2, got {self.log_points}")

@@ -48,11 +48,12 @@ def test_run_rejects_a_zero_option_instead_of_dropping_it(tmp_path, option, fiel
 
 @pytest.mark.parametrize("seeds, message", [
     ("3:3", "seeds must name at least one seed"), ("1,1", "seeds must be distinct"),
-], ids=["empty", "repeated"])
+    ("-1", "seeds must be non-negative"),
+], ids=["empty", "repeated", "negative"])
 def test_run_rejects_empty_or_repeated_seeds_before_any_output(tmp_path, seeds, message):
     out = tmp_path / "exp"
     with pytest.raises(ValueError, match=f"^{message}"):
-        main(["run", "--preset", "quadratic-toy", "--seeds", seeds, "--horizon", "50",
+        main(["run", "--preset", "quadratic-toy", f"--seeds={seeds}", "--horizon", "50",
               "--eval-samples", "500", "--out", str(out)])
     assert not out.exists()
 

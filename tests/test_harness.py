@@ -23,7 +23,7 @@ from cscgd.harness import (
     write_plot_csv,
     write_trajectory_csv,
 )
-from cscgd.harness import _row_sum
+from cscgd.harness import _lane_sum, _row_sum
 from cscgd.oracles import wired_fstar
 from cscgd.problems import paper_ex1
 from cscgd.solver import SolverConfig, run
@@ -64,6 +64,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="^eval_samples must be at least 20, got 19$"):
             ExperimentConfig(preset="quadratic-toy", eval_samples=19)
         assert ExperimentConfig(preset="quadratic-toy", eval_samples=20).eval_samples == 20
+
+    def test_rejects_negative_seeds(self):
+        # numpy's SeedSequence would reject them later, naming no field
+        with pytest.raises(ValueError, match=r"^seeds must be non-negative, got \[-3, -1\]$"):
+            ExperimentConfig(preset="quadratic-toy", seeds=(0, -3, 2, -1))
+        assert ExperimentConfig(preset="quadratic-toy", seeds=(0,)).seeds == (0,)
 
 
 class TestTrajectoryCsv:
@@ -244,6 +250,26 @@ class TestEvaluatePoint:
                 for row in rows:
                     acc = acc + row
                 assert acc.tobytes() == folded.tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 6, 9])
+    def test_lane_sum_equals_a_left_fold_per_piece(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        for p in range(2, 11):
+            for m in (2, 7, 200):
+                # magnitudes over 16 decades, so that summation order shows
+                rows = rng.standard_normal((p * m, dim)) * 10.0 ** rng.integers(-8, 9, (p * m, dim))
+                # a lane of -0.0 sums to -0.0, as a fold from its first row does
+                zero = rng.integers(p)
+                rows[zero * m:(zero + 1) * m] = -0.0
+                expected = np.empty((p, dim))
+                for j in range(p):
+                    acc = rows[j * m]
+                    for row in rows[j * m + 1:(j + 1) * m]:
+                        acc = acc + row
+                    expected[j] = acc
+                assert np.signbit(expected[zero]).all()
+                for block in (rows, np.asfortranarray(rows)):
+                    assert _lane_sum(block, p).tobytes() == expected.tobytes()
 
 
 class TestStatistics:

@@ -335,6 +335,13 @@ def test_run_names_a_map_that_returns_no_float_ndarray(name, maps, gamma, got):
         run(problem, cfg)
 
 
+def test_config_rejects_negative_seeds():
+    # numpy's SeedSequence would reject them later, naming no field
+    with pytest.raises(ValueError, match=r"^seeds must be non-negative, got \[-1\]$"):
+        SolverConfig(a=0.75, b=0.5, c=0.75, horizon=50, seeds=(4, -1))
+    assert SolverConfig(a=0.75, b=0.5, c=0.75, horizon=50, seeds=(0,)).seeds == (0,)
+
+
 @pytest.mark.parametrize("log_points", [1, 0, -3])
 def test_config_rejects_fewer_than_two_log_points(log_points):
     # the grid must hold t = 1 and t = T

@@ -1,4 +1,5 @@
-"""Python-level calls made by one warm solver step, counted with sys.setprofile.
+"""Python-level calls made by one warm solver step, and by one warm
+evaluate_point call, counted with sys.setprofile.
 
 On the paper's small designs a step works on arrays of 3 to 9 entries, so
 per-call overhead is the cost of a step.  The step therefore reaches numpy's
@@ -16,7 +17,7 @@ from collections import Counter
 import pytest
 
 from cscgd import cscgd_step, draw_zeta, init_state, seed_streams
-from cscgd.harness import ExperimentConfig, resolve_problem
+from cscgd.harness import ExperimentConfig, evaluate_point, resolve_problem
 from cscgd.penalty import penalty_gradient
 from cscgd.solver import drop_seed_axis
 
@@ -81,3 +82,22 @@ def test_warm_step_calls_no_reduction_wrapper(name, n_seeds, single, most):
     assert "inner_g" not in {fn for _, fn in calls}, "the step called inner_g"
     total = sum(calls.values())
     assert total <= most, f"{total} Python-level calls, at most {most}: {calls.most_common()}"
+
+
+# evaluate_point on paper-ex2-k5 at 2000 samples maps one 2000-row block of
+# ten 200-row sub-batches and makes 33 calls.  Its folds are one _lane_sum
+# per map over the block's ten sub-batches and one _row_sum per map over the
+# ten sub-batch means.  The rest are the generator's set-up, the draw,
+# inner_g (with its g_values) and inner_h, outer_f and outer_q on the stack
+# of means and on their mean (with their safe_inv and concatenate calls),
+# and the std wrappers.
+def test_warm_evaluate_point_folds_each_block_once_per_map():
+    problem, _ = resolve_problem(ExperimentConfig(preset="paper-ex2-k5"))
+    x = problem.feasible_set.midpoint()
+    evaluate_point(problem, x, 2000, 0)
+    _, calls = count_calls(evaluate_point, problem, x, 2000, 0)
+    folds = {fn: n for (f, fn), n in calls.items()
+             if os.path.basename(f) == "harness.py" and fn in ("_lane_sum", "_row_sum")}
+    assert folds == {"_lane_sum": 2, "_row_sum": 2}
+    total = sum(calls.values())
+    assert total <= 33, f"{total} Python-level calls, at most 33: {calls.most_common()}"

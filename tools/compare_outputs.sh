@@ -5,17 +5,21 @@
 #
 # PARENT_SRC and CHANGE_SRC are the `src/` directories of two checkouts.
 # Every preset runs at seeds 0:2 and T = 3000, once per tree, in
-# WORKDIR/parent and WORKDIR/change (WORKDIR is emptied first), in four
+# WORKDIR/parent and WORKDIR/change (WORKDIR is emptied first), in five
 # passes with their own run directories.  evaluate_point draws and maps its
 # samples in blocks of at most EVAL_CHUNK_ROWS (2048) rows, each ending at
-# the last sub-batch end within reach, if any; a sub-batch that spans
-# blocks carries its running sum into the next.  The passes: at 100 000
-# evaluation samples (runs/eval100000, the CLI default), each 10 000-row
-# sub-batch is four 2048-row blocks and a 1808-row one; at 20 490
-# (runs/eval20490), each 2049-row sub-batch is a 2048-row block and a
-# carried 1-row block; at 20 000 (runs/eval20000), one 2000-row sub-batch
-# per block; at 2000 (runs/eval2000), all ten 200-row sub-batches share
-# one block.  One line per file says `same` or `DIFF`: each trajectory
+# the last sub-batch end within reach, if any.  A block of two or more
+# whole sub-batches folds them side by side in one reduction; any other
+# block lies in one sub-batch, and when it starts inside it, it carries
+# the running sum of the block before.  The passes: at 100 000 evaluation
+# samples (runs/eval100000, the CLI default), each 10 000-row sub-batch is
+# four 2048-row blocks and a 1808-row one; at 20 490 (runs/eval20490),
+# each 2049-row sub-batch is a 2048-row block and a carried 1-row block;
+# at 20 000 (runs/eval20000), one 2000-row sub-batch per block; at 4000
+# (runs/eval4000, the evaluation size of the criterion-1 fixture), two
+# blocks of five 400-row sub-batches, the second starting at sub-batch 5;
+# at 2000 (runs/eval2000), all ten 200-row sub-batches share one block.
+# One line per file says `same` or `DIFF`: each trajectory
 # CSV, curves.csv, config.json, and summary.csv without its wall_time
 # column (the only column that is allowed to differ).  Exit status 0 when
 # every file is the same.
@@ -25,7 +29,7 @@ PARENT=$(cd "$1" && pwd); CHANGE=$(cd "$2" && pwd); WORK=$3
 PRESETS="paper-ex1 paper-ex2-k5 paper-ex2-k10 paper-ex3 paper-ex4 quadratic-toy constrained-quadratic-toy"
 CLI='import sys; from cscgd.cli import main; sys.exit(main(sys.argv[1:]))'
 rm -rf "$WORK"; mkdir -p "$WORK/parent" "$WORK/change"
-EVAL_SAMPLES="100000 20490 20000 2000"
+EVAL_SAMPLES="100000 20490 20000 4000 2000"
 for n in $EVAL_SAMPLES; do
   for p in $PRESETS; do
     opts="--preset $p --seeds 0:2 --horizon 3000 --eval-samples $n --out runs/eval$n/$p"
