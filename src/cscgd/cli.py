@@ -9,6 +9,8 @@ and invariant suites).
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import os
 import sys
 
@@ -28,38 +30,19 @@ def _parse_seeds(text: str) -> tuple:
 
 def _config_from_args(args) -> ExperimentConfig:
     if args.config:
-        config = ExperimentConfig.load(args.config)
+        with open(args.config, encoding="utf-8") as fh:
+            values = json.load(fh)
     else:
-        config = ExperimentConfig(preset=args.preset or "paper-ex1")
-    updates = {}
-    if args.preset:
-        updates["preset"] = args.preset
-    if args.seeds:
-        updates["seeds"] = _parse_seeds(args.seeds)
-    if args.horizon is not None:
-        updates["horizon"] = args.horizon
-    if args.out:
-        updates["out_dir"] = args.out
-    if args.abc:
-        a, b, c = (float(v) for v in args.abc.split(","))
-        updates.update({"a": a, "b": b, "c": c})
-    if args.regime:
-        updates["regime"] = args.regime
-    if args.gamma is not None:
-        updates["gamma"] = args.gamma
-    if args.c_ell is not None:
-        updates["c_ell"] = args.c_ell
-    if args.workers is not None:
-        updates["workers"] = args.workers
-    if args.gap:
-        updates["oracle_gap"] = True
-    if args.eval_samples is not None:
-        updates["eval_samples"] = args.eval_samples
-    if args.log_points is not None:
-        updates["log_points"] = args.log_points
-    if updates:
-        config = ExperimentConfig.from_dict({**config.to_dict(), **updates})
-    return config
+        values = {"preset": "paper-ex1"}
+    # an option's dest is the config field it sets; --seeds is parsed below
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    values.update((name, value) for name, value in vars(args).items()
+                  if name in fields and value is not None)
+    if args.seeds is not None:
+        values["seeds"] = _parse_seeds(args.seeds)
+    if args.abc is not None:
+        values["a"], values["b"], values["c"] = (float(v) for v in args.abc.split(","))
+    return ExperimentConfig.from_dict(values)
 
 
 def _add_run_options(p: argparse.ArgumentParser):
@@ -67,13 +50,14 @@ def _add_run_options(p: argparse.ArgumentParser):
     p.add_argument("--preset", help="preset name (see 'run --list')")
     p.add_argument("--seeds", help="'0:50' or comma list")
     p.add_argument("--horizon", type=int)
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--out", dest="out_dir", help="output directory")
     p.add_argument("--abc", help="step exponents 'a,b,c'")
     p.add_argument("--regime", choices=["diminishing", "constant"])
     p.add_argument("--gamma", type=float)
     p.add_argument("--c-ell", dest="c_ell", type=float)
     p.add_argument("--workers", type=int)
-    p.add_argument("--gap", action="store_true", help="report the gap to the oracle's F*")
+    p.add_argument("--gap", dest="oracle_gap", action="store_const", const=True,
+                   help="report the gap to the oracle's F*")
     p.add_argument("--eval-samples", dest="eval_samples", type=int)
     p.add_argument("--log-points", dest="log_points", type=int,
                    help="trajectory rows: every iteration when the horizon "
@@ -106,7 +90,7 @@ def cmd_oracle(args) -> int:
 
 def cmd_ratefit(args) -> int:
     horizons = [int(h) for h in args.horizons.split(",")]
-    seeds = _parse_seeds(args.seeds) if args.seeds else tuple(range(10))
+    seeds = _parse_seeds(args.seeds) if args.seeds is not None else tuple(range(10))
     repeated = sorted({T for T in horizons if horizons.count(T) > 1})
     if repeated:  # each would be solved again into the same T<h>/ directory
         raise ValueError(f"horizon {repeated[0]} is repeated in --horizons")

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import special
 
 from .distributions import make_rng
-from .problems import constrained_quadratic_problem, get_preset, quadratic_problem
+from .problems import PRESETS, constrained_quadratic_problem, get_preset, quadratic_problem
 from .solver import SolverConfig, run
 
 EPS_PLOT = 1e-12
@@ -45,6 +45,14 @@ SAMPLE_AVERAGE_ORACLE = {"n_samples": 2000, "seed": 99}
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment, checked when it is built, before any output or oracle.
+
+    It checks ``workers``, ``eval_samples``, distinct seeds and the preset
+    name itself, and the rest by building a :class:`SolverConfig`.  With
+    ``c_ell`` left to the instance (None), gamma is checked against an
+    infinite knee, which leaves only ``gamma >= 0``.
+    """
+
     preset: str
     a: float = 0.9167
     b: float = 0.5
@@ -63,24 +71,19 @@ class ExperimentConfig:
     instance_overrides: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.horizon < 2:
-            raise ValueError(f"horizon must be at least 2, got {self.horizon}")
         if self.workers < 1:
             raise ValueError(f"workers must be at least 1, got {self.workers}")
         if self.eval_samples < 2 * EVAL_BATCHES:
             # evaluate_point draws at least two samples per sub-batch
             raise ValueError(f"eval_samples must be at least {2 * EVAL_BATCHES}, "
                              f"got {self.eval_samples}")
-        if not self.seeds:
-            raise ValueError("seeds must name at least one seed, got none")
-        negative = [s for s in self.seeds if s < 0]
-        if negative:
-            # a seed is the entropy of its SeedSequence
-            raise ValueError(f"seeds must be non-negative, got {negative}")
         repeated = sorted({s for s in self.seeds if self.seeds.count(s) > 1})
         if repeated:
             # each seed owns its trajectory file and its summary row
             raise ValueError(f"seeds must be distinct, got {repeated} more than once")
+        if self.preset not in PRESETS and self.preset not in TOY_TARGETS:
+            get_preset(self.preset)  # raises the KeyError that names the presets
+        self.solver_config(self.seeds, math.inf if self.c_ell is None else self.c_ell)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -471,7 +474,6 @@ def curve_arrays(trajectory: dict) -> dict:
         "t": trajectory["t"].astype(float),
         "obj": trajectory["obj"],
         "viol": viol.max(axis=1) if viol.shape[1] else np.zeros(viol.shape[0]),
-        "step_sq": trajectory["step_sq"],
     }
 
 
@@ -482,7 +484,6 @@ def aggregate_curves(arrays_list: list, f_star: float | None = None) -> dict:
             raise ValueError("seeds logged different iteration grids")
     obj = np.stack([a["obj"] for a in arrays_list])
     viol = np.stack([a["viol"] for a in arrays_list])
-    step_sq = np.stack([a["step_sq"] for a in arrays_list])
     gap = obj - (f_star if f_star is not None else 0.0)
     n = obj.shape[0]
 
@@ -495,7 +496,6 @@ def aggregate_curves(arrays_list: list, f_star: float | None = None) -> dict:
         "std_gap": seed_std(gap),
         "mean_violation": viol.mean(axis=0),
         "std_violation": seed_std(viol),
-        "mean_step_sq": step_sq.mean(axis=0),
     }
 
 

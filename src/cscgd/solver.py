@@ -48,6 +48,14 @@ class NonFiniteGradientError(RuntimeError):
 
 @dataclass
 class SolverConfig:
+    """What :func:`run` solves with, checked in full when it is built.
+
+    A bad value raises ``ValueError`` naming its field: no seed, a
+    negative seed, ``horizon < 2``, ``log_points < 2``, and whatever
+    :class:`StepSchedule` (exponents, regime) and :class:`PenaltyParams`
+    (``0 <= gamma < c_ell``) refuse.
+    """
+
     a: float
     b: float
     c: float
@@ -62,14 +70,18 @@ class SolverConfig:
     def __post_init__(self):
         self.seeds = tuple(int(s) for s in self.seeds)
         if not self.seeds:
-            raise ValueError("need at least one seed")
+            raise ValueError("seeds must name at least one seed, got none")
         negative = [s for s in self.seeds if s < 0]
         if negative:
             # a seed is the entropy of its SeedSequence
             raise ValueError(f"seeds must be non-negative, got {negative}")
+        if self.horizon < 2:
+            raise ValueError(f"horizon must be at least 2, got {self.horizon}")
         if self.log_points is not None and self.log_points < 2:
             # the logged grid holds t = 1 and t = horizon
             raise ValueError(f"log_points must be at least 2, got {self.log_points}")
+        self.schedule()
+        self.penalty_params()
 
     def schedule(self) -> StepSchedule:
         return StepSchedule(self.a, self.b, self.c, self.regime, self.horizon)
@@ -312,11 +324,10 @@ def run(problem: CompositionalProblem, config: SolverConfig) -> tuple[np.ndarray
     trackers after the loop, and ``step_sq`` from the logged iterates and
     the ones before them.  The first output of every map is checked to be
     a float ndarray, once per run; a map that returns anything else raises
-    ValueError naming it.
+    ValueError naming it.  The values of ``config`` were checked when it
+    was built (see :class:`SolverConfig`).
     """
     T = int(config.horizon)
-    if T < 2:
-        raise ValueError("horizon must be at least 2")
     problem = problem.with_output_checks()
     seeds = config.seeds
     n_seeds = len(seeds)

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -55,6 +56,36 @@ def test_run_rejects_empty_or_repeated_seeds_before_any_output(tmp_path, seeds, 
     with pytest.raises(ValueError, match=f"^{message}"):
         main(["run", "--preset", "quadratic-toy", f"--seeds={seeds}", "--horizon", "50",
               "--eval-samples", "500", "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra, error, message", [
+    (["--log-points", "1"], ValueError, "log_points must be at least 2, got 1"),
+    (["--abc", "0.5,0.9,0.6"], ValueError, "exponents must satisfy 1 > a >= c >= b > 0"),
+    (["--gamma", "5", "--c-ell", "1"], ValueError, "gamma must be smaller than c_ell"),
+    (["--preset", "nope"], KeyError, "unknown preset 'nope'"),
+    ([{"regime": "weird"}], ValueError, "unknown regime 'weird'"),
+    (["--seeds="], ValueError, "seeds must name at least one seed, got none"),
+    (["--preset", "paper-ex2-k5", "--gap", "--abc", "0.5,0.9,0.6"], ValueError,
+     "exponents must satisfy 1 > a >= c >= b > 0"),
+], ids=["log-points", "abc", "gamma", "preset", "config-file-regime", "no-seeds", "gap-abc"])
+def test_run_refuses_a_bad_value_before_any_output_or_oracle(tmp_path, monkeypatch,
+                                                             extra, error, message):
+    def no_oracle(config):
+        raise AssertionError("computed the oracle")
+
+    monkeypatch.setattr("cscgd.harness.compute_oracle", no_oracle)
+    out = tmp_path / "exp"
+    args = ["run", "--preset", "quadratic-toy", "--seeds", "0", "--horizon", "50",
+            "--out", str(out)]
+    for item in extra:
+        if isinstance(item, dict):  # a config file holding these fields
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps(item))
+            item = str(cfg_path)
+        args.append(item)
+    with pytest.raises(error, match=re.escape(message)):
+        main(args)
     assert not out.exists()
 
 

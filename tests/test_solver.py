@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -347,6 +348,18 @@ def test_config_rejects_fewer_than_two_log_points(log_points):
     # the grid must hold t = 1 and t = T
     with pytest.raises(ValueError, match=f"^log_points must be at least 2, got {log_points}$"):
         SolverConfig(a=0.75, b=0.5, c=0.75, horizon=50, log_points=log_points)
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"horizon": 1}, "horizon must be at least 2, got 1"),
+    ({"a": 0.5, "b": 0.9, "c": 0.6}, "exponents must satisfy 1 > a >= c >= b > 0"),
+    ({"regime": "weird"}, "unknown regime 'weird'"),
+    ({"gamma": 2.0, "c_ell": 1.0}, "gamma must be smaller than c_ell"),
+], ids=["horizon", "exponents", "regime", "gamma"])
+def test_config_refuses_what_the_solve_would_refuse(values, message):
+    # each value used to get past the config and raise only inside run
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        SolverConfig(**{"a": 0.75, "b": 0.5, "c": 0.75, "horizon": 50, **values})
 
 
 def test_logged_iterations_policy():

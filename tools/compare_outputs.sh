@@ -6,7 +6,7 @@
 # PARENT_SRC and CHANGE_SRC are the `src/` directories of two checkouts.
 # Every preset runs at seeds 0:2 and T = 3000, once per tree, in
 # WORKDIR/parent and WORKDIR/change (WORKDIR is emptied first), in five
-# passes with their own run directories.  evaluate_point draws and maps its
+# passes with their own run directories, plus a config-file pass.  evaluate_point draws and maps its
 # samples in blocks of at most EVAL_CHUNK_ROWS (2048) rows, each ending at
 # the last sub-batch end within reach, if any.  A block of two or more
 # whole sub-batches folds them side by side in one reduction; any other
@@ -19,7 +19,10 @@
 # (runs/eval4000, the evaluation size of the criterion-1 fixture), two
 # blocks of five 400-row sub-batches, the second starting at sub-batch 5;
 # at 2000 (runs/eval2000), all ten 200-row sub-batches share one block.
-# One line per file says `same` or `DIFF`: each trajectory
+# A last pass (runs/config-file) runs paper-ex1 from a saved config file
+# that sets fields the other passes leave at their defaults, with
+# --seeds 0:2 overriding the file's seeds, so that the CLI's config-file
+# path is compared too.  One line per file says `same` or `DIFF`: each trajectory
 # CSV, curves.csv, config.json, and summary.csv without its wall_time
 # column (the only column that is allowed to differ).  Exit status 0 when
 # every file is the same.
@@ -39,18 +42,29 @@ for n in $EVAL_SAMPLES; do
     done
   done
 done
-status=0
+cat > "$WORK/config.json" <<'END'
+{"preset": "paper-ex1", "seeds": [7], "horizon": 3000, "regime": "diminishing",
+ "a": 0.8, "b": 0.5, "c": 0.7, "gamma": 0.05, "log_points": 300,
+ "eval_samples": 4000, "oracle_gap": true, "out_dir": "runs/config-file"}
+END
+for side in parent change; do
+  [ $side = parent ] && src=$PARENT || src=$CHANGE
+  (cd "$WORK/$side" && PYTHONPATH=$src python3 -W ignore -c "$CLI" run ../config.json --seeds 0:2 >/dev/null)
+done
+RUNS=config-file
 for n in $EVAL_SAMPLES; do
-  for p in $PRESETS; do
-    run=eval$n/$p; a=$WORK/parent/runs/$run; b=$WORK/change/runs/$run
-    for f in $(cd "$a" && ls trajectory-seed*.csv) curves.csv config.json; do
-      cmp -s "$a/$f" "$b/$f" && echo "same $run/$f" || { echo "DIFF $run/$f"; status=1; }
-    done
-    col=$(head -1 "$a/summary.csv" | tr , '\n' | grep -n '^wall_time$' | cut -d: -f1)
-    cut -d, -f"$col" --complement "$a/summary.csv" > "$WORK/parent.sum"
-    cut -d, -f"$col" --complement "$b/summary.csv" > "$WORK/change.sum"
-    cmp -s "$WORK/parent.sum" "$WORK/change.sum" \
-      && echo "same $run/summary.csv (without wall_time)" || { echo "DIFF $run/summary.csv"; status=1; }
+  for p in $PRESETS; do RUNS="$RUNS eval$n/$p"; done
+done
+status=0
+for run in $RUNS; do
+  a=$WORK/parent/runs/$run; b=$WORK/change/runs/$run
+  for f in $(cd "$a" && ls trajectory-seed*.csv) curves.csv config.json; do
+    cmp -s "$a/$f" "$b/$f" && echo "same $run/$f" || { echo "DIFF $run/$f"; status=1; }
   done
+  col=$(head -1 "$a/summary.csv" | tr , '\n' | grep -n '^wall_time$' | cut -d: -f1)
+  cut -d, -f"$col" --complement "$a/summary.csv" > "$WORK/parent.sum"
+  cut -d, -f"$col" --complement "$b/summary.csv" > "$WORK/change.sum"
+  cmp -s "$WORK/parent.sum" "$WORK/change.sum" \
+    && echo "same $run/summary.csv (without wall_time)" || { echo "DIFF $run/summary.csv"; status=1; }
 done
 exit $status
