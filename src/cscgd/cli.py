@@ -16,7 +16,14 @@ import sys
 
 import numpy as np
 
-from .harness import ExperimentConfig, check_ladder, compute_oracle, rate_fit, run_experiment
+from .harness import (
+    ExperimentConfig,
+    check_ladder,
+    compute_oracle,
+    rate_fit,
+    run_experiment,
+    target_names,
+)
 from .penalty import PenaltyParams
 from .problems import PRESETS, get_preset
 
@@ -67,7 +74,7 @@ def _add_run_options(p: argparse.ArgumentParser):
 
 def cmd_run(args) -> int:
     if args.list:
-        for name in sorted(PRESETS):
+        for name in target_names():
             print(name)
         return 0
     config = _config_from_args(args)
@@ -159,7 +166,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="run a multi-seed experiment")
     _add_run_options(p_run)
-    p_run.add_argument("--list", action="store_true", help="list presets")
+    p_run.add_argument("--list", action="store_true", help="list presets and toy targets")
     p_run.set_defaults(fn=cmd_run)
 
     p_oracle = sub.add_parser("oracle", help="compute a preset's baseline optimum")

@@ -82,7 +82,7 @@ class ExperimentConfig:
             # each seed owns its trajectory file and its summary row
             raise ValueError(f"seeds must be distinct, got {repeated} more than once")
         if self.preset not in PRESETS and self.preset not in TOY_TARGETS:
-            get_preset(self.preset)  # raises the KeyError that names the presets
+            raise KeyError(f"unknown preset {self.preset!r}; available: {target_names()}")
         self.solver_config(self.seeds, math.inf if self.c_ell is None else self.c_ell)
 
     def to_dict(self) -> dict:
@@ -135,6 +135,11 @@ TOY_TARGETS = {
     "quadratic-toy": quadratic_problem,
     "constrained-quadratic-toy": constrained_quadratic_problem,
 }
+
+
+def target_names() -> list:
+    """Every preset and toy target a config may name, sorted."""
+    return sorted([*PRESETS, *TOY_TARGETS])
 
 
 def resolve_problem(config: ExperimentConfig):
@@ -382,21 +387,23 @@ def compute_oracle(config: ExperimentConfig) -> dict:
 # Experiment runner
 # ---------------------------------------------------------------------------
 
-def _run_batch(payload: dict) -> list:
+def _run_batch(config: ExperimentConfig, seeds: list, f_star: float | None) -> list:
     """Solve a batch of seeds in one ``run`` call; [(RunSummary, curves)] per seed.
 
     The problem is resolved once for the batch.  Each seed's ``wall_time``
     is its share of the batch's solve time (the solve time over the number
     of seeds), so the shares add up to the solve time.  Every seed still
-    gets its own trajectory CSV and its own ``evaluate_point`` call.
+    gets its own trajectory CSV and its own ``evaluate_point`` call.  The
+    output directory is made only after the solve, so a value that only
+    the built problem can refuse (a wrong-length ``x0``, an unknown
+    ``instance_overrides`` key, a gamma at or past the instance's knee)
+    fails before any file exists.
     """
-    config = ExperimentConfig.from_dict(payload["config"])
-    seeds = tuple(payload["seeds"])
-    f_star = payload["f_star"]
     problem, c_ell = resolve_problem(config)
     t0 = time.perf_counter()
     x_hats, trajectories = run(problem, config.solver_config(seeds, c_ell))
     wall = (time.perf_counter() - t0) / len(seeds)
+    os.makedirs(config.out_dir, exist_ok=True)
     results = []
     for seed, x_hat, trajectory in zip(seeds, x_hats, trajectories):
         path = os.path.join(config.out_dir, f"trajectory-seed{seed}.csv")
@@ -424,23 +431,22 @@ def run_experiment(config: ExperimentConfig):
     """Execute all seeds, persist trajectories and summaries.
 
     The seeds run as one batch, or as one contiguous chunk per worker
-    process when ``workers > 1``.  Returns (list of RunSummary in seed
-    order, dict of aggregate curves).  When ``oracle_gap`` is set, the gaps
-    are taken to the F* of :func:`compute_oracle`.
+    process when ``workers > 1``; each batch makes the output directory
+    after its solve.  Returns (list of RunSummary in seed order, dict of
+    aggregate curves).  When ``oracle_gap`` is set, the gaps are taken to
+    the F* of :func:`compute_oracle`.
     """
-    os.makedirs(config.out_dir, exist_ok=True)
     f_star = float(compute_oracle(config)["f_star"]) if config.oracle_gap else None
     seeds = list(config.seeds)
     n_chunks = min(config.workers, len(seeds))
     chunks = [seeds[i * len(seeds) // n_chunks:(i + 1) * len(seeds) // n_chunks]
               for i in range(n_chunks)]
-    payloads = [{"config": config.to_dict(), "seeds": chunk, "f_star": f_star}
-                for chunk in chunks]
-    if len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-            results = [r for batch in pool.map(_run_batch, payloads) for r in batch]
+    if n_chunks > 1:
+        with ProcessPoolExecutor(max_workers=n_chunks) as pool:
+            batches = pool.map(_run_batch, [config] * n_chunks, chunks, [f_star] * n_chunks)
+            results = [r for batch in batches for r in batch]
     else:
-        results = _run_batch(payloads[0])
+        results = _run_batch(config, seeds, f_star)
     summaries = [r[0] for r in results]
     curves = aggregate_curves([r[1] for r in results], f_star=f_star)
     write_summary_csv(os.path.join(config.out_dir, "summary.csv"), summaries)

@@ -233,18 +233,17 @@ def projected_gradient_descent(
     x0: np.ndarray,
     tol: float = 1e-10,
     max_iter: int = 100_000,
-    initial_step: float = 1.0,
 ) -> DescentResult:
     """Projected gradient descent driven to a gradient-map norm.
 
-    Armijo backtracking makes the global progress; once the certified
-    decrease falls under floating precision of the objective, a fixed-step
-    polish phase (no value comparisons) contracts the fixed-point residual
-    the rest of the way.
+    Armijo backtracking from a unit step makes the global progress; once
+    the certified decrease falls under floating precision of the objective,
+    a fixed-step polish phase (no value comparisons) contracts the
+    fixed-point residual the rest of the way.
     """
     x = project_fn(np.asarray(x0, dtype=float))
     fx = value_fn(x)
-    step = initial_step
+    step = 1.0
 
     def gmap(xv, gv):
         return float(np.linalg.norm(xv - project_fn(xv - gv)))
@@ -323,13 +322,14 @@ class WiredBaseline:
         return float(np.max(self.instance.delays(y)) - self.instance.d_max)
 
 
-def wired_fstar(instance, tol: float = 1e-10, grid_radius: float = 0.02) -> WiredBaseline:
+def wired_fstar(instance) -> WiredBaseline:
     """Deterministic optimum of the wired design from certified length moments.
 
     The moments come from :func:`certified_length_moments`.  The delay cap
     is equivalent to a per-queue upper bound on the arrival rate, so the
     feasible region is a budgeted box; the convex objective is minimized by
-    projected descent and cross-checked on local grids.
+    projected descent to a gradient-map norm of 1e-10 and cross-checked on
+    local grids spanning 2% of the rate box around the optimum.
     """
     n = instance.n_queues
     m1, m2 = certified_length_moments(instance.length_distribution())
@@ -356,10 +356,10 @@ def wired_fstar(instance, tol: float = 1e-10, grid_radius: float = 0.02) -> Wire
         return project_box_sumcap_sorted(v, lower, upper, instance.lambda_cap)
 
     x0 = project(0.5 * (lower + upper))
-    res = projected_gradient_descent(value, grad, project, x0, tol=tol)
+    res = projected_gradient_descent(value, grad, project, x0)
 
-    def local_grid_best(radius: float, points: int) -> float:
-        span = radius * (instance.lambda_max - instance.lambda_min)
+    def local_grid_best(points: int) -> float:
+        span = 0.02 * (instance.lambda_max - instance.lambda_min)
         axes = [
             np.linspace(res.x[i] - span[i], res.x[i] + span[i], points)
             for i in range(n)
@@ -369,8 +369,8 @@ def wired_fstar(instance, tol: float = 1e-10, grid_radius: float = 0.02) -> Wire
         cand = cand[cand.sum(axis=1) <= instance.lambda_cap]
         return float(values(cand).min(initial=np.inf))
 
-    coarse = local_grid_best(grid_radius, 5)
-    fine = local_grid_best(grid_radius, 9)
+    coarse = local_grid_best(5)
+    fine = local_grid_best(9)
     return WiredBaseline(
         f_star=res.value,
         x_star=res.x,
@@ -494,8 +494,9 @@ class HessianScanResult:
     min_eigenvalues: np.ndarray  # (len(x_axis), len(y_axis))
     global_min: float
 
-    def is_psd(self, tol: float = -1e-8) -> bool:
-        return self.global_min >= tol
+    def is_psd(self) -> bool:
+        """No cell's minimum eigenvalue falls below -1e-8."""
+        return self.global_min >= -1e-8
 
     def csv_rows(self):
         """(x, y, min eigenvalue) as Python floats, row-major."""
@@ -511,24 +512,16 @@ class HessianScanResult:
                 fh.write(f"{x!r},{y!r},{e!r}\n")
 
 
-def hessian_psd_scan(
-    fn,
-    x_axis,
-    y_axis,
-    hx: float | None = None,
-    hy: float | None = None,
-) -> HessianScanResult:
+def hessian_psd_scan(fn, x_axis, y_axis) -> HessianScanResult:
     """Minimum eigenvalue of the central-difference Hessian over a 2-d grid.
 
-    Steps default to 1e-4 of each axis range, balancing truncation against
+    Each step is 1e-4 of its axis range, balancing truncation against
     cancellation at the scan's scale.
     """
     x_axis = np.asarray(x_axis, dtype=float)
     y_axis = np.asarray(y_axis, dtype=float)
-    if hx is None:
-        hx = 1e-4 * (x_axis[-1] - x_axis[0])
-    if hy is None:
-        hy = 1e-4 * (y_axis[-1] - y_axis[0])
+    hx = 1e-4 * (x_axis[-1] - x_axis[0])
+    hy = 1e-4 * (y_axis[-1] - y_axis[0])
     eigs = np.empty((x_axis.size, y_axis.size))
     for i, x in enumerate(x_axis):
         for j, y in enumerate(y_axis):
@@ -553,17 +546,12 @@ def hessian_psd_scan(
     )
 
 
-def make_delay_utility_surface(
-    antennas: int,
-    bandwidth: float = 10.0,
-    fading_lower: float = 0.25,
-    log_weight: float = 0.1,
-):
+def make_delay_utility_surface(antennas: int, fading_lower: float = 0.25):
     """Scalar (rate, power) objective summand used by the convexity scan.
 
     The delay term is the PK expression driven by the reciprocal-rate
-    moments E[1/b] and E[1/b^2], b = bandwidth log(1 + p z), of the
-    truncated chi-squared fading law z; the reward is a small log term.
+    moments E[1/b] and E[1/b^2], b = 10 log(1 + p z), of the truncated
+    chi-squared fading law z; the reward is 0.1 log(rate).
     The moments come from :func:`certified_expectations`, memoized per
     power value.  A fixed rule makes them smooth in p, which the scan's
     second differences need.  ``fading_lower`` must be positive: 1/b has a
@@ -578,12 +566,12 @@ def make_delay_utility_surface(
     def moments(p: float):
         law = f"chi-squared({2 * antennas}) fading above {fading_lower!r} at p = {float(p)!r}"
         return tuple(certified_expectations(law, {
-            "E[1/b]": lambda z: 1.0 / (bandwidth * np.log1p(p * z)),
-            "E[1/b^2]": lambda z: 1.0 / (bandwidth * np.log1p(p * z)) ** 2,
+            "E[1/b]": lambda z: 1.0 / (10.0 * np.log1p(p * z)),
+            "E[1/b^2]": lambda z: 1.0 / (10.0 * np.log1p(p * z)) ** 2,
         }, dist).values())
 
     def surface(lam: float, p: float) -> float:
         i1, i2 = moments(p)
-        return lam * i2 / (2.0 * (1.0 - lam * i1)) - log_weight * math.log(lam)
+        return lam * i2 / (2.0 * (1.0 - lam * i1)) - 0.1 * math.log(lam)
 
     return surface

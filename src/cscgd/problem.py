@@ -98,20 +98,20 @@ class CompositionalProblem:
     def constrained(self) -> bool:
         return self.num_constraints > 0
 
-    def check_shapes(self, rng, n_draws: int = 10, x: np.ndarray | None = None):
+    def check_shapes(self, rng, n_draws: int = 10):
         """Draw a few samples and verify every map's shapes and batch contract.
 
-        Single calls must return float ndarrays of the declared shapes, and
-        each Jacobian map a pair of them whose value half has the bits of
-        its inner map at the same arguments.  On a block of three draws,
-        the inner maps at one point must return one row per sample, and
+        Single calls at the feasible set's midpoint must return float
+        ndarrays of the declared shapes, and each Jacobian map a pair of
+        them whose value half has the bits of its inner map at the same
+        arguments.  On a block of three draws, the inner maps at the
+        midpoint must return one row per sample, and
         every map on three stacked points (x rows with one zeta each, then
         the resulting y and z rows) one row per point; each row must be
         bitwise equal to the single call.  Raises ValueError naming the
         first map that fails; cheap sanity net for hand-written maps.
         """
-        if x is None:
-            x = self.feasible_set.midpoint()
+        x = self.feasible_set.midpoint()
         n, m, d, J = self.dim_x, self.dim_g, self.dim_h, self.num_constraints
         inner = [("inner_g", self.inner_g, self.inner_g_jacobian, m)]
         if self.constrained:

@@ -14,10 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from ..problem import CompositionalProblem
 from ..sets import BoxWithLinearInequalities
-from .safeguards import EPS_DEN, safe_inv, safe_inv_and_deriv, sigmoid
+from .safeguards import EPS_DEN, safe_inv, safe_inv_and_deriv
 
 
 @dataclass(frozen=True)
@@ -99,8 +100,8 @@ class CloudProvisioningInstance:
             # a strided row of a column-major block in order.
             r, cap = x[..., :n], x[..., n:]
             load = (np.ascontiguousarray(zeta) * r).sum(axis=-1, keepdims=True)
-            taken = sigmoid(eta * (cap - load) / cap)  # one per row
-            below = sigmoid(eta * (cap - r - load) / cap)  # per class
+            taken = special.expit(eta * (cap - load) / cap)  # one per row
+            below = special.expit(eta * (cap - r - load) / cap)  # per class
             out = np.empty(below.shape[:-1] + (2 * n + 1,))
             out[..., :n] = taken - below
             out[..., n:2 * n] = taken

@@ -155,13 +155,17 @@ def _effective_capacity_domain(inst: EffectiveCapacityInstance):
     return np.concatenate([lo_b, lo_b2]), np.concatenate([hi_b, hi_b2])
 
 
-def _numeric_outer_bounds(problem, domain, n_points: int = 2000, margin: float = 1.2):
-    """Numeric sup of ||grad f||^2 and its Lipschitz modulus over a y-box."""
+def _numeric_outer_bounds(problem, domain):
+    """Numeric sup of ||grad f||^2 and its Lipschitz modulus over a y-box.
+
+    Both are maxima over 2000 uniform points (the modulus over random close
+    pairs at the first 200), inflated by a 1.2 margin.
+    """
     lows, highs = domain
     rng = make_rng(7, 0)
-    pts = lows + rng.random((n_points, lows.size)) * (highs - lows)
+    pts = lows + rng.random((2000, lows.size)) * (highs - lows)
     grads = np.array([problem.outer_f_gradient(p) for p in pts])
-    c_f = margin * float(np.max(np.sum(grads**2, axis=1)))
+    c_f = 1.2 * float(np.max(np.sum(grads**2, axis=1)))
     # crude Lipschitz estimate from random close pairs
     shift = (highs - lows) * 1e-4
     ratios = []
@@ -172,5 +176,5 @@ def _numeric_outer_bounds(problem, domain, n_points: int = 2000, margin: float =
             continue
         dg = np.linalg.norm(problem.outer_f_gradient(q) - problem.outer_f_gradient(p))
         ratios.append(dg / dp)
-    l_f = margin * float(np.max(ratios))
+    l_f = 1.2 * float(np.max(ratios))
     return c_f, l_f

@@ -54,14 +54,12 @@ def mm1_optimal_mu(lam: float, r: float, h: float) -> float:
     return lam + u + math.sqrt(u * (u + lam))
 
 
-def mm1_problem(
-    lam: float, r: float, h: float, box: tuple | None = None, gain: float | None = None
-) -> CompositionalProblem:
+def mm1_problem(lam: float, r: float, h: float, box: tuple | None = None) -> CompositionalProblem:
     """Deterministic compositional wrapping: identity inner map, f = -gain * U.
 
     The utility is flat for large mu, so without rescaling the unit-free
-    step sizes crawl; ``gain`` conditions the objective without moving its
-    maximizer.  The default normalizes the slope near the upper box edge.
+    step sizes crawl; the gain conditions the objective without moving its
+    maximizer.  It scales the slope at 95% of the box to magnitude one.
     The box excludes the unstable region mu <= lam, so the maps skip the
     stability check of :func:`mm1_utility`.
     """
@@ -72,9 +70,8 @@ def mm1_problem(
         box = (lam + 0.4 * width, lam + 2.5 * width)
     if box[0] <= lam:
         raise ValueError("box must exclude the unstable region mu <= lam")
-    if gain is None:
-        probe = box[1] - 0.05 * (box[1] - box[0])
-        gain = 1.0 / max(abs(mm1_utility_derivative(probe, lam, r, h)), 1e-12)
+    probe = box[1] - 0.05 * (box[1] - box[0])
+    gain = 1.0 / max(abs(mm1_utility_derivative(probe, lam, r, h)), 1e-12)
     dist = ConstantVec([0.0])
 
     def outer_f(y):

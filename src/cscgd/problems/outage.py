@@ -14,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from ..distributions import TruncatedExponential
 from ..problem import CompositionalProblem
 from ..sets import BoxWithSumCap, ProductSet
-from .safeguards import EPS_DEN, diagonals, safe_inv, safe_inv_and_deriv, sigmoid
+from .safeguards import EPS_DEN, diagonals, safe_inv, safe_inv_and_deriv
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ class OutageInstance:
     def outage_level(self, p: np.ndarray, zeta: np.ndarray) -> np.ndarray:
         """Smoothed outage indicator: ~1 when the rate exceeds the capacity."""
         b = self.bandwidths * np.log1p(zeta * p)
-        return sigmoid(self.sharpness * (self.rates - b))
+        return special.expit(self.sharpness * (self.rates - b))
 
     def max_outage(self) -> np.ndarray:
         """Largest reachable smoothed outage, attained at (p_min, G)."""
@@ -110,11 +111,12 @@ class OutageInstance:
             return g
 
         def inner_g(x, zeta):
-            return g_values(sigmoid(eta * (r - bw * np.log1p(zeta * x[..., n:]))), x[..., :n])
+            level = special.expit(eta * (r - bw * np.log1p(zeta * x[..., n:])))
+            return g_values(level, x[..., :n])
 
         def inner_g_jacobian(x, zeta):
             zp = zeta * x[..., n:]
-            level = sigmoid(eta * (r - bw * np.log1p(zp)))
+            level = special.expit(eta * (r - bw * np.log1p(zp)))
             bp = bw * zeta / (1.0 + zp)
             # rows lam, p; columns outage level, lam
             return g_values(level, x[..., :n]), diagonals(zp.shape[:-1] + (2 * n, 2 * n), n, (

@@ -10,7 +10,6 @@ bit for bit.  :func:`diagonals` builds the diagonal-structured Jacobians.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 from .._ufuncs import count_nonzero as _count_nonzero
 
@@ -51,7 +50,3 @@ def diagonals(shape, n, entries):
         start, step = row * shape[-1] + col, shape[-1] + 1
         flat[..., start:start + n * step:step] = values
     return flat.reshape(shape)
-
-
-def sigmoid(s):
-    return special.expit(s)

@@ -19,7 +19,7 @@ row; only its output keeps the seed axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -215,9 +215,8 @@ def cscgd_step(
 
     constrained = problem.constrained
     if constrained and state.z is not state.y:
-        hval = gval if problem.inner_h is problem.inner_g else problem.inner_h(x, zeta)
         state.z *= 1.0 - beta
-        state.z += beta * hval
+        state.z += beta * problem.inner_h(x, zeta)
 
     fgrad = problem.outer_f_gradient(state.y)
     direction = alpha * _matvec(jac_g, fgrad)
@@ -400,11 +399,11 @@ class StepBoundReport:
     mean_step_sq: np.ndarray
     std_err: np.ndarray
     bound: np.ndarray
-    flagged: np.ndarray = field(default=None)
 
-    def __post_init__(self):
-        if self.flagged is None:
-            self.flagged = (self.mean_step_sq - 3.0 * self.std_err) > self.bound
+    @property
+    def flagged(self) -> np.ndarray:
+        """Points whose mean exceeds the bound by more than three standard errors."""
+        return (self.mean_step_sq - 3.0 * self.std_err) > self.bound
 
     @property
     def violation_count(self) -> int:

@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.special import expit as sigmoid
 
 from cscgd import SolverConfig, StepSchedule, run, step_bound_diagnostic, zero_violation_gamma
 from cscgd.checks import gradient_suite, penalty_suite, projection_suite, tracking_consistency
@@ -36,7 +37,6 @@ from cscgd.problems import (
     paper_ex5,
     toy_constants,
 )
-from cscgd.problems.safeguards import sigmoid
 from cscgd.problems.toy import constrained_quadratic_problem
 from cscgd.sets import Box, BoxWithLinearInequalities, BoxWithSumCap, ProductSet
 

@@ -63,12 +63,18 @@ def test_run_rejects_empty_or_repeated_seeds_before_any_output(tmp_path, seeds, 
     (["--log-points", "1"], ValueError, "log_points must be at least 2, got 1"),
     (["--abc", "0.5,0.9,0.6"], ValueError, "exponents must satisfy 1 > a >= c >= b > 0"),
     (["--gamma", "5", "--c-ell", "1"], ValueError, "gamma must be smaller than c_ell"),
-    (["--preset", "nope"], KeyError, "unknown preset 'nope'"),
+    (["--preset", "nope"], KeyError,
+     "unknown preset 'nope'; available: ['constrained-quadratic-toy', 'paper-ex1', "
+     "'paper-ex2-k10', 'paper-ex2-k5', 'paper-ex3', 'paper-ex4', 'quadratic-toy']"),
     ([{"regime": "weird"}], ValueError, "unknown regime 'weird'"),
     (["--seeds="], ValueError, "seeds must name at least one seed, got none"),
     (["--preset", "paper-ex2-k5", "--gap", "--abc", "0.5,0.9,0.6"], ValueError,
      "exponents must satisfy 1 > a >= c >= b > 0"),
-], ids=["log-points", "abc", "gamma", "preset", "config-file-regime", "no-seeds", "gap-abc"])
+    ([{"x0": [1.0, 2.0]}], ValueError, "point has dim (2,), set has dim 1"),
+    ([{"instance_overrides": {"nope": 1}}], TypeError, "unexpected keyword argument 'nope'"),
+    (["--gamma", "5"], ValueError, "gamma must be smaller than c_ell"),
+], ids=["log-points", "abc", "gamma", "preset", "config-file-regime", "no-seeds", "gap-abc",
+        "config-file-x0", "config-file-override", "gamma-past-instance-knee"])
 def test_run_refuses_a_bad_value_before_any_output_or_oracle(tmp_path, monkeypatch,
                                                              extra, error, message):
     def no_oracle(config):
@@ -94,7 +100,7 @@ def test_run_list_presets(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     for name in ("paper-ex1", "paper-ex2-k5", "paper-ex2-k10", "paper-ex3",
-                 "paper-ex4"):
+                 "paper-ex4", "quadratic-toy", "constrained-quadratic-toy"):
         assert name in out
 
 

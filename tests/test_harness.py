@@ -9,6 +9,7 @@ import pytest
 import cscgd
 from cscgd.harness import (
     EVAL_CHUNK_ROWS,
+    SAMPLE_AVERAGE_ORACLE,
     ExperimentConfig,
     aggregate_curves,
     compute_oracle,
@@ -25,7 +26,7 @@ from cscgd.harness import (
 )
 from cscgd.harness import _lane_sum, _row_sum
 from cscgd.oracles import wired_fstar
-from cscgd.problems import paper_ex1
+from cscgd.problems import get_preset, paper_ex1
 from cscgd.solver import SolverConfig, run
 
 
@@ -209,6 +210,21 @@ class TestRunExperiment:
         compute_oracle(ExperimentConfig(preset="paper-ex2-k5",
                                         instance_overrides={"lambda_cap": 30.0}))
         assert calls == [(30.0, harness.SAMPLE_AVERAGE_ORACLE)]
+
+    @pytest.mark.parametrize("name", ["paper-ex3", "paper-ex4"])
+    def test_sample_average_local_oracle(self, name):
+        from cscgd.oracles import sample_average_baseline
+
+        payload = compute_oracle(ExperimentConfig(preset=name))
+        assert payload["method"] == "sample-average-local"
+        assert math.isfinite(payload["f_star"])
+        instance = get_preset(name)
+        assert instance.feasible_set().contains(np.array(payload["x_star"]))
+        res = sample_average_baseline(instance.build(), **SAMPLE_AVERAGE_ORACLE)
+        assert payload == {
+            "method": "sample-average-local", "f_star": res.value, "x_star": res.x.tolist(),
+            "grad_map_norm": res.grad_map_norm, "preset": name,
+        }
 
 
 class TestEvaluatePoint:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+from scipy.special import expit as sigmoid
 
 from cscgd.checks import gradient_suite
 from cscgd.problems import constant_report, paper_ex3, paper_ex4
-from cscgd.problems.safeguards import sigmoid
 
 
 class TestOutage:

@@ -22,10 +22,13 @@
 # A last pass (runs/config-file) runs paper-ex1 from a saved config file
 # that sets fields the other passes leave at their defaults, with
 # --seeds 0:2 overriding the file's seeds, so that the CLI's config-file
-# path is compared too.  One line per file says `same` or `DIFF`: each trajectory
-# CSV, curves.csv, config.json, and summary.csv without its wall_time
-# column (the only column that is allowed to differ).  Exit status 0 when
-# every file is the same.
+# path is compared too.  A check pass runs `cscgd check --points 5
+# --trials 200` (the gradient, projection and penalty suites, which no run
+# exercises) in each tree and keeps its stdout and exit status in
+# WORKDIR/<side>/check.txt.  One line per file says `same` or `DIFF`: each
+# trajectory CSV, curves.csv, config.json, summary.csv without its
+# wall_time column (the only column that is allowed to differ), and
+# check.txt.  Exit status 0 when every file is the same.
 set -e
 [ $# -eq 3 ] || { echo "usage: $0 PARENT_SRC CHANGE_SRC WORKDIR" >&2; exit 2; }
 PARENT=$(cd "$1" && pwd); CHANGE=$(cd "$2" && pwd); WORK=$3
@@ -51,6 +54,11 @@ for side in parent change; do
   [ $side = parent ] && src=$PARENT || src=$CHANGE
   (cd "$WORK/$side" && PYTHONPATH=$src python3 -W ignore -c "$CLI" run ../config.json --seeds 0:2 >/dev/null)
 done
+for side in parent change; do
+  [ $side = parent ] && src=$PARENT || src=$CHANGE
+  (cd "$WORK/$side" && PYTHONPATH=$src python3 -W ignore -c "$CLI" check --points 5 \
+    --trials 200 > check.txt || echo "exit status $?" >> check.txt)
+done
 RUNS=config-file
 for n in $EVAL_SAMPLES; do
   for p in $PRESETS; do RUNS="$RUNS eval$n/$p"; done
@@ -67,4 +75,6 @@ for run in $RUNS; do
   cmp -s "$WORK/parent.sum" "$WORK/change.sum" \
     && echo "same $run/summary.csv (without wall_time)" || { echo "DIFF $run/summary.csv"; status=1; }
 done
+cmp -s "$WORK/parent/check.txt" "$WORK/change/check.txt" \
+  && echo "same check.txt" || { echo "DIFF check.txt"; status=1; }
 exit $status
